@@ -64,23 +64,27 @@ def average_vector(
     stopset = set(stopwords)
     used: list[str] = []
     excluded: list[str] = []
-    total: np.ndarray | None = None
+    vectors: list = []
     for word, vec in pairs:
         if word in stopset:
             excluded.append(word)
-            continue
-        v = np.asarray(vec, dtype=np.float64)
-        if total is None:
-            total = v.copy()
-        elif v.shape != total.shape:
-            raise AnalysisError(
-                f"mixed vector lengths: {total.shape[0]} vs {v.shape[0]} for {word!r}"
-            )
         else:
-            total += v
-        used.append(word)
-    if total is None:
+            used.append(word)
+            vectors.append(vec)
+    if not used:
         return SentenceVector(vector=None, used_tokens=[], excluded=excluded)
+    width = len(vectors[0])
+    for word, vec in zip(used, vectors):
+        if len(vec) != width:
+            raise AnalysisError(f"mixed vector lengths: {width} vs {len(vec)} for {word!r}")
+    # A C-contiguous (n, d) sum along axis 0 adds the rows in order, so the
+    # float64 total is the same as a row-by-row loop's. A single column
+    # (d == 1) would be summed pairwise instead, so it takes a running sum.
+    stacked = np.array(vectors, dtype=np.float64)
+    if width > 1:
+        total = stacked.sum(axis=0)
+    else:
+        total = np.add.accumulate(stacked, axis=0)[-1]
     mean = (total / len(used)).astype(np.float32)
     return SentenceVector(vector=mean, used_tokens=used, excluded=excluded)
 

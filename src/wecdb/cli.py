@@ -27,7 +27,7 @@ from .db import Database
 from .errors import WecdbError
 from .identifier import parse_identifier, parse_query
 from .pipeline import PreprocessCache, pipeline_for_identifier
-from .retrieve import lookup_unit
+from .retrieve import RetrievalResult, lookup_units
 
 
 def _root_from(args) -> str:
@@ -262,8 +262,10 @@ def cmd_sts(args) -> int:
     metric, is_similarity = analyse.METRICS[args.metric]
     stopwords = _load_stopwords(args.stopwords)
     cache = PreprocessCache()
-    vecs_1 = db.get_vectors(args.query, cache, inputs=col1, raw=True)
-    vecs_2 = db.get_vectors(args.query, cache, inputs=col2, raw=True)
+    both = db.get_vectors(args.query, cache, inputs=col1 + col2, raw=True)
+    n = len(col1)
+    vecs_1 = RetrievalResult([(norm, units[:n]) for norm, units in both])
+    vecs_2 = RetrievalResult([(norm, units[n:]) for norm, units in both])
     ranking = analyse.pairwise_distances(
         vecs_1, vecs_2, metric=metric, reverse=args.reverse, stopwords=stopwords
     )
@@ -299,13 +301,10 @@ def cmd_heatmap(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     for ident in query.expanded:
         entry = db.catalog.require(ident)
-        store = db.open_store(entry)
-        units = []
-        for sentence in (args.sentence1, args.sentence2):
-            tokens = entry.pipeline.run(sentence, cache)
-            if not args.no_phrases:
-                tokens = db.join_phrases(entry, tokens)
-            units.append(lookup_unit(store, sentence, tokens, in_order=False))
+        units = lookup_units(
+            db, entry, [args.sentence1, args.sentence2], raw=True, cache=cache,
+            in_order=False, join=not args.no_phrases,
+        )
         matrix = analyse.similarity_matrix(units[0], units[1], metric=metric)
         name = store_filename(entry.normalized)[: -len(".wec")]
         path = outdir / f"{name}.heatmap.{args.format}"

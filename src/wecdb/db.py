@@ -23,7 +23,7 @@ from .catalog import Catalog, CatalogEntry
 from .identifier import WecIdentifier, parse_identifier
 from .phrases import PhraseModel
 from .pipeline import PipelineDescriptor, PreprocessCache, pipeline_for_identifier
-from .retrieve import RetrievalResult, get_vectors as _get_vectors
+from .retrieve import RetrievalResult, get_vectors as _get_vectors, lookup_units
 from .store import ImportReport, WecStore
 
 
@@ -149,20 +149,8 @@ class Database:
         """(found pairs, missing words): one pair per distinct found word,
         missing in first-occurrence order."""
         entry = self.catalog.require(_as_identifier(ident))
-        store = self.open_store(entry)
-        hits = store.get_many(words)
-        found: list[tuple[str, np.ndarray]] = []
-        missing: list[str] = []
-        seen: set[str] = set()
-        for word in words:
-            if word in seen:
-                continue
-            seen.add(word)
-            if word in hits:
-                found.append((word, hits[word]))
-            else:
-                missing.append(word)
-        return found, missing
+        (unit,) = lookup_units(self, entry, [words], raw=False, cache=None, in_order=False)
+        return unit.pairs, unit.missing
 
     def contains(self, ident: WecIdentifier | str, word: str) -> bool:
         entry = self.catalog.require(_as_identifier(ident))
@@ -183,12 +171,19 @@ class Database:
         if entry.phrase_model_ref is not None:
             model = self._phrase_model(entry)
             return model.apply(tokens)
-        if entry.vocab_join_max_len is not None:
+        max_len = self.vocab_join_len(entry)
+        if max_len is not None:
             store = self.open_store(entry)
-            return phrases_mod.apply_phrases_vocab(
-                store.contains, tokens, max_len=entry.vocab_join_max_len
-            )
+            return phrases_mod.apply_phrases_vocab(store.contains, tokens, max_len=max_len)
         return tokens
+
+    @staticmethod
+    def vocab_join_len(entry: CatalogEntry) -> int | None:
+        """Window limit of the WEC's vocabulary join, or None when it has
+        none; a phrase model, when set, takes the place of vocabulary joining."""
+        if entry.phrase_model_ref is not None:
+            return None
+        return entry.vocab_join_max_len
 
     def _phrase_model(self, entry: CatalogEntry) -> PhraseModel:
         model = self._phrase_models.get(entry.phrase_model_ref)
@@ -196,16 +191,6 @@ class Database:
             model = PhraseModel.load(self.catalog.phrase_model_path(entry))
             self._phrase_models[entry.phrase_model_ref] = model
         return model
-
-    def apply_phrases_vocab(
-        self,
-        ident: WecIdentifier | str,
-        tokens: list[str],
-        max_len: int = phrases_mod.DEFAULT_VOCAB_MAX_LEN,
-    ) -> list[str]:
-        entry = self.catalog.require(_as_identifier(ident))
-        store = self.open_store(entry)
-        return phrases_mod.apply_phrases_vocab(store.contains, tokens, max_len=max_len)
 
     def train_phrases(
         self,

@@ -27,7 +27,7 @@ from __future__ import annotations
 import urllib.parse
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .errors import EmptyCorpusError, WecdbError
 
@@ -196,3 +196,18 @@ def apply_phrases_vocab(
             out.append(joined[0])
             i += joined[1]
     return out
+
+
+def vocab_windows(
+    tokens: list[str], max_len: int = DEFAULT_VOCAB_MAX_LEN, delimiter: str = "_"
+) -> Iterator[str]:
+    """Every candidate :func:`apply_phrases_vocab` may test on ``tokens``:
+    each run of 2..``max_len`` adjacent tokens, delimiter-joined.
+
+    Resolving these in one batch and joining against the result gives the
+    same output as joining against the store, since membership is fixed.
+    """
+    n = len(tokens)
+    for i in range(n - 1):
+        for width in range(2, min(max_len, n - i) + 1):
+            yield delimiter.join(tokens[i : i + width])

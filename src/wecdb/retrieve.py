@@ -13,6 +13,8 @@ distinct found word, in first-seen order; ``in_order=True`` repeats an
 entry for every token occurrence, in token order. ``missing`` always lists
 distinct not-found tokens in first-seen order. With ``as_tuple=False`` the
 ``pairs`` lists contain bare vectors in the same order, words omitted.
+Vectors are read-only arrays, and units of one WEC share the array of a
+word they have in common.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import phrases
 from .errors import PipelineError, WecdbError
 from .pipeline import PreprocessCache, run_pipeline
 
@@ -77,8 +80,12 @@ class RetrievalResult:
 
 
 def lookup_unit(store, raw_text: str, tokens: list[str], in_order: bool) -> UnitResult:
-    """Assemble one UnitResult from a store and a ready token list."""
-    found = store.get_many(tokens)
+    """Assemble one UnitResult from a store and a ready token list, with a
+    store read of its own; :func:`lookup_units` shares one read between units."""
+    return _assemble(raw_text, tokens, store.get_many(tokens), in_order)
+
+
+def _assemble(raw_text: str, tokens: list[str], found: dict, in_order: bool) -> UnitResult:
     pairs = []
     missing = []
     seen: set[str] = set()
@@ -103,6 +110,50 @@ def lookup_unit(store, raw_text: str, tokens: list[str], in_order: bool) -> Unit
     return UnitResult(raw=raw_text, tokens=list(tokens), pairs=pairs, missing=missing)
 
 
+def lookup_units(
+    db, entry, inputs, raw: bool, cache: PreprocessCache | None, in_order: bool,
+    join: bool = True,
+) -> list[UnitResult]:
+    """Every input unit against one WEC, with a single store read.
+
+    With ``raw=True`` each unit runs through the WEC's pipeline and, when
+    ``join`` is on, its phrase model; one ``get_many`` then covers every
+    token of every unit plus, for vocabulary joining, every candidate
+    window, so the greedy join and the assembly both read that one dict.
+    """
+    store = db.open_store(entry)
+    texts: list[str] = []
+    token_lists: list[list[str]] = []
+    for unit in inputs:
+        if raw:
+            if not isinstance(unit, str):
+                raise WecdbError("raw=True expects each input unit to be a string")
+            try:
+                tokens = run_pipeline(entry.pipeline, unit, cache)
+            except PipelineError as exc:
+                raise PipelineError(f"[{entry.normalized}] {exc}") from exc
+            if join and entry.phrase_model_ref is not None:
+                tokens = db.join_phrases(entry, tokens)
+            texts.append(unit)
+        else:
+            if isinstance(unit, str):
+                raise WecdbError("raw=False expects each input unit to be a token list")
+            tokens = list(unit)
+            texts.append("")
+        token_lists.append(tokens)
+    max_len = db.vocab_join_len(entry) if raw and join else None
+    wanted = [token for tokens in token_lists for token in tokens]
+    if max_len is not None:
+        wanted += [w for tokens in token_lists for w in phrases.vocab_windows(tokens, max_len)]
+    found = store.get_many(wanted)
+    if max_len is not None:
+        token_lists = [
+            phrases.apply_phrases_vocab(found.__contains__, tokens, max_len=max_len)
+            for tokens in token_lists
+        ]
+    return [_assemble(text, tokens, found, in_order) for text, tokens in zip(texts, token_lists)]
+
+
 def get_vectors(
     db,
     query,
@@ -119,7 +170,7 @@ def get_vectors(
     is a string and is run through the owning WEC's bound pipeline (then
     its phrase model or vocabulary join, if configured) via the shared
     ``cache``; with ``raw=False`` each unit is a ready token list and the
-    pipeline is bypassed.
+    pipeline is bypassed. Each WEC's store is read once per call.
     """
     from .identifier import WecQuery, parse_query
 
@@ -128,27 +179,9 @@ def get_vectors(
     result = RetrievalResult()
     for ident in query.expanded:
         entry = db.catalog.require(ident)
-        store = db.open_store(entry)
-        units: list[UnitResult] = []
-        for unit in inputs:
-            if raw:
-                if not isinstance(unit, str):
-                    raise WecdbError("raw=True expects each input unit to be a string")
-                try:
-                    tokens = run_pipeline(entry.pipeline, unit, cache)
-                except PipelineError as exc:
-                    raise PipelineError(f"[{entry.normalized}] {exc}") from exc
-                tokens = db.join_phrases(entry, tokens)
-                raw_text = unit
-            else:
-                if isinstance(unit, str):
-                    raise WecdbError("raw=False expects each input unit to be a token list")
-                tokens = list(unit)
-                raw_text = ""
-            units.append(lookup_unit(store, raw_text, tokens, in_order))
-        result.per_wec.append((entry.normalized, units))
-    if not as_tuple:
-        for _, units in result.per_wec:
+        units = lookup_units(db, entry, inputs, raw, cache, in_order)
+        if not as_tuple:
             for unit in units:
                 unit.pairs = [v for _, v in unit.pairs]
+        result.per_wec.append((entry.normalized, units))
     return result

@@ -43,6 +43,8 @@ from .errors import (
 )
 
 _BATCH_ROWS = 4096
+_CHUNK = 256
+_SELECT_IN = f"SELECT word, vector FROM vectors WHERE word IN ({','.join('?' * _CHUNK)})"
 _HEADER_RE = re.compile(r"(\d+) (\d+)")
 
 
@@ -116,33 +118,24 @@ class WecStore:
         return np.frombuffer(row[0], dtype="<f4")
 
     def get_many(self, words: Iterable[str]) -> dict[str, np.ndarray]:
-        """Found subset of ``words`` as a dict; one indexed query per chunk.
+        """Found subset of ``words`` as a dict of read-only float32 arrays.
 
-        Much cheaper than per-word :meth:`get` for batches: the whole chunk
-        shares one read transaction.
+        Distinct words are read through one indexed ``IN`` list of
+        ``_CHUNK`` words per chunk; the last chunk is padded with NULL, which
+        matches no row. The one SQL text keeps SQLite's per-connection
+        statement cache at one prepared statement for any batch size; a list
+        sized to each batch would fill the cache (128 entries) with large
+        statements that stay resident.
         """
+        unique = list(dict.fromkeys(words))
         out: dict[str, np.ndarray] = {}
-        chunk: list[str] = []
-        seen: set[str] = set()
-        for word in words:
-            if word in seen:
-                continue
-            seen.add(word)
-            chunk.append(word)
-            if len(chunk) >= 400:
-                self._fetch_chunk(chunk, out)
-                chunk = []
-        if chunk:
-            self._fetch_chunk(chunk, out)
+        conn = self._conn
+        for start in range(0, len(unique), _CHUNK):
+            chunk = unique[start : start + _CHUNK]
+            chunk += [None] * (_CHUNK - len(chunk))
+            for word, blob in conn.execute(_SELECT_IN, chunk):
+                out[word] = np.frombuffer(blob, dtype="<f4")
         return out
-
-    def _fetch_chunk(self, chunk: list[str], out: dict[str, np.ndarray]) -> None:
-        marks = ",".join("?" * len(chunk))
-        rows = self._conn.execute(
-            f"SELECT word, vector FROM vectors WHERE word IN ({marks})", chunk
-        ).fetchall()
-        for word, blob in rows:
-            out[word] = np.frombuffer(blob, dtype="<f4")
 
     def contains(self, word: str) -> bool:
         row = self._conn.execute(

@@ -4,6 +4,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wecdb import (
     AnalysisError,
@@ -56,6 +57,51 @@ def test_average_undefined_when_all_stopwords():
     sv = average_vector([("the", _vec(9, 9))], stopwords={"the"})
     assert not sv.defined
     assert sv.vector is None
+
+
+def _loop_average(pairs, stopwords):
+    """Reference: the row-by-row float64 accumulation the README specifies."""
+    total = None
+    n = 0
+    for word, vec in pairs:
+        if word in stopwords:
+            continue
+        v = np.asarray(vec, dtype=np.float64)
+        total = v.copy() if total is None else total + v
+        n += 1
+    return None if total is None else (total / n).astype(np.float32)
+
+
+@given(
+    dims=st.sampled_from([1, 2, 3, 7, 50, 300]),
+    n=st.integers(0, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_average_matches_row_by_row_loop(dims, n, seed):
+    rng = np.random.default_rng(seed)
+    scales = 10.0 ** rng.integers(-6, 7, size=(n, 1))
+    vectors = (rng.standard_normal((n, dims)) * scales).astype(np.float32)
+    words = [f"w{rng.integers(0, 6)}" for _ in range(n)]
+    pairs = list(zip(words, vectors))
+    stopwords = {"w0", "w1"}
+    sv = average_vector(pairs, stopwords)
+    want = _loop_average(pairs, stopwords)
+    if want is None:
+        assert not sv.defined and sv.vector is None
+    else:
+        assert sv.vector.tobytes() == want.tobytes()
+    assert sv.used_tokens == [w for w in words if w not in stopwords]
+
+
+def test_average_of_one_dimensional_vectors_adds_in_order():
+    # With nine or more values a plain 1-D sum switches to pairwise
+    # summation; here that rounds 1e16 + 1 and -1e16 + 1 apart and gives 0.
+    values = [1e16, 1.0, -1e16, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+    pairs = [(f"w{i}", np.array([v])) for i, v in enumerate(values)]
+    sv = average_vector(pairs)
+    assert sv.vector.tobytes() == _loop_average(pairs, set()).tobytes()
+    assert sv.vector[0] == np.float32(1.0 / 9)
 
 
 def test_average_rejects_mixed_lengths():

@@ -193,6 +193,26 @@ def test_heatmap_svg_format(root, tmp_path):
     assert svg.count("<rect ") == 4
 
 
+def test_heatmap_pipeline_error_names_the_wec(root, tmp_path, capsys):
+    from wecdb import Database
+    from wecdb.identifier import parse_identifier
+    from wecdb.pipeline import pipeline_for_identifier
+
+    ident_text = "algo:x;dataset:broken;dims:2;fold:0;unit:token"
+    ident = parse_identifier(ident_text)
+    failing = pipeline_for_identifier(
+        ident, external=(f'{sys.executable} -c "import sys; sys.exit(1)"', None)
+    )
+    write_wec_text(tmp_path / "b.txt", ["a"], dims=2)
+    with Database(root, create_if_missing=True) as db:
+        db.register(ident, failing)
+        db.import_into(tmp_path / "b.txt", ident_text)
+    code = main(["--root", root, "heatmap", ident_text, "a b", "a",
+                 "--outdir", str(tmp_path / "hm")])
+    assert code == 1
+    assert "dataset:broken" in capsys.readouterr().err
+
+
 def test_missing_root_is_an_error(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("WECDB_ROOT", raising=False)
     assert main(["list"]) == 1

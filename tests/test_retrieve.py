@@ -2,8 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wecdb import Database, PreprocessCache, UnknownWecError, WecdbError
+from wecdb.retrieve import lookup_unit
 
 from conftest import write_wec_text
 
@@ -185,3 +187,72 @@ def test_jsonable_round_trip(db, toy_wec):
     assert parsed["results"][0]["identifier"] == TOY
     unit = parsed["results"][0]["units"][0]
     assert set(unit) == {"raw", "tokens", "pairs", "missing"}
+
+
+# -- batched retrieval against the per-unit reference --------------------------
+
+_JOIN = "algo:eq;dataset:join;dims:3;fold:0;unit:token"
+_MODEL = "algo:eq;dataset:model;dims:3;fold:0;unit:token"
+_PLAIN = "algo:eq;dataset:plain;dims:3;fold:0;unit:token"
+_EQ_QUERY = "algo:eq;dataset:{join,model,plain};dims:3;fold:0;unit:token"
+_EQ_VOCAB = ["a", "b", "c", "d", "a_b", "b_c", "a_b_c", "c_d", "d_a", "b_c_d"]
+
+
+@pytest.fixture(scope="module")
+def eq_db(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("eq")
+    write_wec_text(tmp / "v.txt", _EQ_VOCAB, dims=3)
+    database = Database(tmp / "catalog", create_if_missing=True)
+    database.import_from_file(tmp / "v.txt", _JOIN, vocab_join_max_len=3)
+    database.import_from_file(tmp / "v.txt", _MODEL)
+    database.train_phrases(["a b"] * 30 + ["c"] * 5, _MODEL, threshold=1.0)
+    database.import_from_file(tmp / "v.txt", _PLAIN)
+    yield database
+    database.close()
+
+
+def _reference_unit(db, norm, unit, raw, in_order):
+    """Per-unit path: pipeline, join against the store itself, own store read."""
+    entry = db.catalog.require(norm)
+    if raw:
+        tokens = db.join_phrases(entry, entry.pipeline.run(unit))
+    else:
+        tokens = list(unit)
+    return lookup_unit(db.open_store(entry), unit if raw else "", tokens, in_order)
+
+
+@given(
+    units=st.lists(st.lists(st.sampled_from(["a", "b", "c", "d", "e", "zz"]), max_size=8),
+                   max_size=6),
+    raw=st.booleans(),
+    in_order=st.booleans(),
+    as_tuple=st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_batched_retrieval_equals_per_unit_reference(eq_db, units, raw, in_order, as_tuple):
+    inputs = [" ".join(u) for u in units] if raw else units
+    res = eq_db.get_vectors(_EQ_QUERY, None, inputs=inputs, raw=raw, in_order=in_order,
+                            as_tuple=as_tuple)
+    assert res.identifiers() == [_JOIN, _MODEL, _PLAIN]
+    for norm, got_units in res:
+        assert len(got_units) == len(inputs)
+        for unit, got in zip(inputs, got_units):
+            want = _reference_unit(eq_db, norm, unit, raw, in_order)
+            assert (got.raw, got.tokens, got.missing) == (want.raw, want.tokens, want.missing)
+            want_pairs = [(w, v.tobytes()) for w, v in want.pairs]
+            if as_tuple:
+                assert [(w, v.tobytes()) for w, v in got.pairs] == want_pairs
+            else:
+                assert [v.tobytes() for v in got.pairs] == [v for _, v in want_pairs]
+
+
+def test_phrase_model_takes_the_place_of_vocabulary_join(eq_db):
+    # An entry carrying both settings joins with its phrase model only, on
+    # the batched path as in join_phrases.
+    import dataclasses
+
+    from wecdb.retrieve import lookup_units
+
+    entry = dataclasses.replace(eq_db.catalog.require(_MODEL), vocab_join_max_len=3)
+    (unit,) = lookup_units(eq_db, entry, ["a b c d"], raw=True, cache=None, in_order=True)
+    assert unit.tokens == eq_db.join_phrases(entry, ["a", "b", "c", "d"]) == ["a_b", "c", "d"]

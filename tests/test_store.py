@@ -171,6 +171,8 @@ def test_batch_lookup_dedups_and_orders(db, tmp_path):
     assert missing == ["qq"]
     found, missing = db.get_vectors_batch(IDENT, [])
     assert found == [] and missing == []
+    found, missing = db.get_vectors_batch(IDENT, iter(["qq", "a"]))
+    assert [w for w, _ in found] == ["a"] and missing == ["qq"]
 
 
 def test_iterate_vocab_streams_exact_word_set(db, tmp_path):
@@ -212,3 +214,29 @@ def test_persisted_store_reopens(tmp_path):
     with WecStore(path) as store:
         assert store.dims == 2
         assert store.get("x").tolist() == [1.0, 2.0]
+
+
+def test_get_many_uses_fixed_sql_texts(tmp_path):
+    # A fixed set of statements keeps SQLite's per-connection statement
+    # cache small whatever the batch size.
+    import re
+
+    words = [f"w{i:05d}" for i in range(6000)]
+    with WecStore(tmp_path / "s.wec", dims=2, create=True) as store:
+        store.put_many(
+            (w, np.array([i, -i], dtype="<f4").tobytes()) for i, w in enumerate(words[:3000])
+        )
+        statements: list[str] = []
+        store._conn.set_trace_callback(statements.append)
+        for n in (1, 399, 400, 401, 5000):
+            asked = words[3000 - (n + 1) // 2 :][:n]  # about half stored, half absent
+            got = store.get_many(asked + asked[:7])
+            stored = [w for w in asked if int(w[1:]) < 3000]
+            assert sorted(got) == stored
+            for w in stored:
+                i = int(w[1:])
+                assert got[w].tobytes() == np.array([i, -i], dtype="<f4").tobytes()
+        store._conn.set_trace_callback(None)
+    # the callback sees statements with their bound values filled in
+    texts = {re.sub(r"'(?:[^']|'')*'|NULL", "?", s) for s in statements}
+    assert 1 <= len(texts) <= 2
