@@ -35,13 +35,8 @@ from .errors import (
     WecdbError,
     WecImportError,
 )
-from .identifier import WecIdentifier, WecQuery, normalize, parse_identifier, parse_query
-from .phrases import (
-    PhraseModel,
-    apply_phrases_model,
-    apply_phrases_vocab,
-    train_phrase_model,
-)
+from .identifier import WecIdentifier, WecQuery, parse_identifier, parse_query
+from .phrases import PhraseModel, apply_phrases_vocab, train_phrase_model
 from .pipeline import (
     PipelineDescriptor,
     PreprocessCache,
@@ -83,7 +78,6 @@ __all__ = [
     "WecQuery",
     "WecStore",
     "WecdbError",
-    "apply_phrases_model",
     "apply_phrases_vocab",
     "average_vector",
     "build_pipeline",
@@ -92,7 +86,6 @@ __all__ = [
     "euclidean_distance",
     "export_heatmap",
     "get_vectors",
-    "normalize",
     "pairwise_distances",
     "parse_identifier",
     "parse_query",

@@ -12,8 +12,9 @@ with tab-separated columns
 
     identifier  dims  vocab_size  pipeline_hash  pipeline  phrases  store  created_at  source
 
-where ``phrases`` is ``-`` (off), ``model:<file>`` or ``vocab:<max_len>``,
-and ``pipeline`` is the descriptor's serialized form. Mutations take an
+where ``phrases`` is ``-`` (off), ``model:<file>`` or ``vocab:<max_len>``
+(a WEC joins phrases by a model or by its vocabulary, never both), and
+``pipeline`` is the descriptor's serialized form. Mutations take an
 exclusive file lock and rewrite the manifest atomically, so concurrent
 readers never observe a half-registered entry.
 
@@ -60,6 +61,12 @@ class CatalogEntry:
     store_file: str
     created_at: str
     source_file: str
+
+    def __post_init__(self):
+        if self.phrase_model_ref is not None and self.vocab_join_max_len is not None:
+            raise CatalogError(
+                f"{self.normalized}: a phrase model and a vocabulary join exclude each other"
+            )
 
     @property
     def normalized(self) -> str:
@@ -227,7 +234,8 @@ class Catalog:
         The pipeline must agree with the identifier's metadata: case folding
         on iff ``fold:1``, stemming on iff ``unit:stem``. User stopword
         lists referenced by the pipeline are copied under the catalog root
-        so the directory stays self-contained.
+        so the directory stays self-contained. At most one of
+        ``phrase_model`` and ``vocab_join_max_len`` may be given.
         """
         if pipeline.case_fold_enabled != (ident.fold == 1):
             raise CatalogError(
@@ -252,15 +260,9 @@ class Catalog:
                     f"identifier {norm!r} already registered"
                     f" (store {entries[norm].store_file})"
                 )
-            for ref, content in pipeline.resources:
-                if ref.startswith("list:"):
-                    list_path = self.root / "lists" / f"{ref[5:]}.txt"
-                    if not list_path.exists():
-                        list_path.write_text(content, encoding="utf-8")
-            model_ref = None
-            if phrase_model is not None:
-                model_ref = f"{store_filename(norm)[:-4]}.phr"
-                phrase_model.save(self.root / "phrases" / model_ref)
+            model_ref = None if phrase_model is None else f"{store_filename(norm)[:-4]}.phr"
+            # built before any file is written: the entry refuses a model
+            # together with a vocabulary join
             entry = CatalogEntry(
                 identifier=ident,
                 dims=ident.dims,
@@ -273,6 +275,13 @@ class Catalog:
                 created_at=datetime.now(timezone.utc).isoformat(timespec="seconds"),
                 source_file=source,
             )
+            for ref, content in pipeline.resources:
+                if ref.startswith("list:"):
+                    list_path = self.root / "lists" / f"{ref[5:]}.txt"
+                    if not list_path.exists():
+                        list_path.write_text(content, encoding="utf-8")
+            if phrase_model is not None:
+                phrase_model.save(self.root / "phrases" / model_ref)
             entries[norm] = entry
             self._write_manifest(entries)
         return entry
@@ -285,9 +294,6 @@ class Catalog:
         model_ref = f"{store_filename(norm)[:-4]}.phr"
         model.save(self.root / "phrases" / model_ref)
         return self._update(ident, phrase_model_ref=model_ref, vocab_join_max_len=None)
-
-    def set_vocab_join(self, ident: WecIdentifier | str, max_len: int | None) -> CatalogEntry:
-        return self._update(ident, vocab_join_max_len=max_len, phrase_model_ref=None)
 
     def _update(self, ident: WecIdentifier | str, **changes) -> CatalogEntry:
         norm = _normalize_arg(ident)

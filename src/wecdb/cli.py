@@ -25,8 +25,8 @@ from . import analyse
 from .catalog import store_filename
 from .db import Database
 from .errors import WecdbError
-from .identifier import parse_identifier, parse_query
-from .pipeline import PreprocessCache, pipeline_for_identifier
+from .identifier import parse_query
+from .pipeline import PreprocessCache
 from .retrieve import RetrievalResult, lookup_units
 
 
@@ -119,27 +119,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def cmd_import(args) -> int:
     db = _open_db(args, create=args.create)
-    external = None
-    if args.external:
-        external = (args.external, args.external_script)
-    pipeline = None
-    ident = args.identifier
-    if args.tokenizer != "default" or args.stopword_list or args.strip_special or external:
-        pipeline = pipeline_for_identifier(
-            parse_identifier(ident),
-            tokenizer=args.tokenizer,
-            stopwords=args.stopword_list,
-            strip_special=args.strip_special,
-            external=external,
-        )
     report = db.import_from_file(
         args.file,
-        ident,
+        args.identifier,
         on_duplicate=args.on_duplicate.replace("-", "_"),
         expect_header=args.header,
         on_malformed="skip" if args.lenient else "fail",
-        pipeline=pipeline,
         vocab_join_max_len=args.phrase_vocab,
+        tokenizer=args.tokenizer,
+        stopwords=args.stopword_list,
+        strip_special=args.strip_special,
+        external=(args.external, args.external_script) if args.external else None,
     )
     ratio = f"{report.compression_ratio:.2f}" if report.bytes_text else "n/a"
     print(f"imported: {report.imported}")

@@ -22,7 +22,7 @@ from . import store as store_mod
 from .catalog import Catalog, CatalogEntry
 from .identifier import WecIdentifier, parse_identifier
 from .phrases import PhraseModel
-from .pipeline import PipelineDescriptor, PreprocessCache, pipeline_for_identifier
+from .pipeline import PipelineDescriptor, PreprocessCache, pipeline_for_identifier, run_pipeline
 from .retrieve import RetrievalResult, get_vectors as _get_vectors, lookup_units
 from .store import ImportReport, WecStore
 
@@ -171,19 +171,12 @@ class Database:
         if entry.phrase_model_ref is not None:
             model = self._phrase_model(entry)
             return model.apply(tokens)
-        max_len = self.vocab_join_len(entry)
-        if max_len is not None:
+        if entry.vocab_join_max_len is not None:
             store = self.open_store(entry)
-            return phrases_mod.apply_phrases_vocab(store.contains, tokens, max_len=max_len)
+            return phrases_mod.apply_phrases_vocab(
+                store.contains, tokens, max_len=entry.vocab_join_max_len
+            )
         return tokens
-
-    @staticmethod
-    def vocab_join_len(entry: CatalogEntry) -> int | None:
-        """Window limit of the WEC's vocabulary join, or None when it has
-        none; a phrase model, when set, takes the place of vocabulary joining."""
-        if entry.phrase_model_ref is not None:
-            return None
-        return entry.vocab_join_max_len
 
     def _phrase_model(self, entry: CatalogEntry) -> PhraseModel:
         model = self._phrase_models.get(entry.phrase_model_ref)
@@ -200,16 +193,17 @@ class Database:
         discount: float = phrases_mod.DEFAULT_DISCOUNT,
         threshold: float = phrases_mod.DEFAULT_THRESHOLD,
         passes: int = phrases_mod.DEFAULT_PASSES,
-        attach: bool = True,
     ) -> PhraseModel:
-        """Tokenize raw lines with the WEC's bound pipeline and train a phrase model."""
+        """Tokenize raw lines with the WEC's bound pipeline, train a phrase
+        model and attach it to the WEC in place of any earlier join."""
         entry = self.catalog.require(_as_identifier(ident))
-        corpus = (entry.pipeline.run(line) for line in raw_lines)
+        corpus = (run_pipeline(entry.pipeline, line) for line in raw_lines)
         model = phrases_mod.train_phrase_model(
             corpus, discount=discount, threshold=threshold, passes=passes
         )
-        if attach:
-            self.catalog.set_phrase_model(entry.identifier, model)
+        entry = self.catalog.set_phrase_model(entry.identifier, model)
+        # a retrained model keeps its file name, so the cached one is stale
+        self._phrase_models.pop(entry.phrase_model_ref, None)
         return model
 
     # -- retrieval -----------------------------------------------------------

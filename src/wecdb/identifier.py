@@ -110,6 +110,7 @@ class WecIdentifier:
         return self["unit"]
 
     def normalized(self) -> str:
+        """Normalized string form: ``key:value`` pairs joined by ``;``, keys sorted."""
         return ";".join(f"{k}:{v}" for k, v in self.attributes)
 
     def matches(self, partial: dict[str, str]) -> bool:
@@ -191,11 +192,6 @@ def parse_identifier(text: str) -> WecIdentifier:
             raise IdentifierError(f"duplicate key {key!r}")
         attrs[key] = values[0]
     return WecIdentifier.from_attributes(attrs)
-
-
-def normalize(ident: WecIdentifier) -> str:
-    """Normalized string form: ``key:value`` pairs joined by ``;``, keys sorted."""
-    return ident.normalized()
 
 
 def parse_query(text: str) -> WecQuery:

@@ -159,20 +159,15 @@ def train_phrase_model(
     return model
 
 
-def apply_phrases_model(model: PhraseModel, tokens: Iterable[str]) -> list[str]:
-    return model.apply(tokens)
-
-
 def apply_phrases_vocab(
     contains: Callable[[str], bool],
     tokens: Iterable[str],
     max_len: int = DEFAULT_VOCAB_MAX_LEN,
-    delimiter: str = "_",
 ) -> list[str]:
     """Greedy longest-match joining against a vocabulary membership test.
 
     At position i, the longest window of at most ``max_len`` tokens whose
-    delimiter-join is in the vocabulary becomes one token; otherwise token i
+    ``_``-join is in the vocabulary becomes one token; otherwise token i
     passes through unchanged. Single tokens are never altered (a window of
     length one is not a join).
     """
@@ -185,7 +180,7 @@ def apply_phrases_vocab(
     while i < n:
         joined = None
         for width in range(min(max_len, n - i), 1, -1):
-            candidate = delimiter.join(toks[i : i + width])
+            candidate = "_".join(toks[i : i + width])
             if contains(candidate):
                 joined = (candidate, width)
                 break
@@ -198,11 +193,9 @@ def apply_phrases_vocab(
     return out
 
 
-def vocab_windows(
-    tokens: list[str], max_len: int = DEFAULT_VOCAB_MAX_LEN, delimiter: str = "_"
-) -> Iterator[str]:
+def vocab_windows(tokens: list[str], max_len: int = DEFAULT_VOCAB_MAX_LEN) -> Iterator[str]:
     """Every candidate :func:`apply_phrases_vocab` may test on ``tokens``:
-    each run of 2..``max_len`` adjacent tokens, delimiter-joined.
+    each run of 2..``max_len`` adjacent tokens, ``_``-joined.
 
     Resolving these in one batch and joining against the result gives the
     same output as joining against the store, since membership is fixed.
@@ -210,4 +203,4 @@ def vocab_windows(
     n = len(tokens)
     for i in range(n - 1):
         for width in range(2, min(max_len, n - i) + 1):
-            yield delimiter.join(tokens[i : i + width])
+            yield "_".join(tokens[i : i + width])

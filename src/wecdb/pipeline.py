@@ -95,10 +95,6 @@ def builtin_stopwords_text() -> str:
     return resources.files("wecdb").joinpath("data/stopwords_en.txt").read_text("utf-8")
 
 
-def load_stopword_file(path: str | Path) -> str:
-    return Path(path).read_text("utf-8")
-
-
 def content_ref(content: str) -> str:
     """Stable reference for a user stopword list, derived from its content."""
     return "list:" + hashlib.sha256(content.encode("utf-8")).hexdigest()[:16]
@@ -198,16 +194,6 @@ class PipelineDescriptor:
     def stem_enabled(self) -> bool:
         return any(s.name == "stem" and s.params == ("on",) for s in self.stages)
 
-    def stopword_refs(self) -> list[str]:
-        return [
-            s.params[0]
-            for s in self.stages
-            if s.name == "stopword_filter" and s.params[0] != "off"
-        ]
-
-    def run(self, raw: str, cache: "PreprocessCache | None" = None) -> list[str]:
-        return run_pipeline(self, raw, cache)
-
 
 def build_pipeline(
     *,
@@ -246,7 +232,7 @@ def build_pipeline(
         resources_map[BUILTIN_STOPWORDS] = content
         stages.append(Stage("stopword_filter", (BUILTIN_STOPWORDS,)))
     else:
-        content = load_stopword_file(stopwords)
+        content = Path(stopwords).read_text("utf-8")
         ref = content_ref(content)
         resources_map[ref] = content
         stages.append(Stage("stopword_filter", (ref,)))

@@ -141,7 +141,7 @@ def lookup_units(
             tokens = list(unit)
             texts.append("")
         token_lists.append(tokens)
-    max_len = db.vocab_join_len(entry) if raw and join else None
+    max_len = entry.vocab_join_max_len if raw and join else None
     wanted = [token for tokens in token_lists for token in tokens]
     if max_len is not None:
         wanted += [w for tokens in token_lists for w in phrases.vocab_windows(tokens, max_len)]

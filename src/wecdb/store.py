@@ -146,9 +146,6 @@ class WecStore:
     def count(self) -> int:
         return self._conn.execute("SELECT count(*) FROM vectors").fetchone()[0]
 
-    def __len__(self) -> int:
-        return self.count()
-
     def iter_words(self) -> Iterator[str]:
         cursor = self._conn.execute("SELECT word FROM vectors")
         while True:
@@ -157,29 +154,6 @@ class WecStore:
                 return
             for (word,) in rows:
                 yield word
-
-    def put_many(self, records: Iterable[tuple[str, bytes]], replace: bool = False) -> int:
-        """Bulk insert inside one transaction; used by tests and tooling."""
-        verb = "INSERT OR REPLACE" if replace else "INSERT"
-        self._conn.execute("BEGIN")
-        try:
-            n = 0
-            cur = self._conn.cursor()
-            batch: list[tuple[str, bytes]] = []
-            for record in records:
-                batch.append(record)
-                if len(batch) >= _BATCH_ROWS:
-                    cur.executemany(f"{verb} INTO vectors VALUES (?, ?)", batch)
-                    n += len(batch)
-                    batch.clear()
-            if batch:
-                cur.executemany(f"{verb} INTO vectors VALUES (?, ?)", batch)
-                n += len(batch)
-            self._conn.execute("COMMIT")
-            return n
-        except Exception:
-            self._conn.execute("ROLLBACK")
-            raise
 
     def close(self) -> None:
         with self._conns_lock:

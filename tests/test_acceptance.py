@@ -24,7 +24,6 @@ from wecdb import (
     PreprocessCache,
     cosine_distance,
     export_heatmap,
-    normalize,
     pairwise_distances,
     parse_identifier,
     parse_query,
@@ -32,7 +31,7 @@ from wecdb import (
 )
 from wecdb.analyse import read_heatmap_csv
 from wecdb.cli import main
-from wecdb.phrases import apply_phrases_vocab, train_phrase_model, apply_phrases_model
+from wecdb.phrases import apply_phrases_vocab, train_phrase_model
 from wecdb.retrieve import RetrievalResult, UnitResult
 
 from test_phrases import reference_scan
@@ -85,12 +84,12 @@ def test_c01_grammar_suite():
                 "".join(rng.choices(value_chars, k=4)),
             )
         ident = parse_identifier(";".join(f"{k}:{v}" for k, v in attrs.items()))
-        norm = normalize(ident)
+        norm = ident.normalized()
         # idempotence and permutation invariance
-        assert normalize(parse_identifier(norm)) == norm
+        assert parse_identifier(norm).normalized() == norm
         pairs = [f"{k}:{v}" for k, v in ident.attributes]
         rng.shuffle(pairs)
-        assert normalize(parse_identifier(";".join(pairs))) == norm
+        assert parse_identifier(";".join(pairs)).normalized() == norm
 
     alphabet = "a:;&{},1 \t%$\n\\x"
     for _ in range(2000):
@@ -469,7 +468,7 @@ def test_c09_phrase_equivalence():
             passes=rng.choice([1, 2, 3]),
         )
         probe = [rng.choice(alphabet) for _ in range(rng.randint(0, 9))]
-        assert apply_phrases_model(model, probe) == reference_scan(model, probe), trial
+        assert model.apply(probe) == reference_scan(model, probe), trial
 
     vocab = {"petri_net", "petri", "net", "analysis"}
     assert apply_phrases_vocab(vocab.__contains__, ["petri", "net"]) == ["petri_net"]

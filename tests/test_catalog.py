@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from wecdb import (
@@ -6,9 +8,10 @@ from wecdb import (
     DuplicateEntryError,
     UnknownWecError,
     parse_identifier,
+    train_phrase_model,
 )
 from wecdb.catalog import store_filename
-from wecdb.pipeline import build_pipeline, pipeline_for_identifier
+from wecdb.pipeline import build_pipeline, pipeline_for_identifier, run_pipeline
 
 # the seven collections of the sentence-similarity setup
 SEVEN = (
@@ -135,7 +138,7 @@ def test_builtin_stopword_pipeline_survives_reopen(tmp_path):
     catalog.register(ident, pipeline)
     entry = Catalog(root).lookup(SEVEN[0])
     assert entry.pipeline.hash == pipeline.hash
-    assert entry.pipeline.run("The Theory") == ["theory"]
+    assert run_pipeline(entry.pipeline, "The Theory") == ["theory"]
 
 
 def test_delete_requires_force(catalog, tmp_path):
@@ -175,3 +178,25 @@ def test_vocab_size_update_roundtrip(catalog):
     _register(catalog, SEVEN[0])
     catalog.set_vocab_size(SEVEN[0], 12345)
     assert catalog.lookup(SEVEN[0]).vocab_size == 12345
+
+
+def _model():
+    return train_phrase_model([["petri", "net"]] * 3, threshold=0.0)
+
+
+def test_register_rejects_phrase_model_with_vocabulary_join(catalog):
+    # a WEC joins phrases by a model or by its vocabulary, never both
+    with pytest.raises(CatalogError, match="exclude each other"):
+        _register(catalog, SEVEN[0], phrase_model=_model(), vocab_join_max_len=3)
+    assert catalog.lookup(SEVEN[0]) is None
+    assert list((catalog.root / "phrases").iterdir()) == []
+
+
+def test_entry_carries_at_most_one_join_setting(catalog):
+    entry = _register(catalog, SEVEN[0], phrase_model=_model())
+    with pytest.raises(CatalogError, match="exclude each other"):
+        dataclasses.replace(entry, vocab_join_max_len=3)
+    _register(catalog, SEVEN[1], vocab_join_max_len=3)
+    entry = catalog.set_phrase_model(SEVEN[1], _model())
+    assert entry.vocab_join_max_len is None
+    assert catalog.require(SEVEN[1]) == entry

@@ -69,6 +69,25 @@ def test_list_text_and_json(root, tmp_path, capsys):
     assert doc[0]["vocab_size"] == 5
 
 
+@pytest.mark.parametrize(
+    "extra, pipeline_hash",
+    [
+        ((), "d36e0894436c73ec391d35bef022213b444fd56e8bfb7667305c2c84a4392dad"),
+        (
+            ("--stopword-list", "en", "--strip-special"),
+            "368efc6c578f08b93ea8dbdda2e711ee5e90a9d335d88e8c4553f2ace9acd712",
+        ),
+    ],
+)
+def test_import_pipeline_hash_is_stable(root, tmp_path, capsys, extra, pipeline_hash):
+    # the hash cites the preprocessing a WEC was imported with; it must not drift
+    _import_toy(root, tmp_path, *extra)
+    capsys.readouterr()
+    assert main(["--root", root, "list", "--json"]) == 0
+    (doc,) = json.loads(capsys.readouterr().out)
+    assert doc["pipeline_hash"] == pipeline_hash
+
+
 def test_list_filter(root, tmp_path, capsys):
     _import_toy(root, tmp_path)
     assert main(["--root", root, "list", "--filter", "algo:nope"]) == 0

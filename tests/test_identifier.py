@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wecdb import IdentifierError, normalize, parse_identifier, parse_query
+from wecdb import IdentifierError, parse_identifier, parse_query
 from wecdb.identifier import WecIdentifier
 
 GOOGLENEWS = "algo:w2v;dataset:googlenews;dims:300;fold:0;unit:token"
@@ -22,7 +22,7 @@ def test_parse_googlenews_identifier():
 def test_attribute_order_is_irrelevant():
     permuted = "dims:300;algo:w2v;dataset:googlenews;unit:token;fold:0"
     assert parse_identifier(permuted) == parse_identifier(GOOGLENEWS)
-    assert normalize(parse_identifier(permuted)) == normalize(parse_identifier(GOOGLENEWS))
+    assert parse_identifier(permuted).normalized() == parse_identifier(GOOGLENEWS).normalized()
 
 
 def test_missing_system_key_is_an_error():
@@ -54,7 +54,7 @@ def test_normalize_sorts_keys_lexicographically():
     ident = WecIdentifier.from_attributes(
         {"dims": "50", "algo": "glove", "dataset": "6b", "fold": "1", "unit": "token"}
     )
-    assert normalize(ident) == "algo:glove;dataset:6b;dims:50;fold:1;unit:token"
+    assert ident.normalized() == "algo:glove;dataset:6b;dims:50;fold:1;unit:token"
 
 
 def test_user_key_sorts_between_system_keys():
@@ -63,13 +63,13 @@ def test_user_key_sorts_between_system_keys():
     )
     keys = [k for k, _ in ident.attributes]
     assert keys == sorted(keys)
-    assert normalize(ident) == "algo:a;conflate:0;dataset:d;dims:1;fold:0;unit:token"
+    assert ident.normalized() == "algo:a;conflate:0;dataset:d;dims:1;fold:0;unit:token"
 
 
 def test_normalize_is_idempotent():
     ident = parse_identifier("zeta:9;algo:w2v;dataset:d;dims:7;fold:1;unit:stem")
-    once = normalize(ident)
-    assert normalize(parse_identifier(once)) == once
+    once = ident.normalized()
+    assert parse_identifier(once).normalized() == once
 
 
 def test_grid_expansion_follows_supplied_value_order():
@@ -149,7 +149,7 @@ def identifiers(draw):
 @settings(max_examples=80, deadline=None)
 @given(identifiers())
 def test_round_trip_parse_normalize(ident):
-    assert parse_identifier(normalize(ident)) == ident
+    assert parse_identifier(ident.normalized()) == ident
 
 
 @settings(max_examples=80, deadline=None)
@@ -157,7 +157,7 @@ def test_round_trip_parse_normalize(ident):
 def test_permutation_invariance(ident, rng):
     pairs = [f"{k}:{v}" for k, v in ident.attributes]
     rng.shuffle(pairs)
-    assert normalize(parse_identifier(";".join(pairs))) == normalize(ident)
+    assert parse_identifier(";".join(pairs)).normalized() == ident.normalized()
 
 
 @settings(max_examples=60, deadline=None)

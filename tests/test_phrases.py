@@ -3,7 +3,6 @@ import random
 import pytest
 
 from wecdb import EmptyCorpusError, PhraseModel, apply_phrases_vocab, train_phrase_model
-from wecdb.phrases import apply_phrases_model
 
 
 def reference_scan(model, tokens):
@@ -51,7 +50,7 @@ def test_score_formula_joins_above_threshold():
     # N = 10*2 + 2*2 + 8 = 32; score(petri, net) = 10 * 32 / (10 * 12) ~ 2.67
     assert model.score("petri", "net") == pytest.approx(10 * 32 / (10 * 12))
     # score(net, analysis) = 2 * 32 / (12 * 10) = 0.53 stays below threshold
-    assert apply_phrases_model(model, ["petri", "net", "analysis"]) == [
+    assert model.apply(["petri", "net", "analysis"]) == [
         "petri_net",
         "analysis",
     ]
@@ -60,13 +59,13 @@ def test_score_formula_joins_above_threshold():
 def test_discount_larger_than_every_bigram_count_joins_nothing():
     corpus = [["a", "b"]] * 5
     model = train_phrase_model(corpus, discount=6.0, threshold=0.0)
-    assert apply_phrases_model(model, ["a", "b", "a", "b"]) == ["a", "b", "a", "b"]
+    assert model.apply(["a", "b", "a", "b"]) == ["a", "b", "a", "b"]
 
 
 def test_untrained_pairs_never_join():
     model = train_phrase_model([["x", "y"]], threshold=0.0)
-    assert apply_phrases_model(model, ["p", "q"]) == ["p", "q"]
-    assert apply_phrases_model(model, []) == []
+    assert model.apply(["p", "q"]) == ["p", "q"]
+    assert model.apply([]) == []
 
 
 def test_scan_resumes_after_a_join():
@@ -74,7 +73,7 @@ def test_scan_resumes_after_a_join():
     # must not also consider (b, c).
     corpus = [["a", "b", "c"]] * 10
     model = train_phrase_model(corpus, threshold=0.1)
-    out = apply_phrases_model(model, ["a", "b", "c"])
+    out = model.apply(["a", "b", "c"])
     assert out == ["a_b", "c"]
 
 
@@ -87,7 +86,7 @@ def test_two_pass_training_joins_trigram():
         + [["visit"]] * 60
     )
     model = train_phrase_model(corpus, threshold=1.0, passes=2)
-    out = apply_phrases_model(model, ["visit", "new", "york", "city"])
+    out = model.apply(["visit", "new", "york", "city"])
     assert out == ["visit", "new_york_city"]
     assert out == reference_scan(model, ["visit", "new", "york", "city"])
 
@@ -95,7 +94,7 @@ def test_two_pass_training_joins_trigram():
 def test_single_pass_joins_at_most_bigrams():
     corpus = [["new", "york", "city"]] * 20 + [["visit", "new", "york", "city"]] * 5
     model = train_phrase_model(corpus, threshold=1.0, passes=1)
-    out = apply_phrases_model(model, ["new", "york", "city"])
+    out = model.apply(["new", "york", "city"])
     assert out == ["new_york", "city"]
 
 
@@ -135,7 +134,7 @@ def test_random_corpora_match_reference_scan():
             corpus, discount=discount, threshold=threshold, passes=passes
         )
         probe = [rng.choice(alphabet) for _ in range(rng.randint(0, 10))]
-        assert apply_phrases_model(model, probe) == reference_scan(model, probe), (
+        assert model.apply(probe) == reference_scan(model, probe), (
             trial,
             probe,
             threshold,
@@ -152,7 +151,7 @@ def test_joining_never_loses_material():
     corpus = [[rng.choice(alphabet) for _ in range(6)] for _ in range(30)]
     model = train_phrase_model(corpus, threshold=0.5, passes=2)
     probe = [rng.choice(alphabet) for _ in range(12)]
-    joined = apply_phrases_model(model, probe)
+    joined = model.apply(probe)
     flattened = [part for token in joined for part in token.split("_")]
     assert flattened == probe
 

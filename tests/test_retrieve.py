@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wecdb import Database, PreprocessCache, UnknownWecError, WecdbError
+from wecdb.pipeline import run_pipeline
 from wecdb.retrieve import lookup_unit
 
 from conftest import write_wec_text
@@ -46,7 +47,7 @@ def test_raw_input_runs_bound_pipeline(db, toy_wec):
 def test_raw_false_equals_raw_true_after_pipeline(db, toy_wec):
     raw_line = "Theory of Computation"
     entry = db.catalog.require(TOY)
-    tokens = entry.pipeline.run(raw_line)
+    tokens = run_pipeline(entry.pipeline, raw_line)
     res_raw = db.get_vectors(TOY, None, inputs=[raw_line], raw=True)
     res_tok = db.get_vectors(TOY, None, inputs=[tokens], raw=False)
     u1 = res_raw.per_wec[0][1][0]
@@ -215,7 +216,7 @@ def _reference_unit(db, norm, unit, raw, in_order):
     """Per-unit path: pipeline, join against the store itself, own store read."""
     entry = db.catalog.require(norm)
     if raw:
-        tokens = db.join_phrases(entry, entry.pipeline.run(unit))
+        tokens = db.join_phrases(entry, run_pipeline(entry.pipeline, unit))
     else:
         tokens = list(unit)
     return lookup_unit(db.open_store(entry), unit if raw else "", tokens, in_order)
@@ -246,13 +247,14 @@ def test_batched_retrieval_equals_per_unit_reference(eq_db, units, raw, in_order
                 assert [v.tobytes() for v in got.pairs] == [v for _, v in want_pairs]
 
 
-def test_phrase_model_takes_the_place_of_vocabulary_join(eq_db):
-    # An entry carrying both settings joins with its phrase model only, on
-    # the batched path as in join_phrases.
-    import dataclasses
-
-    from wecdb.retrieve import lookup_units
-
-    entry = dataclasses.replace(eq_db.catalog.require(_MODEL), vocab_join_max_len=3)
-    (unit,) = lookup_units(eq_db, entry, ["a b c d"], raw=True, cache=None, in_order=True)
-    assert unit.tokens == eq_db.join_phrases(entry, ["a", "b", "c", "d"]) == ["a_b", "c", "d"]
+def test_retrained_phrase_model_replaces_the_cached_one(db, tmp_path):
+    # Retraining keeps the model's file name; the database that retrained
+    # must not go on joining with the model it cached before.
+    write_wec_text(tmp_path / "v.txt", _EQ_VOCAB, dims=3)
+    db.import_from_file(tmp_path / "v.txt", _MODEL)
+    db.train_phrases(["a b"] * 30 + ["c"] * 5, _MODEL, threshold=1.0)
+    assert db.join_phrases(db.catalog.require(_MODEL), ["a", "b", "c"]) == ["a_b", "c"]
+    db.train_phrases(["b c"] * 30 + ["a"] * 5, _MODEL, threshold=1.0)
+    assert db.join_phrases(db.catalog.require(_MODEL), ["a", "b", "c"]) == ["a", "b_c"]
+    res = db.get_vectors(_MODEL, None, inputs=["a b c"], raw=True)
+    assert res.per_wec[0][1][0].tokens == ["a", "b_c"]

@@ -210,7 +210,9 @@ def test_parse_vector_text_pins_float64_then_float32():
 def test_persisted_store_reopens(tmp_path):
     path = tmp_path / "solo.wec"
     with WecStore(path, dims=2, create=True) as store:
-        store.put_many([("x", np.array([1, 2], dtype="<f4").tobytes())])
+        store._conn.executemany(
+            "INSERT INTO vectors VALUES (?, ?)", [("x", np.array([1, 2], dtype="<f4").tobytes())]
+        )
     with WecStore(path) as store:
         assert store.dims == 2
         assert store.get("x").tolist() == [1.0, 2.0]
@@ -223,9 +225,13 @@ def test_get_many_uses_fixed_sql_texts(tmp_path):
 
     words = [f"w{i:05d}" for i in range(6000)]
     with WecStore(tmp_path / "s.wec", dims=2, create=True) as store:
-        store.put_many(
-            (w, np.array([i, -i], dtype="<f4").tobytes()) for i, w in enumerate(words[:3000])
+        conn = store._conn
+        conn.execute("BEGIN")
+        conn.executemany(
+            "INSERT INTO vectors VALUES (?, ?)",
+            ((w, np.array([i, -i], dtype="<f4").tobytes()) for i, w in enumerate(words[:3000])),
         )
+        conn.execute("COMMIT")
         statements: list[str] = []
         store._conn.set_trace_callback(statements.append)
         for n in (1, 399, 400, 401, 5000):
