@@ -29,6 +29,7 @@ import fcntl
 import hashlib
 import re
 import threading
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -290,18 +291,30 @@ class Catalog:
         return self._update(ident, vocab_size=vocab_size)
 
     def set_phrase_model(self, ident: WecIdentifier | str, model: PhraseModel) -> CatalogEntry:
-        norm = _normalize_arg(ident)
-        model_ref = f"{store_filename(norm)[:-4]}.phr"
-        model.save(self.root / "phrases" / model_ref)
-        return self._update(ident, phrase_model_ref=model_ref, vocab_join_max_len=None)
+        model_ref = f"{store_filename(_normalize_arg(ident))[:-4]}.phr"
+        return self._update(
+            ident,
+            before_write=lambda: model.save(self.root / "phrases" / model_ref),
+            phrase_model_ref=model_ref,
+            vocab_join_max_len=None,
+        )
 
-    def _update(self, ident: WecIdentifier | str, **changes) -> CatalogEntry:
+    def _update(
+        self,
+        ident: WecIdentifier | str,
+        before_write: Callable[[], object] | None = None,
+        **changes,
+    ) -> CatalogEntry:
+        """Replace fields of a registered entry; ``before_write`` runs under
+        the lock once the entry is found, before the manifest is rewritten."""
         norm = _normalize_arg(ident)
         with self._locked():
             entries = self._load()
             if norm not in entries:
                 raise UnknownWecError(f"no WEC registered as {norm!r}")
             entry = replace(entries[norm], **changes)
+            if before_write is not None:
+                before_write()
             entries[norm] = entry
             self._write_manifest(entries)
         return entry

@@ -1,13 +1,24 @@
 """On-disk vector store: one file per WEC, unique word index, lazy lookup.
 
-Each WEC lives in a single SQLite file with a clustered primary-key table,
-``word TEXT PRIMARY KEY, vector BLOB``. The blob is the little-endian
-IEEE-754 binary32 encoding of the vector, so an n-record, d-dim store costs
-about ``n * (4d + len(word))`` plus index overhead -- far below the plain
-text it was imported from at typical float print widths. Point lookups go
-through the primary-key B-tree and never scan the store; that is the whole
-point: retrieval cost depends on the words requested, not the collection
-size.
+Each WEC lives in a single SQLite file with a rowid table,
+``word TEXT PRIMARY KEY, vector BLOB``; lookups go through SQLite's
+automatic unique index on ``word`` and then read the row from its table
+leaf page. The blob is the little-endian IEEE-754 binary32 encoding of the
+vector. The word is stored twice, in the table row and in the index, so an
+n-record, d-dim store costs about ``n * (4d + 2 * len(word) + 22)`` bytes
+plus the space left free on leaf pages that hold only a few rows -- far
+below the plain text it was imported from at typical float print widths,
+but above it at a few dimensions. A row of up to about 4 KB (about 1,000-d)
+stays on its table leaf page. Point lookups never scan the store; that is
+the whole point: retrieval cost depends on the words requested, not the
+collection size.
+
+Store format (``format`` key of the ``meta`` table): ``2`` is the layout
+above, stamped when the table is created. A store without the key is
+format 1, an earlier ``WITHOUT ROWID`` layout whose rows over about
+1,000 B (250-d and wider) spill into overflow pages; it is read as it is,
+since every statement here works on both layouts. Re-importing it gives
+format 2. Any other value is refused.
 
 SQLite is an implementation detail behind :class:`WecStore`; any engine
 providing a unique key, point lookup, atomic batch writes, and a single
@@ -46,6 +57,7 @@ _BATCH_ROWS = 4096
 _CHUNK = 256
 _SELECT_IN = f"SELECT word, vector FROM vectors WHERE word IN ({','.join('?' * _CHUNK)})"
 _HEADER_RE = re.compile(r"(\d+) (\d+)")
+_FORMAT = "2"
 
 
 @dataclass
@@ -82,18 +94,46 @@ class WecStore:
         self._conns_lock = threading.Lock()
         try:
             if create:
-                conn = self._conn
-                conn.execute(
-                    "CREATE TABLE IF NOT EXISTS vectors"
-                    " (word TEXT PRIMARY KEY NOT NULL, vector BLOB NOT NULL) WITHOUT ROWID"
-                )
-                conn.execute("CREATE TABLE IF NOT EXISTS meta (key TEXT PRIMARY KEY, value TEXT)")
-                if dims is not None:
-                    conn.execute("INSERT OR REPLACE INTO meta VALUES ('dims', ?)", (str(dims),))
-            row = self._conn.execute("SELECT value FROM meta WHERE key='dims'").fetchone()
+                self._create(dims)
+            meta = dict(self._conn.execute("SELECT key, value FROM meta"))
         except sqlite3.Error as exc:
             raise StoreError(f"{self.path} is not a readable vector store: {exc}") from exc
-        self.dims = int(row[0]) if row else dims
+        self._check_format(meta.get("format"))
+        self.dims = int(meta["dims"]) if "dims" in meta else dims
+
+    def _check_format(self, fmt: str | None) -> None:
+        # a store without a format key predates the key: format 1, read as is
+        if fmt not in (None, "1", _FORMAT):
+            raise StoreError(
+                f"{self.path} has store format {fmt!r}; this wecdb reads formats 1 and {_FORMAT}"
+            )
+
+    def _create(self, dims: int | None) -> None:
+        """Create the tables if missing; only a table created here is stamped
+        with the current format, so an older store keeps its own, and a store
+        of an unknown format is refused before anything is written to it."""
+        conn = self._conn
+        conn.execute("BEGIN IMMEDIATE")
+        try:
+            new = conn.execute(
+                "SELECT 1 FROM sqlite_master WHERE type='table' AND name='vectors'"
+            ).fetchone() is None
+            conn.execute(
+                "CREATE TABLE IF NOT EXISTS vectors"
+                " (word TEXT PRIMARY KEY NOT NULL, vector BLOB NOT NULL)"
+            )
+            conn.execute("CREATE TABLE IF NOT EXISTS meta (key TEXT PRIMARY KEY, value TEXT)")
+            if new:
+                conn.execute("INSERT OR REPLACE INTO meta VALUES ('format', ?)", (_FORMAT,))
+            else:
+                row = conn.execute("SELECT value FROM meta WHERE key = 'format'").fetchone()
+                self._check_format(row[0] if row else None)
+            if dims is not None:
+                conn.execute("INSERT OR REPLACE INTO meta VALUES ('dims', ?)", (str(dims),))
+            conn.execute("COMMIT")
+        except Exception:
+            conn.execute("ROLLBACK")
+            raise
 
     @property
     def _conn(self) -> sqlite3.Connection:
@@ -147,7 +187,7 @@ class WecStore:
         return self._conn.execute("SELECT count(*) FROM vectors").fetchone()[0]
 
     def iter_words(self) -> Iterator[str]:
-        cursor = self._conn.execute("SELECT word FROM vectors")
+        cursor = self._conn.execute("SELECT word FROM vectors ORDER BY word")
         while True:
             rows = cursor.fetchmany(_BATCH_ROWS)
             if not rows:

@@ -200,3 +200,42 @@ def test_entry_carries_at_most_one_join_setting(catalog):
     entry = catalog.set_phrase_model(SEVEN[1], _model())
     assert entry.vocab_join_max_len is None
     assert catalog.require(SEVEN[1]) == entry
+
+
+def test_set_phrase_model_on_unknown_wec_writes_no_file(catalog):
+    with pytest.raises(UnknownWecError):
+        catalog.set_phrase_model(SEVEN[0], _model())
+    assert list((catalog.root / "phrases").iterdir()) == []
+
+
+def _rewrite_manifest_line(catalog, edit):
+    manifest = catalog.root / "catalog.manifest"
+    lines = manifest.read_text("utf-8").splitlines()
+    i = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    lines[i] = edit(lines[i].split("\t"))
+    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def test_manifest_line_with_wrong_column_count_is_refused(catalog):
+    _register(catalog, SEVEN[0])
+    _rewrite_manifest_line(catalog, lambda cols: "\t".join(cols[:8]))
+    with pytest.raises(CatalogError, match="corrupt manifest line"):
+        catalog.require(SEVEN[0])
+
+
+def test_manifest_phrases_field_must_be_known(catalog):
+    _register(catalog, SEVEN[0])
+    _rewrite_manifest_line(catalog, lambda cols: "\t".join(cols[:5] + ["phrase:x"] + cols[6:]))
+    with pytest.raises(CatalogError, match="corrupt phrases field 'phrase:x'"):
+        catalog.require(SEVEN[0])
+
+
+def test_rewritten_stopword_list_fails_the_pipeline_hash_check(catalog, tmp_path):
+    listfile = tmp_path / "my-stops.txt"
+    listfile.write_text("alpha\nbeta\n", encoding="utf-8")
+    ident = parse_identifier(SEVEN[0])
+    catalog.register(ident, pipeline_for_identifier(ident, stopwords=listfile))
+    (copy,) = (catalog.root / "lists").glob("*.txt")
+    copy.write_text("alpha\ngamma\n", encoding="utf-8")
+    with pytest.raises(CatalogError, match="pipeline hash mismatch"):
+        catalog.require(SEVEN[0])

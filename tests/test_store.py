@@ -1,3 +1,6 @@
+import random
+import sqlite3
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,7 @@ from wecdb import (
     DuplicateWordError,
     HeaderError,
     MalformedLineError,
+    StoreError,
     WecImportError,
 )
 from wecdb.store import WecStore, import_from_file, parse_vector_text
@@ -155,11 +159,17 @@ def test_words_keep_any_non_whitespace_bytes(db, tmp_path):
 
 
 def test_store_smaller_than_text_at_typical_widths(db, tmp_path):
+    # 300-d is the width of the paper's large collections; rows of 1,200 B
+    # and more are where a B-tree layout can spill into overflow pages
     words = [f"word{i:05d}" for i in range(2000)]
-    write_wec_text(tmp_path / "t.txt", words, dims=50, fmt="%.5f")
-    ident = "algo:test;dataset:d;dims:50;fold:0;unit:token"
-    report = db.import_from_file(tmp_path / "t.txt", ident)
-    assert 0 < report.bytes_store < report.bytes_text
+    ratios = {}
+    for dims in (50, 100, 200, 300, 768, 1024):
+        write_wec_text(tmp_path / f"t{dims}.txt", words, dims=dims, fmt="%.5f")
+        ident = f"algo:test;dataset:d;dims:{dims};fold:0;unit:token"
+        report = db.import_from_file(tmp_path / f"t{dims}.txt", ident)
+        assert report.bytes_store > 0
+        ratios[dims] = report.bytes_store / report.bytes_text
+    assert all(ratio < 1 for ratio in ratios.values()), ratios
 
 
 def test_batch_lookup_dedups_and_orders(db, tmp_path):
@@ -173,6 +183,19 @@ def test_batch_lookup_dedups_and_orders(db, tmp_path):
     assert found == [] and missing == []
     found, missing = db.get_vectors_batch(IDENT, iter(["qq", "a"]))
     assert [w for w, _ in found] == ["a"] and missing == ["qq"]
+
+
+def test_iterate_vocab_yields_sorted_words_on_both_formats(db, tmp_path):
+    words = [f"tok{i}" for i in range(300)]
+    random.Random(5).shuffle(words)
+    write_wec_text(tmp_path / "t.txt", words, dims=4)
+    old = "algo:test;dataset:old;dims:4;fold:0;unit:token"
+    _write_format1_store(db.catalog.store_path(db.register(old)), 4, [])
+    db.import_into(tmp_path / "t.txt", old)
+    db.import_from_file(tmp_path / "t.txt", IDENT)
+    for ident, fmt in ((old, None), (IDENT, "2")):
+        assert _meta(db.catalog.store_path(db.catalog.require(ident))).get("format") == fmt
+        assert list(db.iterate_vocab(ident)) == sorted(words)
 
 
 def test_iterate_vocab_streams_exact_word_set(db, tmp_path):
@@ -246,3 +269,75 @@ def test_get_many_uses_fixed_sql_texts(tmp_path):
     # the callback sees statements with their bound values filled in
     texts = {re.sub(r"'(?:[^']|'')*'|NULL", "?", s) for s in statements}
     assert 1 <= len(texts) <= 2
+
+
+def _write_format1_store(path, dims, rows):
+    """A store in the format-1 layout: WITHOUT ROWID table, no format key."""
+    conn = sqlite3.connect(path)
+    conn.execute(
+        "CREATE TABLE vectors (word TEXT PRIMARY KEY NOT NULL, vector BLOB NOT NULL)"
+        " WITHOUT ROWID"
+    )
+    conn.execute("CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT)")
+    conn.execute("INSERT INTO meta VALUES ('dims', ?)", (str(dims),))
+    conn.executemany("INSERT INTO vectors VALUES (?, ?)", rows)
+    conn.commit()
+    conn.close()
+
+
+def _meta(path):
+    conn = sqlite3.connect(path)
+    try:
+        return dict(conn.execute("SELECT key, value FROM meta"))
+    finally:
+        conn.close()
+
+
+def _table_sql(path):
+    conn = sqlite3.connect(path)
+    try:
+        return conn.execute("SELECT sql FROM sqlite_master WHERE name = 'vectors'").fetchone()[0]
+    finally:
+        conn.close()
+
+
+def test_new_store_is_format_2_rowid_table(tmp_path):
+    path = tmp_path / "new.wec"
+    WecStore(path, dims=3, create=True).close()
+    assert _meta(path) == {"format": "2", "dims": "3"}
+    assert "WITHOUT ROWID" not in _table_sql(path).upper()
+    # reopening, with or without create, leaves the key as it is
+    WecStore(path, dims=3, create=True).close()
+    WecStore(path).close()
+    assert _meta(path)["format"] == "2"
+
+
+def test_format_1_store_reads_bit_exact_and_keeps_its_format(tmp_path):
+    rng = np.random.default_rng(3)
+    vectors = {f"w{i:03d}": rng.standard_normal(300).astype("<f4") for i in range(40)}
+    path = tmp_path / "old.wec"
+    _write_format1_store(path, 300, [(w, v.tobytes()) for w, v in vectors.items()])
+    for create in (False, True):
+        with WecStore(path, dims=300, create=create) as store:
+            assert store.dims == 300
+            for word, vec in vectors.items():
+                assert store.get(word).tobytes() == vec.tobytes()
+            got = store.get_many(list(vectors) + ["absent"])
+            assert got.keys() == vectors.keys()
+            assert all(got[w].tobytes() == v.tobytes() for w, v in vectors.items())
+            assert list(store.iter_words()) == sorted(vectors)
+        assert "format" not in _meta(path)
+        assert "WITHOUT ROWID" in _table_sql(path).upper()
+
+
+def test_unknown_store_format_is_refused(tmp_path):
+    path = tmp_path / "future.wec"
+    WecStore(path, dims=2, create=True).close()
+    conn = sqlite3.connect(path)
+    conn.execute("UPDATE meta SET value = '3' WHERE key = 'format'")
+    conn.commit()
+    conn.close()
+    for create in (False, True):
+        with pytest.raises(StoreError, match="future.wec.*format '3'"):
+            WecStore(path, dims=5, create=create)
+    assert _meta(path) == {"format": "3", "dims": "2"}  # refused before any write
