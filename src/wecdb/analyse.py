@@ -9,9 +9,14 @@ CSV or a dependency-free SVG heatmap.
 
 All reductions accumulate in float64 regardless of the stored float32
 vectors. Metrics are plain callables ``(vec, vec) -> float``; anything with
-that shape (e.g. ``scipy.spatial.distance.cosine``) plugs in. Pairs whose
-sentence vector is undefined, or for which the metric returns a non-finite
-value or raises :class:`UndefinedDistanceError`, are reported in
+that shape (e.g. ``scipy.spatial.distance.cosine``) plugs in. The built-in
+metrics run as one array pass per WEC: all sentence means of a WEC in one
+position-by-position sum, then one row-wise kernel call over all its pairs,
+with the same bytes as the per-pair functions. A user-supplied callable is
+called once per pair. Pairs whose sentence vector is undefined, or for
+which the metric returns a non-finite value or raises
+:class:`UndefinedDistanceError` (the built-ins do so on a NaN or infinite
+component, the cosine metrics also on a zero norm), are reported in
 ``undefined_pairs`` instead of being ranked with a fabricated distance.
 """
 
@@ -61,57 +66,109 @@ def average_vector(
     Undefined (``defined=False``) when nothing remains. Raises
     :class:`AnalysisError` on mixed vector lengths.
     """
-    stopset = set(stopwords)
-    used: list[str] = []
-    excluded: list[str] = []
-    vectors: list = []
-    for word, vec in pairs:
-        if word in stopset:
-            excluded.append(word)
-        else:
-            used.append(word)
-            vectors.append(vec)
-    if not used:
-        return SentenceVector(vector=None, used_tokens=[], excluded=excluded)
-    width = len(vectors[0])
-    for word, vec in zip(used, vectors):
-        if len(vec) != width:
-            raise AnalysisError(f"mixed vector lengths: {width} vs {len(vec)} for {word!r}")
-    # A C-contiguous (n, d) sum along axis 0 adds the rows in order, so the
-    # float64 total is the same as a row-by-row loop's. A single column
-    # (d == 1) would be summed pairwise instead, so it takes a running sum.
-    stacked = np.array(vectors, dtype=np.float64)
-    if width > 1:
-        total = stacked.sum(axis=0)
-    else:
-        total = np.add.accumulate(stacked, axis=0)[-1]
-    mean = (total / len(used)).astype(np.float32)
-    return SentenceVector(vector=mean, used_tokens=used, excluded=excluded)
+    return _average_units([pairs], set(stopwords))[0]
+
+
+def _average_units(
+    units: Iterable[Iterable[tuple[str, np.ndarray]]], stopset: set[str]
+) -> list[SentenceVector]:
+    """:func:`average_vector` of every unit, one array add per row position.
+
+    Units of one width are summed together: row k of every unit with more
+    than k rows in one float64 add, so each unit's rows are still added in
+    order and its mean has the bytes of a row-by-row loop at every width.
+    Temporaries stay at units x width.
+    """
+    out: list[SentenceVector] = []
+    rows_of: list[list] = []
+    by_width: dict[int, list[int]] = {}
+    for pairs in units:
+        used: list[str] = []
+        excluded: list[str] = []
+        rows: list = []
+        for word, vec in pairs:
+            if word in stopset:
+                excluded.append(word)
+            else:
+                used.append(word)
+                rows.append(vec)
+        if rows:
+            width = len(rows[0])
+            for word, vec in zip(used, rows):
+                if len(vec) != width:
+                    raise AnalysisError(
+                        f"mixed vector lengths: {width} vs {len(vec)} for {word!r}"
+                    )
+            by_width.setdefault(width, []).append(len(out))
+        out.append(SentenceVector(vector=None, used_tokens=used, excluded=excluded))
+        rows_of.append(rows)
+    for members in by_width.values():
+        # Longest first, so the units with more than k rows are a prefix.
+        members.sort(key=lambda i: len(rows_of[i]), reverse=True)
+        counts = [len(rows_of[i]) for i in members]
+        total = np.array([rows_of[i][0] for i in members], dtype=np.float64)
+        live = len(members)
+        for k in range(1, counts[0]):
+            while counts[live - 1] <= k:
+                live -= 1
+            total[:live] += np.array([rows_of[i][k] for i in members[:live]])
+        total /= np.array(counts, dtype=np.float64)[:, None]
+        for i, mean in zip(members, total.astype(np.float32)):
+            out[i].vector = mean
+    return out
+
+
+# Row kernels: (n, d) float64 arrays -> n values, NaN where undefined. Row i
+# of an n-row call equals a 1-row call bit for bit (einsum reduces each row
+# on its own), so the per-pair functions below, which call their kernel on
+# one row, and the batched paths give the same bytes.
+
+
+def _cosine_similarity_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    dot = np.einsum("ij,ij->i", a, b)
+    norms = np.sqrt(np.einsum("ij,ij->i", a, a)) * np.sqrt(np.einsum("ij,ij->i", b, b))
+    # A zero norm has no direction. A norm that is NaN or inf (a NaN or inf
+    # entry, or a square sum past float64's range) leaves no cosine to trust.
+    ok = np.isfinite(norms) & (norms > 0.0)
+    cos = np.divide(dot, norms, out=np.full_like(dot, np.nan), where=ok)
+    return np.clip(cos, -1.0, 1.0, out=cos)
+
+
+def _cosine_distance_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return 1.0 - _cosine_similarity_rows(a, b)
+
+
+def _euclidean_distance_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    diff = a - b
+    dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    dist[~np.isfinite(dist)] = np.nan
+    return dist
+
+
+def _one_pair(kernel, what: str, a: np.ndarray, b: np.ndarray) -> float:
+    av = np.ascontiguousarray(a, dtype=np.float64)
+    bv = np.ascontiguousarray(b, dtype=np.float64)
+    if av.shape != bv.shape:
+        raise AnalysisError(f"vector length mismatch: {av.shape} vs {bv.shape}")
+    value = float(kernel(av.reshape(1, -1), bv.reshape(1, -1))[0])
+    if math.isnan(value):
+        raise UndefinedDistanceError(f"{what} undefined for a zero-norm or non-finite vector")
+    return value
 
 
 def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
     """1 - cos(a, b), in [0, 2], accumulated in float64."""
-    return 1.0 - cosine_similarity(a, b)
+    return _one_pair(_cosine_distance_rows, "cosine", a, b)
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    av = np.asarray(a, dtype=np.float64)
-    bv = np.asarray(b, dtype=np.float64)
-    if av.shape != bv.shape:
-        raise AnalysisError(f"vector length mismatch: {av.shape} vs {bv.shape}")
-    na = math.sqrt(float(np.dot(av, av)))
-    nb = math.sqrt(float(np.dot(bv, bv)))
-    if na == 0.0 or nb == 0.0:
-        raise UndefinedDistanceError("cosine undefined for zero-norm vector")
-    return min(1.0, max(-1.0, float(np.dot(av, bv)) / (na * nb)))
+    """cos(a, b), in [-1, 1], accumulated in float64."""
+    return _one_pair(_cosine_similarity_rows, "cosine", a, b)
 
 
 def euclidean_distance(a: np.ndarray, b: np.ndarray) -> float:
-    av = np.asarray(a, dtype=np.float64)
-    bv = np.asarray(b, dtype=np.float64)
-    if av.shape != bv.shape:
-        raise AnalysisError(f"vector length mismatch: {av.shape} vs {bv.shape}")
-    return float(np.linalg.norm(av - bv))
+    """||a - b||, accumulated in float64."""
+    return _one_pair(_euclidean_distance_rows, "euclidean distance", a, b)
 
 
 METRICS: dict[str, tuple[Metric, bool]] = {
@@ -121,6 +178,42 @@ METRICS: dict[str, tuple[Metric, bool]] = {
     "euclidean": (euclidean_distance, False),
     "cosine-similarity": (cosine_similarity, True),
 }
+
+_ROW_KERNELS = (
+    ("cosine_distance", _cosine_distance_rows),
+    ("cosine_similarity", _cosine_similarity_rows),
+    ("euclidean_distance", _euclidean_distance_rows),
+)
+
+
+def _row_kernel(metric: Metric):
+    """The row kernel of a built-in metric, else None.
+
+    The built-ins are looked up by their module names at call time, so a
+    metric taken from :data:`METRICS` still matches after something (a
+    tracer, a test) rebinds those names and the table's entries together.
+    """
+    names = globals()
+    for name, kernel in _ROW_KERNELS:
+        if metric is names[name]:
+            return kernel
+    return None
+
+
+def _pair_rows(kernel, lefts: Sequence[np.ndarray], rights: Sequence[np.ndarray]) -> np.ndarray:
+    """``kernel`` over the pairs ``(lefts[i], rights[i])``, one call per width."""
+    out = np.empty(len(lefts), dtype=np.float64)
+    by_width: dict[int, list[int]] = {}
+    for i, (a, b) in enumerate(zip(lefts, rights)):
+        if len(a) != len(b):
+            raise AnalysisError(f"vector length mismatch: ({len(a)},) vs ({len(b)},)")
+        by_width.setdefault(len(a), []).append(i)
+    for rows in by_width.values():
+        out[rows] = kernel(
+            np.array([lefts[i] for i in rows], dtype=np.float64),
+            np.array([rights[i] for i in rows], dtype=np.float64),
+        )
+    return out
 
 
 def _sentence_text(unit: UnitResult) -> str:
@@ -139,36 +232,43 @@ def pairwise_distances(
     ``res1`` and ``res2`` must cover the same WECs in the same order with
     equal unit counts; unit i of one pairs with unit i of the other. Sorted
     ascending by distance (descending with ``reverse=True``, for similarity
-    metrics), ties broken by sentence text.
+    metrics), ties broken by sentence text. The built-in metrics run as one
+    row-kernel call per WEC; any other callable is called once per pair
+    whose sentence vectors are both defined, in unit order.
     """
     if res1.identifiers() != res2.identifiers():
         raise AnalysisError(
             f"WEC sets differ: {res1.identifiers()} vs {res2.identifiers()}"
         )
     stopset = set(stopwords)
+    kernel = _row_kernel(metric)
     ranking = DistanceRanking()
     for (norm, units1), (_, units2) in zip(res1.per_wec, res2.per_wec):
         if len(units1) != len(units2):
             raise AnalysisError(
                 f"unit counts differ for {norm!r}: {len(units1)} vs {len(units2)}"
             )
+        s1 = _average_units([u.pairs for u in units1], stopset)
+        s2 = _average_units([u.pairs for u in units2], stopset)
+        defined = [i for i, (a, b) in enumerate(zip(s1, s2)) if a.defined and b.defined]
+        distances = np.full(len(units1), np.nan)
+        if kernel is not None:
+            distances[defined] = _pair_rows(
+                kernel, [s1[i].vector for i in defined], [s2[i].vector for i in defined]
+            )
+        else:
+            for i in defined:
+                try:
+                    distances[i] = float(metric(s1[i].vector, s2[i].vector))
+                except UndefinedDistanceError:
+                    pass
         triples: list[tuple[float, str, str]] = []
         skipped: list[int] = []
-        for index, (u1, u2) in enumerate(zip(units1, units2)):
-            s1 = average_vector(u1.pairs, stopset)
-            s2 = average_vector(u2.pairs, stopset)
-            if not s1.defined or not s2.defined:
+        for index, (d, u1, u2) in enumerate(zip(distances.tolist(), units1, units2)):
+            if math.isfinite(d):
+                triples.append((d, _sentence_text(u1), _sentence_text(u2)))
+            else:
                 skipped.append(index)
-                continue
-            try:
-                d = float(metric(s1.vector, s2.vector))
-            except UndefinedDistanceError:
-                skipped.append(index)
-                continue
-            if not math.isfinite(d):
-                skipped.append(index)
-                continue
-            triples.append((d, _sentence_text(u1), _sentence_text(u2)))
         triples.sort(key=lambda t: (-t[0] if reverse else t[0], t[1], t[2]))
         ranking.per_wec.append((norm, triples))
         if skipped:
@@ -190,7 +290,10 @@ def similarity_matrix(
 
     Rows follow ``u1.pairs``, columns ``u2.pairs`` (the exact lookup words,
     so joined phrases label their own rows). Errors on empty sides or
-    mismatched dimensionality.
+    mismatched dimensionality. The built-in metrics fill each matrix row
+    with one row-kernel call (temporaries stay at one row of cells x width)
+    and raise :class:`UndefinedDistanceError` where a cell is undefined, as
+    the per-pair function would; any other callable is called once per cell.
     """
     if not u1.pairs or not u2.pairs:
         raise AnalysisError("similarity matrix needs at least one vector on each side")
@@ -200,6 +303,14 @@ def similarity_matrix(
         raise AnalysisError(
             f"dimension mismatch: {len(v1[0])} vs {len(v2[0])} (different WECs?)"
         )
+    kernel = _row_kernel(metric)
+    if kernel is not None:
+        cells = np.array([_pair_rows(kernel, [a] * len(v2), v2) for a in v1])
+        if np.isnan(cells).any():
+            raise UndefinedDistanceError(
+                "similarity undefined for a zero-norm or non-finite vector"
+            )
+        return cells
     out = np.empty((len(v1), len(v2)), dtype=np.float64)
     for i, a in enumerate(v1):
         for j, b in enumerate(v2):

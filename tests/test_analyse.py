@@ -16,7 +16,15 @@ from wecdb import (
     pairwise_distances,
     similarity_matrix,
 )
-from wecdb.analyse import euclidean_distance, read_heatmap_csv
+from wecdb.analyse import (
+    METRICS,
+    _average_units,
+    _cosine_distance_rows,
+    _cosine_similarity_rows,
+    _euclidean_distance_rows,
+    euclidean_distance,
+    read_heatmap_csv,
+)
 from wecdb.retrieve import RetrievalResult, UnitResult
 
 
@@ -104,6 +112,53 @@ def test_average_of_one_dimensional_vectors_adds_in_order():
     assert sv.vector[0] == np.float32(1.0 / 9)
 
 
+_SPECIAL = np.array([-0.0, np.inf, -np.inf, np.nan], dtype=np.float32)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@given(
+    dims=st.integers(1, 300),
+    other_dims=st.integers(1, 300),
+    rows=st.lists(st.integers(0, 40), min_size=1, max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_batched_means_match_row_by_row_loop(dims, other_dims, rows, seed):
+    # Every unit of a WEC averaged at once: same bytes as the row loop per
+    # unit, with stopwords, -0.0, +-inf and NaN components, two widths, and
+    # one array object shared by several units (as retrieval shares them).
+    # A NaN's sign is not compared: IEEE 754 leaves it open, and numpy's own
+    # add gives inf + -inf then + NaN different signs in its vector loop and
+    # its scalar tail, so it varies with the position in a row.
+    rng = np.random.default_rng(seed)
+    shared = rng.standard_normal(dims).astype(np.float32)
+    units = []
+    for n in rows:
+        width = dims if rng.random() < 0.8 else other_dims
+        scales = 10.0 ** rng.integers(-6, 7, size=(n, 1))
+        vectors = (rng.standard_normal((n, width)) * scales).astype(np.float32)
+        special = rng.random((n, width)) < 0.02
+        vectors[special] = rng.choice(_SPECIAL, size=int(special.sum()))
+        pairs = [(f"w{rng.integers(0, 6)}", vec) for vec in vectors]
+        if width == dims and n:
+            pairs[int(rng.integers(0, n))] = ("shared", shared)
+        units.append(pairs)
+    stopwords = {"w0", "w1"}
+    got = _average_units(units, stopwords)
+    assert len(got) == len(units)
+    for pairs, sv in zip(units, got):
+        want = _loop_average(pairs, stopwords)
+        if want is None:
+            assert not sv.defined and sv.vector is None
+        else:
+            assert sv.vector.dtype == np.float32
+            nan = np.isnan(want)
+            assert np.array_equal(np.isnan(sv.vector), nan)
+            assert sv.vector[~nan].tobytes() == want[~nan].tobytes()
+        assert sv.used_tokens == [w for w, _ in pairs if w not in stopwords]
+        assert sv.excluded == [w for w, _ in pairs if w in stopwords]
+
+
 def test_average_rejects_mixed_lengths():
     with pytest.raises(AnalysisError, match="mixed"):
         average_vector([("a", _vec(1, 2)), ("b", _vec(1, 2, 3))])
@@ -150,6 +205,120 @@ def test_cosine_agrees_with_float64_brute_force():
             math.sqrt((a64 * a64).sum()) * math.sqrt((b64 * b64).sum())
         )
         assert abs(cosine_distance(a, b) - reference) < 1e-6
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("metric", [cosine_distance, cosine_similarity, euclidean_distance])
+def test_non_finite_component_makes_the_distance_undefined(metric, bad):
+    # min(1, max(-1, nan)) is -1.0, so a NaN cosine once came out as a
+    # distance of 2.0; inf gave the same through inf / inf.
+    with pytest.raises(UndefinedDistanceError):
+        metric(np.array([bad, 1.0]), np.array([1.0, 1.0]))
+    with pytest.raises(UndefinedDistanceError):
+        metric(_vec(1, 1), _vec(1, bad))
+
+
+def test_cosine_of_a_norm_past_float64_range_is_undefined():
+    # ||a|| overflows to inf, so dot / norms would read 0 for parallel vectors.
+    with pytest.raises(UndefinedDistanceError):
+        cosine_distance(np.array([1e300, 1e300]), np.array([1.0, 1.0]))
+
+
+def test_non_finite_sentence_vector_goes_to_undefined_pairs():
+    lefts = [_unit([("a", (np.nan, 1))], raw="nan"), _unit([("b", (1, 1))], raw="ok"),
+             _unit([("c", (np.inf, 1))], raw="inf")]
+    rights = [_unit([("d", (1, 1))], raw=f"r{i}") for i in range(3)]
+    for name, (metric, _) in METRICS.items():
+        ranking = pairwise_distances(_result("w", lefts), _result("w", rights), metric=metric)
+        assert ranking.undefined_pairs == {"w": [0, 2]}, name
+        assert [s for _, s, _ in ranking.per_wec[0][1]] == ["ok"], name
+
+
+_KERNELS = [
+    (_cosine_distance_rows, cosine_distance),
+    (_cosine_similarity_rows, cosine_similarity),
+    (_euclidean_distance_rows, euclidean_distance),
+]
+
+
+@pytest.mark.parametrize("kernel, per_pair", _KERNELS)
+def test_row_kernels_do_not_depend_on_batch_size(kernel, per_pair):
+    rng = np.random.default_rng(2024)
+    for _ in range(300):
+        n = int(rng.integers(1, 260))
+        d = int(rng.integers(1, 320))
+        a = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-3, 4)
+        b = rng.standard_normal((n, d))
+        a[rng.random((n, d)) < 0.001] = np.nan
+        b[rng.random(n) < 0.02] = 0.0  # zero-norm rows
+        whole = kernel(a, b)
+        assert whole.shape == (n,)
+        start = int(rng.integers(0, n))
+        stop = int(rng.integers(start + 1, n + 1))
+        part = kernel(a[start:stop].copy(), b[start:stop].copy())
+        assert part.tobytes() == whole[start:stop].tobytes()
+        for i in rng.integers(0, n, size=3):
+            one = kernel(a[i : i + 1].copy(), b[i : i + 1].copy())
+            assert one.tobytes() == whole[i : i + 1].tobytes()
+            if np.isnan(one[0]):
+                with pytest.raises(UndefinedDistanceError):
+                    per_pair(a[i], b[i])
+            else:
+                assert per_pair(a[i], b[i]) == one[0]
+
+
+@pytest.mark.parametrize("name", sorted(METRICS))
+def test_batched_ranking_equals_per_pair_calls(name):
+    metric, _ = METRICS[name]
+    rng = np.random.default_rng(7)
+    lefts, rights, expected, undefined = [], [], [], []
+    for i in range(120):
+        width = 5 if i % 4 else 3  # two widths, each pair of one width
+        a = rng.standard_normal(width).astype(np.float32)
+        b = rng.standard_normal(width).astype(np.float32)
+        if i % 17 == 0:
+            b[:] = 0.0
+        lefts.append(UnitResult(raw=f"L{i:03d}", tokens=["x"], pairs=[("x", a)], missing=[]))
+        rights.append(UnitResult(raw=f"R{i:03d}", tokens=["y"], pairs=[("y", b)], missing=[]))
+        try:
+            expected.append((metric(a, b), f"L{i:03d}", f"R{i:03d}"))
+        except UndefinedDistanceError:
+            undefined.append(i)
+    ranking = pairwise_distances(_result("w", lefts), _result("w", rights), metric=metric)
+    assert ranking.per_wec[0][1] == sorted(expected)
+    assert ranking.undefined_pairs.get("w", []) == undefined == [
+        i for i in range(120) if i % 17 == 0 and name != "euclidean"
+    ]
+
+
+def test_pair_of_different_widths_is_rejected_by_builtin_metrics():
+    res1 = _result("w", [_unit([("a", (1, 0))]), _unit([("b", (1, 0))])])
+    res2 = _result("w", [_unit([("c", (1, 0))]), _unit([("d", (1, 0, 0))])])
+    for metric, _ in METRICS.values():
+        with pytest.raises(AnalysisError, match="length mismatch"):
+            pairwise_distances(res1, res2, metric=metric)
+
+
+def test_user_metric_is_called_once_per_defined_pair_in_unit_order():
+    lefts = [_unit([("a", (i + 1, 0))], raw=f"L{i}") for i in range(6)]
+    lefts[2] = _unit([("the", (9, 9))], raw="L2")  # undefined after stopwords
+    rights = [_unit([("b", (0, i + 1))], raw=f"R{i}") for i in range(6)]
+    calls = []
+
+    def metric(a, b):
+        calls.append((a[0], b[1]))
+        if a[0] == 4:
+            raise UndefinedDistanceError("no")
+        if a[0] == 5:
+            return float("nan")
+        return float(a[0])
+
+    ranking = pairwise_distances(
+        _result("w", lefts), _result("w", rights), metric=metric, stopwords={"the"}
+    )
+    assert calls == [(1, 1), (2, 2), (4, 4), (5, 5), (6, 6)]
+    assert ranking.undefined_pairs == {"w": [2, 3, 4]}
+    assert [d for d, *_ in ranking.per_wec[0][1]] == [1.0, 2.0, 6.0]
 
 
 def test_cosine_range_clamped():
@@ -310,6 +479,33 @@ def test_matrix_matches_cellwise_oracle():
     for i, (_, va) in enumerate(u1.pairs):
         for j, (_, vb) in enumerate(u2.pairs):
             assert m[i, j] == pytest.approx(cosine_similarity(va, vb))
+
+
+@pytest.mark.parametrize("name", sorted(METRICS))
+def test_matrix_cells_equal_per_cell_calls_bitwise(name):
+    metric, _ = METRICS[name]
+    rng = np.random.default_rng(11)
+    for rows, cols, dims in [(1, 1, 1), (3, 5, 50), (12, 9, 300), (7, 1, 7)]:
+        u1 = UnitResult(raw="", tokens=[], missing=[], pairs=[
+            (f"a{i}", rng.standard_normal(dims).astype(np.float32)) for i in range(rows)])
+        u2 = UnitResult(raw="", tokens=[], missing=[], pairs=[
+            (f"b{j}", rng.standard_normal(dims).astype(np.float32)) for j in range(cols)])
+        batched = similarity_matrix(u1, u2, metric=metric)
+        per_cell = similarity_matrix(u1, u2, metric=lambda a, b: metric(a, b))
+        assert batched.shape == (rows, cols)
+        assert batched.tobytes() == per_cell.tobytes()
+
+
+def test_matrix_with_an_undefined_cell_raises_like_the_per_cell_metric():
+    u1 = _unit([("a", (1, 2)), ("zero", (0, 0))])
+    u2 = _unit([("b", (2, 1))])
+    with pytest.raises(UndefinedDistanceError):
+        similarity_matrix(u1, u2, metric=lambda a, b: cosine_similarity(a, b))
+    with pytest.raises(UndefinedDistanceError):
+        similarity_matrix(u1, u2, metric=cosine_similarity)
+    assert similarity_matrix(u1, u2, metric=euclidean_distance)[1, 0] == pytest.approx(
+        math.sqrt(5)
+    )
 
 
 def test_matrix_symmetry_under_transpose():

@@ -53,3 +53,37 @@ def test_install_then_uninstall_restores_every_attribute():
     after = _snapshot()
     assert after.keys() == before.keys()
     assert [k for k in before if after[k] is not before[k]] == []
+
+
+def test_traced_builtin_metric_keeps_the_batched_path():
+    # The tracer rebinds analyse.cosine_distance and METRICS["cosine"] to one
+    # wrapper; pairwise_distances must still recognise it as the built-in and
+    # run its row kernel, recording no per-pair metric spans.
+    import numpy as np
+
+    from wecdb import analyse
+    from wecdb.retrieve import RetrievalResult, UnitResult
+
+    rng = np.random.default_rng(3)
+
+    def side(tag):
+        return RetrievalResult(per_wec=[("w", [
+            UnitResult(raw=f"{tag}{i}", tokens=["x"], missing=[],
+                       pairs=[("x", rng.standard_normal(4).astype(np.float32))])
+            for i in range(20)
+        ])])
+
+    res1, res2 = side("L"), side("R")
+    untraced = analyse.pairwise_distances(res1, res2, metric=analyse.METRICS["cosine"][0])
+    tracer = tracing.Tracer()
+    uninstall = tracing.install(tracer)
+    try:
+        metric = analyse.METRICS["cosine"][0]
+        assert metric is analyse.cosine_distance and hasattr(metric, "__wrapped__")
+        traced = analyse.pairwise_distances(res1, res2, metric=metric)
+    finally:
+        uninstall()
+    names = [tracer.names[index] for _, _, index, *_ in tracer.spans]
+    assert names == ["analyse.pairwise_distances"]
+    assert traced.per_wec == untraced.per_wec
+    assert len(traced.per_wec[0][1]) == 20
