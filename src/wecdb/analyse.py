@@ -15,9 +15,10 @@ position-by-position sum, then one row-wise kernel call over all its pairs,
 with the same bytes as the per-pair functions. A user-supplied callable is
 called once per pair. Pairs whose sentence vector is undefined, or for
 which the metric returns a non-finite value or raises
-:class:`UndefinedDistanceError` (the built-ins do so on a NaN or infinite
-component, the cosine metrics also on a zero norm), are reported in
-``undefined_pairs`` instead of being ranked with a fabricated distance.
+:class:`UndefinedDistanceError`, are reported in ``undefined_pairs``
+instead of being ranked with a fabricated distance. A NaN or infinite
+component makes every built-in undefined: the cosine metrics raise (as they
+do on a zero norm), euclidean distance returns NaN or inf.
 """
 
 from __future__ import annotations
@@ -118,10 +119,11 @@ def _average_units(
     return out
 
 
-# Row kernels: (n, d) float64 arrays -> n values, NaN where undefined. Row i
-# of an n-row call equals a 1-row call bit for bit (einsum reduces each row
-# on its own), so the per-pair functions below, which call their kernel on
-# one row, and the batched paths give the same bytes.
+# Row kernels: (n, d) float64 arrays -> n values, non-finite where undefined
+# (NaN for the cosine metrics). Row i of an n-row call equals a 1-row call
+# bit for bit (einsum reduces each row on its own), so the per-pair
+# functions below, which call their kernel on one row, and the batched path
+# give the same bytes.
 
 
 def _cosine_similarity_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -140,35 +142,37 @@ def _cosine_distance_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _euclidean_distance_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     diff = a - b
-    dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    dist[~np.isfinite(dist)] = np.nan
-    return dist
+    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
 
-def _one_pair(kernel, what: str, a: np.ndarray, b: np.ndarray) -> float:
+def _one_row(kernel, a: np.ndarray, b: np.ndarray) -> float:
     av = np.ascontiguousarray(a, dtype=np.float64)
     bv = np.ascontiguousarray(b, dtype=np.float64)
     if av.shape != bv.shape:
         raise AnalysisError(f"vector length mismatch: {av.shape} vs {bv.shape}")
-    value = float(kernel(av.reshape(1, -1), bv.reshape(1, -1))[0])
+    return float(kernel(av.reshape(1, -1), bv.reshape(1, -1))[0])
+
+
+def _cosine_one_row(kernel, a: np.ndarray, b: np.ndarray) -> float:
+    value = _one_row(kernel, a, b)
     if math.isnan(value):
-        raise UndefinedDistanceError(f"{what} undefined for a zero-norm or non-finite vector")
+        raise UndefinedDistanceError("cosine undefined for a zero-norm or non-finite vector")
     return value
 
 
 def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
     """1 - cos(a, b), in [0, 2], accumulated in float64."""
-    return _one_pair(_cosine_distance_rows, "cosine", a, b)
+    return _cosine_one_row(_cosine_distance_rows, a, b)
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     """cos(a, b), in [-1, 1], accumulated in float64."""
-    return _one_pair(_cosine_similarity_rows, "cosine", a, b)
+    return _cosine_one_row(_cosine_similarity_rows, a, b)
 
 
 def euclidean_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """||a - b||, accumulated in float64."""
-    return _one_pair(_euclidean_distance_rows, "euclidean distance", a, b)
+    """||a - b||, accumulated in float64; NaN or inf for a non-finite input."""
+    return _one_row(_euclidean_distance_rows, a, b)
 
 
 METRICS: dict[str, tuple[Metric, bool]] = {
@@ -290,10 +294,7 @@ def similarity_matrix(
 
     Rows follow ``u1.pairs``, columns ``u2.pairs`` (the exact lookup words,
     so joined phrases label their own rows). Errors on empty sides or
-    mismatched dimensionality. The built-in metrics fill each matrix row
-    with one row-kernel call (temporaries stay at one row of cells x width)
-    and raise :class:`UndefinedDistanceError` where a cell is undefined, as
-    the per-pair function would; any other callable is called once per cell.
+    mismatched dimensionality.
     """
     if not u1.pairs or not u2.pairs:
         raise AnalysisError("similarity matrix needs at least one vector on each side")
@@ -303,14 +304,6 @@ def similarity_matrix(
         raise AnalysisError(
             f"dimension mismatch: {len(v1[0])} vs {len(v2[0])} (different WECs?)"
         )
-    kernel = _row_kernel(metric)
-    if kernel is not None:
-        cells = np.array([_pair_rows(kernel, [a] * len(v2), v2) for a in v1])
-        if np.isnan(cells).any():
-            raise UndefinedDistanceError(
-                "similarity undefined for a zero-norm or non-finite vector"
-            )
-        return cells
     out = np.empty((len(v1), len(v2)), dtype=np.float64)
     for i, a in enumerate(v1):
         for j, b in enumerate(v2):

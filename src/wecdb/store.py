@@ -55,11 +55,7 @@ from .errors import (
 
 _BATCH_ROWS = 4096
 _CHUNK = 256
-_SHORT_CHUNK = 16
 _SELECT_IN = f"SELECT word, vector FROM vectors WHERE word IN ({','.join('?' * _CHUNK)})"
-_SELECT_IN_SHORT = (
-    f"SELECT word, vector FROM vectors WHERE word IN ({','.join('?' * _SHORT_CHUNK)})"
-)
 _HEADER_RE = re.compile(r"(\d+) (\d+)")
 _FORMAT = "2"
 
@@ -165,25 +161,19 @@ class WecStore:
         """Found subset of ``words`` as a dict of read-only float32 arrays.
 
         Distinct words are read through one indexed ``IN`` list of
-        ``_CHUNK`` words per chunk; a last chunk of ``_SHORT_CHUNK`` words or
-        fewer uses a 16-slot list instead. Unused slots are padded with
-        NULL, which matches no row. Two fixed SQL texts keep SQLite's
-        per-connection statement cache at two prepared statements for any
-        batch size (a list sized to each batch would fill the cache, 128
-        entries, with large statements that stay resident), and a small call
-        does not pay for 240 NULL slots.
+        ``_CHUNK`` words per chunk; the last chunk is padded with NULL, which
+        matches no row. The one SQL text keeps SQLite's per-connection
+        statement cache at one prepared statement for any batch size; a list
+        sized to each batch would fill the cache (128 entries) with large
+        statements that stay resident.
         """
         unique = list(dict.fromkeys(words))
         out: dict[str, np.ndarray] = {}
         conn = self._conn
         for start in range(0, len(unique), _CHUNK):
             chunk = unique[start : start + _CHUNK]
-            if len(chunk) <= _SHORT_CHUNK:
-                sql, size = _SELECT_IN_SHORT, _SHORT_CHUNK
-            else:
-                sql, size = _SELECT_IN, _CHUNK
-            chunk += [None] * (size - len(chunk))
-            for word, blob in conn.execute(sql, chunk):
+            chunk += [None] * (_CHUNK - len(chunk))
+            for word, blob in conn.execute(_SELECT_IN, chunk):
                 out[word] = np.frombuffer(blob, dtype="<f4")
         return out
 

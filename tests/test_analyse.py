@@ -208,14 +208,23 @@ def test_cosine_agrees_with_float64_brute_force():
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
-@pytest.mark.parametrize("metric", [cosine_distance, cosine_similarity, euclidean_distance])
-def test_non_finite_component_makes_the_distance_undefined(metric, bad):
+@pytest.mark.parametrize("metric", [cosine_distance, cosine_similarity])
+def test_non_finite_component_makes_the_cosine_undefined(metric, bad):
     # min(1, max(-1, nan)) is -1.0, so a NaN cosine once came out as a
     # distance of 2.0; inf gave the same through inf / inf.
     with pytest.raises(UndefinedDistanceError):
         metric(np.array([bad, 1.0]), np.array([1.0, 1.0]))
     with pytest.raises(UndefinedDistanceError):
         metric(_vec(1, 1), _vec(1, bad))
+
+
+def test_euclidean_of_a_non_finite_vector_is_nan_or_inf():
+    assert math.isnan(euclidean_distance(np.array([np.nan, 1.0]), _vec(1, 1)))
+    assert euclidean_distance(np.array([np.inf, 1.0]), _vec(1, 1)) == math.inf
+    assert euclidean_distance(_vec(1, 1), np.array([1.0, -np.inf])) == math.inf
+    # a - b overflows although both vectors are finite
+    with np.errstate(over="ignore"):
+        assert euclidean_distance(np.array([1e308, 0.0]), np.array([-1e308, 0.0])) == math.inf
 
 
 def test_cosine_of_a_norm_past_float64_range_is_undefined():
@@ -260,11 +269,12 @@ def test_row_kernels_do_not_depend_on_batch_size(kernel, per_pair):
         for i in rng.integers(0, n, size=3):
             one = kernel(a[i : i + 1].copy(), b[i : i + 1].copy())
             assert one.tobytes() == whole[i : i + 1].tobytes()
-            if np.isnan(one[0]):
-                with pytest.raises(UndefinedDistanceError):
-                    per_pair(a[i], b[i])
+            try:
+                value = per_pair(a[i], b[i])
+            except UndefinedDistanceError:
+                assert np.isnan(one[0])
             else:
-                assert per_pair(a[i], b[i]) == one[0]
+                assert np.array([value]).tobytes() == one.tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(METRICS))
@@ -506,6 +516,15 @@ def test_matrix_with_an_undefined_cell_raises_like_the_per_cell_metric():
     assert similarity_matrix(u1, u2, metric=euclidean_distance)[1, 0] == pytest.approx(
         math.sqrt(5)
     )
+
+
+def test_matrix_keeps_a_non_finite_euclidean_cell():
+    u1 = _unit([("a", (1, 2)), ("nan", (np.nan, 0)), ("inf", (np.inf, 0))])
+    u2 = _unit([("b", (2, 1))])
+    m = similarity_matrix(u1, u2, metric=euclidean_distance)
+    assert m[0, 0] == pytest.approx(math.sqrt(2))
+    assert math.isnan(m[1, 0])
+    assert m[2, 0] == math.inf
 
 
 def test_matrix_symmetry_under_transpose():
