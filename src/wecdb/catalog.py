@@ -15,21 +15,24 @@ with tab-separated columns
 where ``phrases`` is ``-`` (off), ``model:<file>`` or ``vocab:<max_len>``
 (a WEC joins phrases by a model or by its vocabulary, never both), and
 ``pipeline`` is the descriptor's serialized form. Mutations take an
-exclusive file lock and rewrite the manifest atomically, so concurrent
-readers never observe a half-registered entry.
+exclusive file lock, and every catalog file is replaced atomically, so
+readers never observe a half-written manifest, list or phrase model.
 
 Store file names are the normalized identifier with ``:`` replaced by ``=``
 and ``;`` by ``.``; names that would be unsafe, over-long, or collide fall
-back to a truncated form with a content-hash suffix.
+back to a truncated form with a content-hash suffix. A WEC's phrase model
+and CLI outputs are named after its store file, so they are unique too.
 """
 
 from __future__ import annotations
 
 import fcntl
 import hashlib
+import os
 import re
 import threading
 from collections.abc import Callable
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -72,6 +75,11 @@ class CatalogEntry:
     @property
     def normalized(self) -> str:
         return self.identifier.normalized()
+
+    @property
+    def file_stem(self) -> str:
+        """The store file name without ``.wec``: the base of every per-WEC name."""
+        return self.store_file.removesuffix(".wec")
 
     def _phrases_field(self) -> str:
         if self.phrase_model_ref is not None:
@@ -182,12 +190,17 @@ class Catalog:
                     )
                 )
             )
-        tmp = self._manifest.with_suffix(".manifest.tmp")
-        tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        tmp.replace(self._manifest)
+        _write_atomic(self._manifest, "\n".join(lines) + "\n")
 
+    @contextmanager
     def _locked(self):
-        return _CatalogLock(self.root / "catalog.lock", self._mutex)
+        """Exclusive cross-process lock (flock) plus in-process mutex."""
+        with self._mutex, open(self.root / "catalog.lock", "a+") as fh:
+            fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
+            try:
+                yield
+            finally:
+                fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
 
     # -- queries ----------------------------------------------------------
 
@@ -261,61 +274,55 @@ class Catalog:
                     f"identifier {norm!r} already registered"
                     f" (store {entries[norm].store_file})"
                 )
-            model_ref = None if phrase_model is None else f"{store_filename(norm)[:-4]}.phr"
-            # built before any file is written: the entry refuses a model
-            # together with a vocabulary join
             entry = CatalogEntry(
                 identifier=ident,
                 dims=ident.dims,
                 vocab_size=0,
                 pipeline_hash=pipeline.hash,
                 pipeline=pipeline,
-                phrase_model_ref=model_ref,
+                phrase_model_ref=None,
                 vocab_join_max_len=vocab_join_max_len,
                 store_file=store_filename(norm, {e.store_file for e in entries.values()}),
                 created_at=datetime.now(timezone.utc).isoformat(timespec="seconds"),
                 source_file=source,
             )
+            if phrase_model is not None:
+                # the entry refuses a model with a vocabulary join before the file is written
+                entry = self._attach_model(entry, phrase_model)
             for ref, content in pipeline.resources:
                 if ref.startswith("list:"):
                     list_path = self.root / "lists" / f"{ref[5:]}.txt"
                     if not list_path.exists():
-                        list_path.write_text(content, encoding="utf-8")
-            if phrase_model is not None:
-                phrase_model.save(self.root / "phrases" / model_ref)
+                        _write_atomic(list_path, content)
             entries[norm] = entry
             self._write_manifest(entries)
         return entry
 
     def set_vocab_size(self, ident: WecIdentifier | str, vocab_size: int) -> CatalogEntry:
-        return self._update(ident, vocab_size=vocab_size)
+        return self._update(ident, lambda entry: replace(entry, vocab_size=vocab_size))
 
     def set_phrase_model(self, ident: WecIdentifier | str, model: PhraseModel) -> CatalogEntry:
-        model_ref = f"{store_filename(_normalize_arg(ident))[:-4]}.phr"
         return self._update(
-            ident,
-            before_write=lambda: model.save(self.root / "phrases" / model_ref),
-            phrase_model_ref=model_ref,
-            vocab_join_max_len=None,
+            ident, lambda entry: self._attach_model(replace(entry, vocab_join_max_len=None), model)
         )
 
+    def _attach_model(self, entry: CatalogEntry, model: PhraseModel) -> CatalogEntry:
+        """``entry`` joining by ``model``, saved as ``phrases/<store file stem>.phr``."""
+        entry = replace(entry, phrase_model_ref=f"{entry.file_stem}.phr")
+        _write_atomic(self.phrase_model_path(entry), model.save)
+        return entry
+
     def _update(
-        self,
-        ident: WecIdentifier | str,
-        before_write: Callable[[], object] | None = None,
-        **changes,
+        self, ident: WecIdentifier | str, change: Callable[[CatalogEntry], CatalogEntry]
     ) -> CatalogEntry:
-        """Replace fields of a registered entry; ``before_write`` runs under
-        the lock once the entry is found, before the manifest is rewritten."""
+        """Rewrite a registered entry as ``change(entry)``, under the lock;
+        ``change`` may write the entry's own files before the manifest is."""
         norm = _normalize_arg(ident)
         with self._locked():
             entries = self._load()
             if norm not in entries:
                 raise UnknownWecError(f"no WEC registered as {norm!r}")
-            entry = replace(entries[norm], **changes)
-            if before_write is not None:
-                before_write()
-            entries[norm] = entry
+            entry = entries[norm] = change(entries[norm])
             self._write_manifest(entries)
         return entry
 
@@ -331,13 +338,12 @@ class Catalog:
             if entry is None:
                 raise UnknownWecError(f"no WEC registered as {norm!r}")
             self._write_manifest(entries)
-            store = self.root / "stores" / entry.store_file
-            if store.exists():
-                store.unlink()
-            if entry.phrase_model_ref:
-                model = self.root / "phrases" / entry.phrase_model_ref
-                if model.exists():
-                    model.unlink()
+            self.store_path(entry).unlink(missing_ok=True)
+            # manifests written before models were named by store file may
+            # share one model between entries
+            refs = {e.phrase_model_ref for e in entries.values()}
+            if entry.phrase_model_ref is not None and entry.phrase_model_ref not in refs:
+                self.phrase_model_path(entry).unlink(missing_ok=True)
 
 
 def _normalize_arg(ident: WecIdentifier | str) -> str:
@@ -346,22 +352,16 @@ def _normalize_arg(ident: WecIdentifier | str) -> str:
     return parse_identifier(ident).normalized()
 
 
-class _CatalogLock:
-    """Exclusive cross-process lock (flock) plus in-process mutex."""
-
-    def __init__(self, path: Path, mutex: threading.Lock):
-        self._path = path
-        self._mutex = mutex
-        self._fh = None
-
-    def __enter__(self):
-        self._mutex.acquire()
-        self._fh = open(self._path, "a+")
-        fcntl.flock(self._fh.fileno(), fcntl.LOCK_EX)
-        return self
-
-    def __exit__(self, *exc):
-        fcntl.flock(self._fh.fileno(), fcntl.LOCK_UN)
-        self._fh.close()
-        self._fh = None
-        self._mutex.release()
+def _write_atomic(path: Path, content: str | Callable[[Path], object]) -> None:
+    """Write ``content`` (text, or a function that writes a given path) to a
+    temp file beside ``path``, then move it over ``path`` with ``os.replace``:
+    readers see the old file or the whole new one, never a part."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
+    try:
+        if isinstance(content, str):
+            tmp.write_text(content, encoding="utf-8")
+        else:
+            content(tmp)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)

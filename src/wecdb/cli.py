@@ -22,7 +22,6 @@ import sys
 from pathlib import Path
 
 from . import analyse
-from .catalog import store_filename
 from .db import Database
 from .errors import WecdbError
 from .identifier import parse_query
@@ -201,7 +200,7 @@ def cmd_vectors(args) -> int:
         in_order=args.in_order,
         as_tuple=not args.vectors_only,
     )
-    print(json.dumps(result.to_jsonable(as_tuple=not args.vectors_only)))
+    print(json.dumps(result.to_jsonable()))
     return 0
 
 
@@ -271,9 +270,9 @@ def cmd_sts(args) -> int:
         f"stopwords: {args.stopwords} sha256={stop_hash}",
         f"cache: {cache.hits} hits / {cache.misses} misses",
     ]
+    stems = {entry.normalized: entry.file_stem for entry in db.catalog.list_entries()}
     for norm, rows in ranking.per_wec:
-        name = store_filename(norm)[: -len(".wec")]
-        path = outdir / f"{name}.ranking.tsv"
+        path = outdir / f"{stems[norm]}.ranking.tsv"
         analyse.write_ranking(rows, path)
         undefined = len(ranking.undefined_pairs.get(norm, []))
         info.append(f"wec: {norm} ranked={len(rows)} undefined={undefined} file={path.name}")
@@ -296,8 +295,7 @@ def cmd_heatmap(args) -> int:
             in_order=False, join=not args.no_phrases,
         )
         matrix = analyse.similarity_matrix(units[0], units[1], metric=metric)
-        name = store_filename(entry.normalized)[: -len(".wec")]
-        path = outdir / f"{name}.heatmap.{args.format}"
+        path = outdir / f"{entry.file_stem}.heatmap.{args.format}"
         analyse.export_heatmap(
             matrix, units[0].words(), units[1].words(), path, format=args.format
         )

@@ -36,7 +36,9 @@ class Database:
         self.catalog = Catalog(root, create_if_missing=create_if_missing)
         self._stores: dict[str, WecStore] = {}
         self._stores_lock = threading.Lock()
-        self._phrase_models: dict[str, PhraseModel] = {}
+        # model ref -> (path, (st_ino, st_mtime_ns, st_size) of the file loaded,
+        # model): a model file replaced by any Database or process loads again
+        self._phrase_models: dict[str, tuple[Path, tuple, PhraseModel]] = {}
 
     @property
     def root(self) -> Path:
@@ -179,11 +181,14 @@ class Database:
         return tokens
 
     def _phrase_model(self, entry: CatalogEntry) -> PhraseModel:
-        model = self._phrase_models.get(entry.phrase_model_ref)
-        if model is None:
-            model = PhraseModel.load(self.catalog.phrase_model_path(entry))
-            self._phrase_models[entry.phrase_model_ref] = model
-        return model
+        cached = self._phrase_models.get(entry.phrase_model_ref)
+        path = cached[0] if cached else self.catalog.phrase_model_path(entry)
+        st = path.stat()
+        identity = (st.st_ino, st.st_mtime_ns, st.st_size)
+        if cached is None or cached[1] != identity:
+            cached = (path, identity, PhraseModel.load(path))
+            self._phrase_models[entry.phrase_model_ref] = cached
+        return cached[2]
 
     def train_phrases(
         self,
@@ -201,9 +206,7 @@ class Database:
         model = phrases_mod.train_phrase_model(
             corpus, discount=discount, threshold=threshold, passes=passes
         )
-        entry = self.catalog.set_phrase_model(entry.identifier, model)
-        # a retrained model keeps its file name, so the cached one is stale
-        self._phrase_models.pop(entry.phrase_model_ref, None)
+        self.catalog.set_phrase_model(entry.identifier, model)
         return model
 
     # -- retrieval -----------------------------------------------------------
@@ -217,8 +220,6 @@ class Database:
                 handle = self._stores.pop(entry.store_file, None)
             if handle is not None:
                 handle.close()
-            if entry.phrase_model_ref is not None:
-                self._phrase_models.pop(entry.phrase_model_ref, None)
         self.catalog.delete(ident, force=force)
 
     def get_vectors(

@@ -57,21 +57,21 @@ class RetrievalResult:
     def identifiers(self) -> list[str]:
         return [norm for norm, _ in self.per_wec]
 
-    def to_jsonable(self, as_tuple: bool = True) -> dict:
-        """Stable machine-readable form (identifier / raw / tokens / pairs / missing)."""
+    def to_jsonable(self) -> dict:
+        """Stable machine-readable form (identifier / raw / tokens / pairs / missing);
+        a pair is ``[word, vector]``, or the bare vector of an ``as_tuple=False`` result."""
         results = []
         for norm, units in self.per_wec:
             unit_docs = []
             for unit in units:
-                if as_tuple:
-                    pairs = [[w, [float(x) for x in v]] for w, v in unit.pairs]
-                else:
-                    pairs = [[float(x) for x in v] for v in unit.pairs]
                 unit_docs.append(
                     {
                         "raw": unit.raw,
                         "tokens": list(unit.tokens),
-                        "pairs": pairs,
+                        "pairs": [
+                            [p[0], p[1].tolist()] if isinstance(p, tuple) else p.tolist()
+                            for p in unit.pairs
+                        ],
                         "missing": list(unit.missing),
                     }
                 )

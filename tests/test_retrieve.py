@@ -190,6 +190,20 @@ def test_jsonable_round_trip(db, toy_wec):
     assert set(unit) == {"raw", "tokens", "pairs", "missing"}
 
 
+def test_jsonable_reads_the_pair_shape_from_the_result(db, toy_wec):
+    _, expected = toy_wec
+    docs = [
+        db.get_vectors(TOY, None, inputs=["Petri net theory"], raw=True, as_tuple=shape)
+        .to_jsonable()
+        for shape in (True, False)
+    ]
+    tuples, bare = (doc["results"][0]["units"][0]["pairs"] for doc in docs)
+    assert [w for w, _ in tuples] == ["petri_net", "theory"]
+    assert bare == [v for _, v in tuples]
+    assert bare == [expected[w].tolist() for w in ("petri_net", "theory")]
+    assert json.loads(json.dumps(docs)) == docs
+
+
 # -- batched retrieval against the per-unit reference --------------------------
 
 _JOIN = "algo:eq;dataset:join;dims:3;fold:0;unit:token"
