@@ -7,11 +7,12 @@
     res = db.get_vectors("algo:glove;dataset:6b;dims:{50,100};fold:1;unit:token",
                          cache, inputs=["Theory of computation."], raw=True)
 
-Store handles are cached per database instance and closed with it.
+Store handles are cached until their file is replaced or the database closes.
 """
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 import threading
 
@@ -34,7 +35,7 @@ def _as_identifier(ident: WecIdentifier | str) -> WecIdentifier:
 class Database:
     def __init__(self, root: str | Path, create_if_missing: bool = False):
         self.catalog = Catalog(root, create_if_missing=create_if_missing)
-        self._stores: dict[str, WecStore] = {}
+        self._stores: dict[str, tuple[os.stat_result, WecStore]] = {}
         self._stores_lock = threading.Lock()
         # model ref -> (path, (st_ino, st_mtime_ns, st_size) of the file loaded,
         # model): a model file replaced by any Database or process loads again
@@ -132,13 +133,22 @@ class Database:
     # -- store access ------------------------------------------------------
 
     def open_store(self, entry: CatalogEntry, create: bool = False) -> WecStore:
+        path = self.catalog.store_path(entry)
         with self._stores_lock:
-            handle = self._stores.get(entry.store_file)
-            if handle is None:
-                path = self.catalog.store_path(entry)
-                handle = WecStore(path, dims=entry.dims, create=create or not path.exists())
-                self._stores[entry.store_file] = handle
-            return handle
+            cached = self._stores.get(entry.store_file)
+            try:
+                st = path.stat()
+            except FileNotFoundError:
+                st = None
+            # a live handle holds its file open, so no new file can take its
+            # inode: another inode means the file was deleted and made again
+            if cached is not None and st is not None and os.path.samestat(cached[0], st):
+                return cached[1]
+            handle = WecStore(path, dims=entry.dims, create=create or st is None)
+            self._stores[entry.store_file] = (st or path.stat(), handle)
+        if cached is not None:
+            cached[1].close()
+        return handle
 
     def get_vector(self, ident: WecIdentifier | str, word: str) -> np.ndarray | None:
         """Exact-match single lookup; absent words return None, never an error."""
@@ -217,9 +227,9 @@ class Database:
         entry = self.catalog.lookup(ident)
         if entry is not None:
             with self._stores_lock:
-                handle = self._stores.pop(entry.store_file, None)
-            if handle is not None:
-                handle.close()
+                cached = self._stores.pop(entry.store_file, None)
+            if cached is not None:
+                cached[1].close()
         self.catalog.delete(ident, force=force)
 
     def get_vectors(
@@ -237,7 +247,7 @@ class Database:
 
     def close(self) -> None:
         with self._stores_lock:
-            for handle in self._stores.values():
+            for _, handle in self._stores.values():
                 handle.close()
             self._stores.clear()
 

@@ -14,7 +14,7 @@ Stages
     into separate tokens, keeping internal hyphens/underscores) and
     ``whitespace`` (plain split).
 ``case_fold(on|off)``
-    Lowercase the line or every token. May appear before or after tokenize.
+    Lowercase every token, or the whole line when it comes before tokenize.
 ``stem(on|off)``
     Porter-stem alphabetic tokens.
 ``stopword_filter(ref|off)``
@@ -23,11 +23,15 @@ Stages
 ``strip_special(rule_set|off)``
     ``default`` drops tokens with no alphanumeric character.
 ``external(command, content_hash)``
-    Pipe the current line (tokens are re-joined with single spaces) to a
-    user command: one line on stdin, one line of whitespace-separated tokens
-    on stdout per request. The process is started lazily, kept alive, and
+    Replaces tokenize; after one, it gets the tokens joined by single spaces.
+    A user command reads one line on stdin and writes one line of tokens on
+    stdout per request; the process is started lazily, kept alive, and
     serialized with a lock, so concurrent callers never interleave lines.
     The command must flush stdout after every line (e.g. ``python3 -u``).
+
+``stem``, ``stopword_filter`` and ``strip_special`` need tokens, so they come
+after a tokenize or external stage, and a pipeline has one of the two. A
+stage that is ``off`` is serialized and hashed but runs nothing.
 
 Serialization is a single line, stages joined by `` | ``, parameters
 percent-encoded; it is stable and included verbatim in catalog manifests.
@@ -50,9 +54,6 @@ from typing import Callable, Iterable
 from . import porter
 from .errors import ExternalStageError, PipelineError
 
-STAGE_NAMES = ("tokenize", "case_fold", "stem", "stopword_filter", "strip_special", "external")
-TOKENIZE_RULE_SETS = ("default", "whitespace")
-STRIP_RULE_SETS = ("default",)
 BUILTIN_STOPWORDS = "builtin:en"
 
 _HASH_PREFIX = "pipeline-hash-v1"
@@ -80,13 +81,9 @@ def _tokenize_default(line: str) -> list[str]:
     return tokens
 
 
-def _tokenize_whitespace(line: str) -> list[str]:
-    return line.split()
-
-
 _TOKENIZERS: dict[str, Callable[[str], list[str]]] = {
     "default": _tokenize_default,
-    "whitespace": _tokenize_whitespace,
+    "whitespace": str.split,
 }
 
 
@@ -115,61 +112,22 @@ class PipelineDescriptor:
     """Ordered stage list plus the resource contents its hash must cover.
 
     ``resources`` maps stopword-list refs to their full text. Instances are
-    immutable; ``hash`` is computed once at construction.
+    immutable; ``steps`` (what :func:`run_pipeline` runs, one per stage that
+    is on) and ``hash`` are built once at construction.
     """
 
     stages: tuple[Stage, ...]
     resources: tuple[tuple[str, str], ...] = ()
+    steps: tuple[Callable, ...] = field(init=False, default=(), repr=False, compare=False)
     hash: str = field(init=False, default="")
 
     def __post_init__(self):
-        self._validate()
+        object.__setattr__(self, "steps", _build_steps(self.stages, self.resources))
         object.__setattr__(self, "hash", self._compute_hash())
-        sets = {ref: frozenset(text.split()) for ref, text in self.resources}
-        object.__setattr__(self, "_stopword_sets", sets)
 
-    def _validate(self) -> None:
-        resource_refs = {ref for ref, _ in self.resources}
-        have_tokens = False
-        for stage in self.stages:
-            if stage.name not in STAGE_NAMES:
-                raise PipelineError(f"unknown stage {stage.name!r}")
-            if stage.name == "tokenize":
-                if have_tokens:
-                    raise PipelineError("tokenize stage after input is already tokenized")
-                if len(stage.params) != 1 or stage.params[0] not in TOKENIZE_RULE_SETS:
-                    raise PipelineError(f"unknown tokenize rule set {stage.params!r}")
-                have_tokens = True
-            elif stage.name == "external":
-                if len(stage.params) != 2:
-                    raise PipelineError("external stage needs (command, content_hash)")
-                have_tokens = True
-            elif stage.name == "case_fold":
-                if stage.params not in (("on",), ("off",)):
-                    raise PipelineError(f"case_fold parameter must be on/off, got {stage.params!r}")
-            elif stage.name == "stem":
-                if stage.params not in (("on",), ("off",)):
-                    raise PipelineError(f"stem parameter must be on/off, got {stage.params!r}")
-                if stage.params == ("on",) and not have_tokens:
-                    raise PipelineError("stem stage requires tokenized input")
-            elif stage.name == "stopword_filter":
-                if len(stage.params) != 1:
-                    raise PipelineError("stopword_filter takes one parameter")
-                ref = stage.params[0]
-                if ref != "off":
-                    if not have_tokens:
-                        raise PipelineError("stopword_filter stage requires tokenized input")
-                    if ref not in resource_refs:
-                        raise PipelineError(f"stopword list {ref!r} has no resolved content")
-            elif stage.name == "strip_special":
-                if len(stage.params) != 1 or (
-                    stage.params[0] != "off" and stage.params[0] not in STRIP_RULE_SETS
-                ):
-                    raise PipelineError(f"unknown strip_special rule set {stage.params!r}")
-                if stage.params[0] != "off" and not have_tokens:
-                    raise PipelineError("strip_special stage requires tokenized input")
-        if not have_tokens:
-            raise PipelineError("pipeline must contain a tokenize or external stage")
+    def __reduce__(self):
+        # steps are lambdas, which do not pickle: rebuild them on load
+        return (PipelineDescriptor, (self.stages, self.resources))
 
     def _compute_hash(self) -> str:
         h = hashlib.sha256()
@@ -195,6 +153,73 @@ class PipelineDescriptor:
         return any(s.name == "stem" and s.params == ("on",) for s in self.stages)
 
 
+def _build_steps(
+    stages: tuple[Stage, ...], resources: tuple[tuple[str, str], ...]
+) -> tuple[Callable, ...]:
+    """Check the stage list once and return the step of each stage that is on.
+
+    Until a ``tokenize`` or ``external`` stage the value is the raw line,
+    from there on a token list, so each step is built for the one shape it
+    gets. Steps look ``porter.stem`` and ``_external_for`` up when they run.
+    """
+    stopword_texts = dict(resources)
+    steps: list[Callable] = []
+    have_tokens = False
+    for stage in stages:
+        name, params = stage.name, stage.params
+        if name == "tokenize":
+            if have_tokens:
+                raise PipelineError("tokenize stage after input is already tokenized")
+            if len(params) != 1 or params[0] not in _TOKENIZERS:
+                raise PipelineError(f"unknown tokenize rule set {params!r}")
+            steps.append(_TOKENIZERS[params[0]])
+            have_tokens = True
+        elif name == "external":
+            if len(params) != 2:
+                raise PipelineError("external stage needs (command, content_hash)")
+            if have_tokens:
+                steps.append(" ".join)
+            steps.append(lambda line, cmd=params[0]: _external_for(cmd).process_line(line))
+            have_tokens = True
+        elif name == "case_fold":
+            if params not in (("on",), ("off",)):
+                raise PipelineError(f"case_fold parameter must be on/off, got {params!r}")
+            if params == ("on",):
+                steps.append((lambda ts: [t.lower() for t in ts]) if have_tokens else str.lower)
+        elif name == "stem":
+            if params not in (("on",), ("off",)):
+                raise PipelineError(f"stem parameter must be on/off, got {params!r}")
+            if params == ("on",):
+                if not have_tokens:
+                    raise PipelineError("stem stage requires tokenized input")
+                steps.append(
+                    lambda ts: [porter.stem(t) if t.isascii() and t.isalpha() else t for t in ts]
+                )
+        elif name == "stopword_filter":
+            if len(params) != 1:
+                raise PipelineError("stopword_filter takes one parameter")
+            ref = params[0]
+            if ref != "off":
+                if not have_tokens:
+                    raise PipelineError("stopword_filter stage requires tokenized input")
+                if ref not in stopword_texts:
+                    raise PipelineError(f"stopword list {ref!r} has no resolved content")
+                stops = frozenset(stopword_texts[ref].split())
+                steps.append(lambda ts, stops=stops: [t for t in ts if t not in stops])
+        elif name == "strip_special":
+            if params not in (("default",), ("off",)):
+                raise PipelineError(f"unknown strip_special rule set {params!r}")
+            if params == ("default",):
+                if not have_tokens:
+                    raise PipelineError("strip_special stage requires tokenized input")
+                steps.append(lambda ts: [t for t in ts if any(ch.isalnum() for ch in t)])
+        else:
+            raise PipelineError(f"unknown stage {name!r}")
+    if not have_tokens:
+        raise PipelineError("pipeline must contain a tokenize or external stage")
+    return tuple(steps)
+
+
 def build_pipeline(
     *,
     tokenizer: str = "default",
@@ -213,31 +238,24 @@ def build_pipeline(
     string itself is. An external command replaces the tokenize stage.
     """
     stages: list[Stage] = []
-    resources_map: dict[str, str] = {}
     if external is not None:
         command, script = external
-        if script is not None:
-            digest = hashlib.sha256(Path(script).read_bytes()).hexdigest()[:16]
-        else:
-            digest = hashlib.sha256(command.encode("utf-8")).hexdigest()[:16]
+        content = command.encode("utf-8") if script is None else Path(script).read_bytes()
+        digest = hashlib.sha256(content).hexdigest()[:16]
         stages.append(Stage("external", (command, digest)))
     else:
         stages.append(Stage("tokenize", (tokenizer,)))
     stages.append(Stage("case_fold", ("on" if case_fold else "off",)))
     stages.append(Stage("stem", ("on" if stem else "off",)))
-    if stopwords is None:
-        stages.append(Stage("stopword_filter", ("off",)))
-    elif stopwords == "en" or stopwords == BUILTIN_STOPWORDS:
-        content = builtin_stopwords_text()
-        resources_map[BUILTIN_STOPWORDS] = content
-        stages.append(Stage("stopword_filter", (BUILTIN_STOPWORDS,)))
-    else:
-        content = Path(stopwords).read_text("utf-8")
-        ref = content_ref(content)
-        resources_map[ref] = content
-        stages.append(Stage("stopword_filter", (ref,)))
+    ref, text = "off", None
+    if stopwords == "en" or stopwords == BUILTIN_STOPWORDS:
+        ref, text = BUILTIN_STOPWORDS, builtin_stopwords_text()
+    elif stopwords is not None:
+        text = Path(stopwords).read_text("utf-8")
+        ref = content_ref(text)
+    stages.append(Stage("stopword_filter", (ref,)))
     stages.append(Stage("strip_special", ("default" if strip_special else "off",)))
-    return PipelineDescriptor(tuple(stages), tuple(sorted(resources_map.items())))
+    return PipelineDescriptor(tuple(stages), () if text is None else ((ref, text),))
 
 
 def pipeline_for_identifier(ident, **options) -> PipelineDescriptor:
@@ -385,38 +403,9 @@ def run_pipeline(
         cached = cache.get(p.hash, raw)
         if cached is not None:
             return list(cached)
-    value: str | list[str] = raw
-    for stage in p.stages:
-        value = _apply_stage(p, stage, value)
-    assert isinstance(value, list)
+    value = raw
+    for step in p.steps:
+        value = step(value)
     if cache is not None:
         cache.put(p.hash, raw, value)
     return value
-
-
-def _apply_stage(p: PipelineDescriptor, stage: Stage, value: str | list[str]):
-    if stage.name == "tokenize":
-        return _TOKENIZERS[stage.params[0]](value)
-    if stage.name == "external":
-        line = value if isinstance(value, str) else " ".join(value)
-        return _external_for(stage.params[0]).process_line(line)
-    if stage.name == "case_fold":
-        if stage.params == ("off",):
-            return value
-        if isinstance(value, str):
-            return value.lower()
-        return [t.lower() for t in value]
-    if stage.name == "stem":
-        if stage.params == ("off",):
-            return value
-        return [porter.stem(t) if t.isascii() and t.isalpha() else t for t in value]
-    if stage.name == "stopword_filter":
-        if stage.params == ("off",):
-            return value
-        stopset = p._stopword_sets[stage.params[0]]
-        return [t for t in value if t not in stopset]
-    if stage.name == "strip_special":
-        if stage.params == ("off",):
-            return value
-        return [t for t in value if any(ch.isalnum() for ch in t)]
-    raise PipelineError(f"unknown stage {stage.name!r}")

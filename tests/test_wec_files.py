@@ -1,6 +1,6 @@
 """Per-WEC side files (phrase models, CLI outputs) are named after the WEC's
 store file, catalog files are replaced atomically, and every Database sees a
-phrase model that another one replaced."""
+phrase model or a store file that another one replaced."""
 
 import pytest
 
@@ -104,6 +104,19 @@ def test_second_database_sees_a_retrained_model(tmp_path):
         assert _tokens(two, PLAIN) == ["a", "b_c"]
         assert _tokens(one, PLAIN) == ["a", "b_c"]
 
+
+
+def test_second_database_sees_a_reimported_store(tmp_path):
+    root = tmp_path / "catalog"
+    (tmp_path / "old.txt").write_text("w 1 2\n", encoding="utf-8")
+    (tmp_path / "new.txt").write_text("w 3 4\n", encoding="utf-8")
+    with Database(root, create_if_missing=True) as one, Database(root) as two:
+        one.import_from_file(tmp_path / "old.txt", PLAIN)
+        assert two.get_vector(PLAIN, "w").tolist() == [1, 2]
+        one.delete(PLAIN, force=True)
+        one.import_from_file(tmp_path / "new.txt", PLAIN)
+        assert two.get_vector(PLAIN, "w").tolist() == [3, 4]
+        assert two.get_vectors_batch(PLAIN, ["w"])[0][0][1].tolist() == [3, 4]
 
 def test_retrain_leaves_no_temp_file(colliding):
     with Database(colliding) as db:
