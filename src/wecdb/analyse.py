@@ -12,7 +12,10 @@ vectors. Metrics are plain callables ``(vec, vec) -> float``; anything with
 that shape (e.g. ``scipy.spatial.distance.cosine``) plugs in. The built-in
 metrics run as one array pass per WEC: all sentence means of a WEC in one
 position-by-position sum, then one row-wise kernel call over all its pairs,
-with the same bytes as the per-pair functions. A user-supplied callable is
+with the same bytes as the per-pair functions. A retrieved sentence is
+summed straight from the read-only float32 matrix its WEC's store read
+returned, by row index; the pairs of a hand-built unit are stacked into a
+matrix per width and go through the same sum. A user-supplied callable is
 called once per pair. Pairs whose sentence vector is undefined, or for
 which the metric returns a non-finite value or raises
 :class:`UndefinedDistanceError`, are reported in ``undefined_pairs``
@@ -26,6 +29,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -33,6 +37,7 @@ import numpy as np
 
 from .errors import AnalysisError, UndefinedDistanceError
 from .retrieve import RetrievalResult, UnitResult
+from .store import VectorRows
 
 Metric = Callable[[np.ndarray, np.ndarray], float]
 
@@ -73,16 +78,13 @@ def average_vector(
 def _average_units(
     units: Iterable[Iterable[tuple[str, np.ndarray]]], stopset: set[str]
 ) -> list[SentenceVector]:
-    """:func:`average_vector` of every unit, one array add per row position.
+    """:func:`average_vector` of every unit of hand-made pairs.
 
-    Units of one width are summed together: row k of every unit with more
-    than k rows in one float64 add, so each unit's rows are still added in
-    order and its mean has the bytes of a row-by-row loop at every width.
-    Temporaries stay at units x width.
+    The vectors of the units of one width are stacked into one matrix and
+    averaged by :func:`_row_means`, the summation retrieved units go through.
     """
     out: list[SentenceVector] = []
-    rows_of: list[list] = []
-    by_width: dict[int, list[int]] = {}
+    by_width: dict[int, tuple[list, list[int]]] = {}
     for pairs in units:
         used: list[str] = []
         excluded: list[str] = []
@@ -100,23 +102,89 @@ def _average_units(
                     raise AnalysisError(
                         f"mixed vector lengths: {width} vs {len(vec)} for {word!r}"
                     )
-            by_width.setdefault(width, []).append(len(out))
+            stacked, unit_of = by_width.setdefault(width, ([], []))
+            stacked += rows
+            unit_of += [len(out)] * len(rows)
         out.append(SentenceVector(vector=None, used_tokens=used, excluded=excluded))
-        rows_of.append(rows)
-    for members in by_width.values():
-        # Longest first, so the units with more than k rows are a prefix.
-        members.sort(key=lambda i: len(rows_of[i]), reverse=True)
-        counts = [len(rows_of[i]) for i in members]
-        total = np.array([rows_of[i][0] for i in members], dtype=np.float64)
-        live = len(members)
-        for k in range(1, counts[0]):
-            while counts[live - 1] <= k:
-                live -= 1
-            total[:live] += np.array([rows_of[i][k] for i in members[:live]])
-        total /= np.array(counts, dtype=np.float64)[:, None]
-        for i, mean in zip(members, total.astype(np.float32)):
-            out[i].vector = mean
+    for stacked, unit_of in by_width.values():
+        means, counts = _row_means(
+            np.array(stacked), np.arange(len(stacked)), np.array(unit_of), len(out)
+        )
+        for i in np.flatnonzero(counts).tolist():
+            out[i].vector = means[i]
     return out
+
+
+def _unit_means(units: Sequence[UnitResult], stopset: set[str]) -> list[np.ndarray | None]:
+    """Sentence vector of every unit, None where undefined.
+
+    Units read from one :meth:`~wecdb.store.WecStore.get_many` are averaged
+    together straight from its matrix: the stopword mask is taken once per
+    row (distinct word), and the kept row indices of all units go to one
+    :func:`_row_means`. Units whose ``pairs`` were built or set go through
+    :func:`_average_units`.
+    """
+    means: list[np.ndarray | None] = [None] * len(units)
+    by_matrix: dict[int, tuple[VectorRows, list[int], list[list[int]]]] = {}
+    by_hand: list[int] = []
+    for i, unit in enumerate(units):
+        source = unit._matrix_rows()
+        if source is None:
+            by_hand.append(i)
+            continue
+        found, rows = source
+        _, members, row_lists = by_matrix.setdefault(id(found), (found, [], []))
+        members.append(i)
+        row_lists.append(rows)
+    for found, members, row_lists in by_matrix.values():
+        lengths = np.fromiter(map(len, row_lists), dtype=np.intp, count=len(row_lists))
+        rows = np.fromiter(
+            chain.from_iterable(row_lists), dtype=np.intp, count=int(lengths.sum())
+        )
+        unit_of = np.repeat(np.arange(len(members)), lengths)
+        if stopset:
+            stop = np.fromiter((w in stopset for w in found), dtype=bool, count=len(found))
+            keep = ~stop[rows]
+            rows, unit_of = rows[keep], unit_of[keep]
+        vectors, counts = _row_means(found.matrix, rows, unit_of, len(members))
+        for i, vec, n in zip(members, vectors, counts.tolist()):
+            if n:
+                means[i] = vec
+    sentences = _average_units([units[i].pairs for i in by_hand], stopset)
+    for i, sentence in zip(by_hand, sentences):
+        means[i] = sentence.vector
+    return means
+
+
+def _row_means(
+    matrix: np.ndarray, rows: np.ndarray, unit_of: np.ndarray, n_units: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Float32 mean of each unit's rows of ``matrix``, and each unit's row count.
+
+    ``matrix[rows[j]]`` belongs to unit ``unit_of[j]``; ``unit_of`` is
+    non-decreasing and each unit's rows come in the order they are added.
+    With the units ordered longest first, the units that have a k-th row
+    are a prefix, so row k of all of them is one gather and one float64
+    add. Each sum starts from the first row, not from zeros
+    (``0.0 + -0.0`` is ``+0.0``), so each mean has the bytes of a row-by-row
+    loop at every width; ``np.add.reduceat`` does not promise that order.
+    Temporaries stay at units x width. A unit without rows has count 0 and
+    a zero row.
+    """
+    counts = np.bincount(unit_of, minlength=n_units)
+    unit_in_slot = np.argsort(-counts, kind="stable")
+    slot_of = np.empty(n_units, dtype=np.intp)
+    slot_of[unit_in_slot] = np.arange(n_units)
+    position = np.arange(len(rows)) - (np.cumsum(counts) - counts)[unit_of]
+    rows = rows[np.argsort(position * n_units + slot_of[unit_of])]
+    total = np.zeros((n_units, matrix.shape[1]))
+    ends = np.cumsum(np.bincount(position)).tolist()
+    if ends:
+        total[: ends[0]] = matrix[rows[: ends[0]]]
+        for start, end in zip(ends, ends[1:]):
+            total[: end - start] += matrix[rows[start:end]]
+    total /= np.maximum(counts[unit_in_slot], 1)[:, None]
+    return total.astype(np.float32)[slot_of], counts
 
 
 # Row kernels: (n, d) float64 arrays -> n values, non-finite where undefined
@@ -252,18 +320,18 @@ def pairwise_distances(
             raise AnalysisError(
                 f"unit counts differ for {norm!r}: {len(units1)} vs {len(units2)}"
             )
-        s1 = _average_units([u.pairs for u in units1], stopset)
-        s2 = _average_units([u.pairs for u in units2], stopset)
-        defined = [i for i, (a, b) in enumerate(zip(s1, s2)) if a.defined and b.defined]
+        means = _unit_means([*units1, *units2], stopset)
+        s1, s2 = means[: len(units1)], means[len(units1) :]
+        defined = [i for i, (a, b) in enumerate(zip(s1, s2)) if a is not None and b is not None]
         distances = np.full(len(units1), np.nan)
         if kernel is not None:
             distances[defined] = _pair_rows(
-                kernel, [s1[i].vector for i in defined], [s2[i].vector for i in defined]
+                kernel, [s1[i] for i in defined], [s2[i] for i in defined]
             )
         else:
             for i in defined:
                 try:
-                    distances[i] = float(metric(s1[i].vector, s2[i].vector))
+                    distances[i] = float(metric(s1[i], s2[i]))
                 except UndefinedDistanceError:
                     pass
         triples: list[tuple[float, str, str]] = []

@@ -117,19 +117,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_import(args) -> int:
-    db = _open_db(args, create=args.create)
-    report = db.import_from_file(
-        args.file,
-        args.identifier,
-        on_duplicate=args.on_duplicate.replace("-", "_"),
-        expect_header=args.header,
-        on_malformed="skip" if args.lenient else "fail",
-        vocab_join_max_len=args.phrase_vocab,
-        tokenizer=args.tokenizer,
-        stopwords=args.stopword_list,
-        strip_special=args.strip_special,
-        external=(args.external, args.external_script) if args.external else None,
-    )
+    with _open_db(args, create=args.create) as db:
+        report = db.import_from_file(
+            args.file,
+            args.identifier,
+            on_duplicate=args.on_duplicate.replace("-", "_"),
+            expect_header=args.header,
+            on_malformed="skip" if args.lenient else "fail",
+            vocab_join_max_len=args.phrase_vocab,
+            tokenizer=args.tokenizer,
+            stopwords=args.stopword_list,
+            strip_special=args.strip_special,
+            external=(args.external, args.external_script) if args.external else None,
+        )
     ratio = f"{report.compression_ratio:.2f}" if report.bytes_text else "n/a"
     print(f"imported: {report.imported}")
     print(f"skipped duplicates: {report.skipped_duplicates}")
@@ -153,9 +153,9 @@ def _parse_filter(text: str) -> dict[str, str]:
 
 
 def cmd_list(args) -> int:
-    db = _open_db(args)
-    attr_filter = _parse_filter(args.filter) if args.filter else None
-    entries = db.catalog.list_entries(attr_filter)
+    with _open_db(args) as db:
+        attr_filter = _parse_filter(args.filter) if args.filter else None
+        entries = db.catalog.list_entries(attr_filter)
     if args.json:
         doc = [
             {
@@ -179,41 +179,41 @@ def cmd_list(args) -> int:
 
 
 def cmd_vectors(args) -> int:
-    db = _open_db(args)
-    cache = PreprocessCache()
-    if args.words is not None:
-        inputs: list = [list(args.words)]
-        raw = False
-    elif args.input is not None:
-        inputs = Path(args.input).read_text("utf-8").splitlines()
-        raw = True
-    elif args.text:
-        inputs = list(args.text)
-        raw = True
-    else:
-        raise WecdbError("no input: pass --text, --input, or --words")
-    result = db.get_vectors(
-        args.query,
-        cache,
-        inputs=inputs,
-        raw=raw,
-        in_order=args.in_order,
-        as_tuple=not args.vectors_only,
-    )
+    with _open_db(args) as db:
+        cache = PreprocessCache()
+        if args.words is not None:
+            inputs: list = [list(args.words)]
+            raw = False
+        elif args.input is not None:
+            inputs = Path(args.input).read_text("utf-8").splitlines()
+            raw = True
+        elif args.text:
+            inputs = list(args.text)
+            raw = True
+        else:
+            raise WecdbError("no input: pass --text, --input, or --words")
+        result = db.get_vectors(
+            args.query,
+            cache,
+            inputs=inputs,
+            raw=raw,
+            in_order=args.in_order,
+            as_tuple=not args.vectors_only,
+        )
     print(json.dumps(result.to_jsonable()))
     return 0
 
 
 def cmd_train_phrases(args) -> int:
-    db = _open_db(args)
-    lines = Path(args.corpus).read_text("utf-8").splitlines()
-    model = db.train_phrases(
-        lines,
-        args.identifier,
-        discount=args.discount,
-        threshold=args.threshold,
-        passes=args.passes,
-    )
+    with _open_db(args) as db:
+        lines = Path(args.corpus).read_text("utf-8").splitlines()
+        model = db.train_phrases(
+            lines,
+            args.identifier,
+            discount=args.discount,
+            threshold=args.threshold,
+            passes=args.passes,
+        )
     print(
         f"trained phrase model: {len(model.unigram_counts)} unigrams,"
         f" {len(model.bigram_counts)} bigrams, {model.corpus_token_count} tokens"
@@ -233,74 +233,74 @@ def _load_stopwords(spec: str) -> set[str]:
 
 
 def cmd_sts(args) -> int:
-    db = _open_db(args)
-    lines = Path(args.pairs).read_text("utf-8").splitlines()
-    if not lines:
-        raise WecdbError(f"empty input file {args.pairs}")
-    col1: list[str] = []
-    col2: list[str] = []
-    for lineno, line in enumerate(lines, start=1):
-        cells = line.split("\t")
-        if len(cells) != 2:
-            raise WecdbError(
-                f"{args.pairs}:{lineno}: expected exactly two tab-separated sentences,"
-                f" got {len(cells)} field(s)"
-            )
-        col1.append(cells[0])
-        col2.append(cells[1])
-    metric, is_similarity = analyse.METRICS[args.metric]
-    stopwords = _load_stopwords(args.stopwords)
-    cache = PreprocessCache()
-    both = db.get_vectors(args.query, cache, inputs=col1 + col2, raw=True)
-    n = len(col1)
-    vecs_1 = RetrievalResult([(norm, units[:n]) for norm, units in both])
-    vecs_2 = RetrievalResult([(norm, units[n:]) for norm, units in both])
-    ranking = analyse.pairwise_distances(
-        vecs_1, vecs_2, metric=metric, reverse=args.reverse, stopwords=stopwords
-    )
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    stop_hash = hashlib.sha256(
-        "\n".join(sorted(stopwords)).encode("utf-8")
-    ).hexdigest()
-    info = [
-        f"pairs: {len(col1)}",
-        f"metric: {args.metric} ({'similarity' if is_similarity else 'distance'})",
-        f"reverse: {args.reverse}",
-        f"stopwords: {args.stopwords} sha256={stop_hash}",
-        f"cache: {cache.hits} hits / {cache.misses} misses",
-    ]
-    stems = {entry.normalized: entry.file_stem for entry in db.catalog.list_entries()}
-    for norm, rows in ranking.per_wec:
-        path = outdir / f"{stems[norm]}.ranking.tsv"
-        analyse.write_ranking(rows, path)
-        undefined = len(ranking.undefined_pairs.get(norm, []))
-        info.append(f"wec: {norm} ranked={len(rows)} undefined={undefined} file={path.name}")
-        print(f"{norm}: {len(rows)} ranked, {undefined} undefined -> {path}")
-    (outdir / "run.info").write_text("\n".join(info) + "\n", encoding="utf-8")
-    return 0
+    with _open_db(args) as db:
+        lines = Path(args.pairs).read_text("utf-8").splitlines()
+        if not lines:
+            raise WecdbError(f"empty input file {args.pairs}")
+        col1: list[str] = []
+        col2: list[str] = []
+        for lineno, line in enumerate(lines, start=1):
+            cells = line.split("\t")
+            if len(cells) != 2:
+                raise WecdbError(
+                    f"{args.pairs}:{lineno}: expected exactly two tab-separated sentences,"
+                    f" got {len(cells)} field(s)"
+                )
+            col1.append(cells[0])
+            col2.append(cells[1])
+        metric, is_similarity = analyse.METRICS[args.metric]
+        stopwords = _load_stopwords(args.stopwords)
+        cache = PreprocessCache()
+        both = db.get_vectors(args.query, cache, inputs=col1 + col2, raw=True)
+        n = len(col1)
+        vecs_1 = RetrievalResult([(norm, units[:n]) for norm, units in both])
+        vecs_2 = RetrievalResult([(norm, units[n:]) for norm, units in both])
+        ranking = analyse.pairwise_distances(
+            vecs_1, vecs_2, metric=metric, reverse=args.reverse, stopwords=stopwords
+        )
+        outdir = Path(args.outdir)
+        outdir.mkdir(parents=True, exist_ok=True)
+        stop_hash = hashlib.sha256(
+            "\n".join(sorted(stopwords)).encode("utf-8")
+        ).hexdigest()
+        info = [
+            f"pairs: {len(col1)}",
+            f"metric: {args.metric} ({'similarity' if is_similarity else 'distance'})",
+            f"reverse: {args.reverse}",
+            f"stopwords: {args.stopwords} sha256={stop_hash}",
+            f"cache: {cache.hits} hits / {cache.misses} misses",
+        ]
+        stems = {entry.normalized: entry.file_stem for entry in db.catalog.list_entries()}
+        for norm, rows in ranking.per_wec:
+            path = outdir / f"{stems[norm]}.ranking.tsv"
+            analyse.write_ranking(rows, path)
+            undefined = len(ranking.undefined_pairs.get(norm, []))
+            info.append(f"wec: {norm} ranked={len(rows)} undefined={undefined} file={path.name}")
+            print(f"{norm}: {len(rows)} ranked, {undefined} undefined -> {path}")
+        (outdir / "run.info").write_text("\n".join(info) + "\n", encoding="utf-8")
+        return 0
 
 
 def cmd_heatmap(args) -> int:
-    db = _open_db(args)
-    query = parse_query(args.query)
-    metric, _ = analyse.METRICS[args.metric]
-    cache = PreprocessCache()
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    for ident in query.expanded:
-        entry = db.catalog.require(ident)
-        units = lookup_units(
-            db, entry, [args.sentence1, args.sentence2], raw=True, cache=cache,
-            in_order=False, join=not args.no_phrases,
-        )
-        matrix = analyse.similarity_matrix(units[0], units[1], metric=metric)
-        path = outdir / f"{entry.file_stem}.heatmap.{args.format}"
-        analyse.export_heatmap(
-            matrix, units[0].words(), units[1].words(), path, format=args.format
-        )
-        print(f"{entry.normalized}: {matrix.shape[0]}x{matrix.shape[1]} -> {path}")
-    return 0
+    with _open_db(args) as db:
+        query = parse_query(args.query)
+        metric, _ = analyse.METRICS[args.metric]
+        cache = PreprocessCache()
+        outdir = Path(args.outdir)
+        outdir.mkdir(parents=True, exist_ok=True)
+        for ident in query.expanded:
+            entry = db.catalog.require(ident)
+            units = lookup_units(
+                db, entry, [args.sentence1, args.sentence2], raw=True, cache=cache,
+                in_order=False, join=not args.no_phrases,
+            )
+            matrix = analyse.similarity_matrix(units[0], units[1], metric=metric)
+            path = outdir / f"{entry.file_stem}.heatmap.{args.format}"
+            analyse.export_heatmap(
+                matrix, units[0].words(), units[1].words(), path, format=args.format
+            )
+            print(f"{entry.normalized}: {matrix.shape[0]}x{matrix.shape[1]} -> {path}")
+        return 0
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -13,8 +13,13 @@ distinct found word, in first-seen order; ``in_order=True`` repeats an
 entry for every token occurrence, in token order. ``missing`` always lists
 distinct not-found tokens in first-seen order. With ``as_tuple=False`` the
 ``pairs`` lists contain bare vectors in the same order, words omitted.
-Vectors are read-only arrays, and units of one WEC share the array of a
-word they have in common.
+
+The vectors one call reads from one WEC are the read-only rows of one
+float32 matrix (the :class:`~wecdb.store.VectorRows` of its one
+``get_many``). A unit records its found words and their row indices; its
+``pairs`` are built on first access, and units of one WEC share the one
+view of a word they have in common. Analysis sums the rows straight from
+the matrix.
 """
 
 from __future__ import annotations
@@ -26,16 +31,45 @@ import numpy as np
 from . import phrases
 from .errors import PipelineError, WecdbError
 from .pipeline import PreprocessCache, run_pipeline
+from .store import VectorRows
 
 
-@dataclass
 class UnitResult:
-    """Lookup outcome for one input unit against one WEC."""
+    """Lookup outcome for one input unit against one WEC.
 
-    raw: str
-    tokens: list[str]
-    pairs: list
-    missing: list[str]
+    ``UnitResult(raw=, tokens=, pairs=, missing=)`` builds a unit by hand.
+    A unit that retrieval built holds its found words and their rows in the
+    WEC's :class:`~wecdb.store.VectorRows` until ``pairs`` is first read.
+    """
+
+    __slots__ = ("raw", "tokens", "missing", "_pairs", "_found", "_words", "_rows")
+
+    def __init__(self, raw: str, tokens: list[str], pairs: list | None, missing: list[str]):
+        self.raw = raw
+        self.tokens = tokens
+        self.missing = missing
+        self._pairs = pairs
+        self._found: VectorRows | None = None
+        self._words: list[str] | None = None
+        self._rows: list[int] | None = None
+
+    @property
+    def pairs(self) -> list:
+        if self._pairs is None:
+            found = self._found
+            self._pairs = [(word, found[word]) for word in self._words]
+        return self._pairs
+
+    @pairs.setter
+    def pairs(self, value: list) -> None:
+        self._pairs = value
+
+    def _matrix_rows(self) -> tuple[VectorRows, list[int]] | None:
+        """``(found, rows)`` while ``pairs`` is unbuilt: pair i will be the
+        view of row ``rows[i]`` of ``found.matrix``. None once ``pairs`` is
+        built or set, and for a unit built by hand; ``pairs`` then holds the
+        vectors."""
+        return None if self._pairs is not None else (self._found, self._rows)
 
     def words(self) -> list[str]:
         return [w for w, _ in self.pairs]
@@ -85,29 +119,31 @@ def lookup_unit(store, raw_text: str, tokens: list[str], in_order: bool) -> Unit
     return _assemble(raw_text, tokens, store.get_many(tokens), in_order)
 
 
-def _assemble(raw_text: str, tokens: list[str], found: dict, in_order: bool) -> UnitResult:
-    pairs = []
-    missing = []
-    seen: set[str] = set()
+def _assemble(
+    raw_text: str, tokens: list[str], found: VectorRows, in_order: bool
+) -> UnitResult:
+    index = found.index
+    words: list[str] = []
+    rows: list[int] = []
     if in_order:
         for token in tokens:
-            vec = found.get(token)
-            if vec is not None:
-                pairs.append((token, vec))
-            elif token not in seen:
-                seen.add(token)
-                missing.append(token)
+            row = index.get(token)
+            if row is not None:
+                words.append(token)
+                rows.append(row)
+        missing = list(dict.fromkeys(t for t in tokens if t not in index))
     else:
-        for token in tokens:
-            if token in seen:
-                continue
-            seen.add(token)
-            vec = found.get(token)
-            if vec is None:
+        missing = []
+        for token in dict.fromkeys(tokens):
+            row = index.get(token)
+            if row is None:
                 missing.append(token)
             else:
-                pairs.append((token, vec))
-    return UnitResult(raw=raw_text, tokens=list(tokens), pairs=pairs, missing=missing)
+                words.append(token)
+                rows.append(row)
+    unit = UnitResult(raw=raw_text, tokens=list(tokens), pairs=None, missing=missing)
+    unit._found, unit._words, unit._rows = found, words, rows
+    return unit
 
 
 def lookup_units(
@@ -119,7 +155,7 @@ def lookup_units(
     With ``raw=True`` each unit runs through the WEC's pipeline and, when
     ``join`` is on, its phrase model; one ``get_many`` then covers every
     token of every unit plus, for vocabulary joining, every candidate
-    window, so the greedy join and the assembly both read that one dict.
+    window, so the greedy join and the assembly both read that one mapping.
     """
     store = db.open_store(entry)
     texts: list[str] = []
@@ -148,7 +184,7 @@ def lookup_units(
     found = store.get_many(wanted)
     if max_len is not None:
         token_lists = [
-            phrases.apply_phrases_vocab(found.__contains__, tokens, max_len=max_len)
+            phrases.apply_phrases_vocab(found.index.__contains__, tokens, max_len=max_len)
             for tokens in token_lists
         ]
     return [_assemble(text, tokens, found, in_order) for text, tokens in zip(texts, token_lists)]

@@ -11,7 +11,9 @@ below the plain text it was imported from at typical float print widths,
 but above it at a few dimensions. A row of up to about 4 KB (about 1,000-d)
 stays on its table leaf page. Point lookups never scan the store; that is
 the whole point: retrieval cost depends on the words requested, not the
-collection size.
+collection size. A batched read (:meth:`WecStore.get_many`) returns a
+read-only :class:`VectorRows` mapping: the vectors it found are the
+read-only rows of one float32 matrix.
 
 Store format (``format`` key of the ``meta`` table): ``2`` is the layout
 above, stamped when the table is created. A store without the key is
@@ -39,9 +41,9 @@ import re
 import sqlite3
 import threading
 import time
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -74,6 +76,38 @@ class ImportReport:
     @property
     def compression_ratio(self) -> float:
         return self.bytes_store / self.bytes_text if self.bytes_text else 0.0
+
+
+class VectorRows(Mapping):
+    """Read-only ``word -> vector`` mapping over one float32 matrix.
+
+    ``matrix`` is the read-only ``(len(self), dims)`` array of one
+    :meth:`WecStore.get_many` call and ``index`` maps each found word to its
+    row. A word's vector is a read-only view of its row, made on first
+    access and returned as the same object after that.
+    """
+
+    __slots__ = ("matrix", "index", "_views")
+
+    def __init__(self, matrix: np.ndarray, index: dict[str, int]):
+        self.matrix = matrix
+        self.index = index
+        self._views: dict[str, np.ndarray] = {}
+
+    def __getitem__(self, word: str) -> np.ndarray:
+        view = self._views.get(word)
+        if view is None:
+            view = self._views[word] = self.matrix[self.index[word]]
+        return view
+
+    def __contains__(self, word: object) -> bool:
+        return word in self.index
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.index)
+
+    def __len__(self) -> int:
+        return len(self.index)
 
 
 class WecStore:
@@ -157,25 +191,38 @@ class WecStore:
             return None
         return np.frombuffer(row[0], dtype="<f4")
 
-    def get_many(self, words: Iterable[str]) -> dict[str, np.ndarray]:
-        """Found subset of ``words`` as a dict of read-only float32 arrays.
+    def get_many(self, words: Iterable[str]) -> "VectorRows":
+        """Found subset of ``words`` as a read-only mapping over one matrix.
 
         Distinct words are read through one indexed ``IN`` list of
         ``_CHUNK`` words per chunk; the last chunk is padded with NULL, which
         matches no row. The one SQL text keeps SQLite's per-connection
         statement cache at one prepared statement for any batch size; a list
         sized to each batch would fill the cache (128 entries) with large
-        statements that stay resident.
+        statements that stay resident. The blobs of every chunk become one
+        read-only float32 matrix with one row per found word, so a call
+        makes one array, not one per word.
         """
+        if self.dims is None:
+            raise StoreError(f"{self.path} records no vector width (dims)")
         unique = list(dict.fromkeys(words))
-        out: dict[str, np.ndarray] = {}
+        found: list[str] = []
+        blobs: list[bytes] = []
         conn = self._conn
         for start in range(0, len(unique), _CHUNK):
             chunk = unique[start : start + _CHUNK]
             chunk += [None] * (_CHUNK - len(chunk))
             for word, blob in conn.execute(_SELECT_IN, chunk):
-                out[word] = np.frombuffer(blob, dtype="<f4")
-        return out
+                found.append(word)
+                blobs.append(blob)
+        size = 4 * self.dims
+        if set(map(len, blobs)) - {size}:
+            word = next(w for w, b in zip(found, blobs) if len(b) != size)
+            raise StoreError(
+                f"{self.path}: vector of {word!r} is not {self.dims} float32 values"
+            )
+        matrix = np.frombuffer(b"".join(blobs), dtype="<f4").reshape(len(blobs), self.dims)
+        return VectorRows(matrix, dict(zip(found, range(len(found)))))
 
     def contains(self, word: str) -> bool:
         row = self._conn.execute(

@@ -159,6 +159,70 @@ def test_batched_means_match_row_by_row_loop(dims, other_dims, rows, seed):
         assert sv.excluded == [w for w, _ in pairs if w in stopwords]
 
 
+def _reference_ranking(side1, side2, vectors, stopwords, metric, in_order):
+    """Ranking from a sequential row loop and per-pair metric calls, with
+    each unit's words found the way retrieval documents them."""
+    triples, undefined = [], []
+    for index, (tokens1, tokens2) in enumerate(zip(side1, side2)):
+        means = []
+        for tokens in (tokens1, tokens2):
+            seq = tokens if in_order else list(dict.fromkeys(tokens))
+            pairs = [(w, vectors[w]) for w in seq if w in vectors]
+            means.append(_loop_average(pairs, stopwords))
+        try:
+            d = None if means[0] is None or means[1] is None else metric(*means)
+        except UndefinedDistanceError:
+            d = None
+        if d is None or not math.isfinite(d):
+            undefined.append(index)
+        else:
+            triples.append((d, " ".join(tokens1), " ".join(tokens2)))
+    triples.sort()
+    return triples, undefined
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("in_order", [False, True])
+@pytest.mark.parametrize("dims", [1, 2, 50, 300])
+def test_ranking_through_a_store_matches_a_row_loop_bytewise(db, tmp_path, dims, in_order):
+    # Retrieved units are averaged straight from the store's matrix; their
+    # distances must have the bytes of a per-pair metric over row-loop means.
+    rng = np.random.default_rng(dims)
+    vocab = [f"w{i}" for i in range(150)]
+    scales = 10.0 ** rng.integers(-6, 7, size=(len(vocab), 1))
+    matrix = (rng.standard_normal((len(vocab), dims)) * scales).astype(np.float32)
+    special = rng.random(matrix.shape) < 0.02
+    matrix[special] = rng.choice([-0.0, 1e-40, -3e-42], size=int(special.sum()))  # subnormals
+    matrix[-3:, 0] = [np.nan, np.inf, -np.inf]
+    vectors = dict(zip(vocab, matrix))
+    text = "".join(f"{w} {' '.join(repr(float(x)) for x in v)}\n" for w, v in vectors.items())
+    (tmp_path / "v.txt").write_text(text, encoding="utf-8")
+    ident = f"algo:x;dataset:bytes;dims:{dims};fold:0;unit:token"
+    db.import_from_file(tmp_path / "v.txt", ident)
+    stopwords = set(vocab[:10])
+
+    def unit(n):
+        tokens = [vocab[i] for i in rng.choice(np.arange(10, len(vocab)), n, replace=False)]
+        for extra in ("w0", "w1", "oov", tokens[0] if tokens else "w2"):
+            tokens.insert(int(rng.integers(0, len(tokens) + 1)), extra)
+        return tokens
+
+    lengths = [0, 1, 7, 8, 9, 60] * 3
+    side1 = [unit(n) for n in lengths for _ in lengths[:6]]
+    side2 = [unit(n) for _ in lengths for n in lengths[:6]]
+    res1, res2 = (
+        db.get_vectors(ident, None, inputs=side, raw=False, in_order=in_order)
+        for side in (side1, side2)
+    )
+    for metric in (cosine_distance, euclidean_distance):
+        ranking = pairwise_distances(res1, res2, metric=metric, stopwords=stopwords)
+        want, undefined = _reference_ranking(side1, side2, vectors, stopwords, metric, in_order)
+        got = ranking.per_wec[0][1]
+        assert [(d.hex(), a, b) for d, a, b in got] == [(d.hex(), a, b) for d, a, b in want]
+        assert ranking.undefined_pairs.get(ident, []) == undefined
+        assert got and undefined
+
+
 def test_average_rejects_mixed_lengths():
     with pytest.raises(AnalysisError, match="mixed"):
         average_vector([("a", _vec(1, 2)), ("b", _vec(1, 2, 3))])

@@ -1,4 +1,6 @@
+import gc
 import json
+import os
 import subprocess
 import sys
 
@@ -168,6 +170,38 @@ def test_sts_writes_ranking_per_wec(root, tmp_path, capsys):
     first = lines[0].split("\t")
     assert float(first[0]) == pytest.approx(0.0)
     assert (outdir / "run.info").exists()
+
+
+def _open_files_under(directory):
+    prefix = os.path.realpath(directory) + os.sep
+    targets = []
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            target = os.readlink(f"/proc/self/fd/{fd}")
+        except OSError:
+            continue
+        if target.startswith(prefix):
+            targets.append(target)
+    return targets
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open files via /proc")
+def test_sts_closes_its_store_files(root, tmp_path, capsys):
+    # A sqlite3 connection refers back to itself through its statement
+    # cache, so a handle the command dropped would stay open until the
+    # cyclic garbage collector ran; with it off, only closing frees it.
+    _import_toy(root, tmp_path)
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("Petri net theory\tnet computation\n")
+    argv = ["--root", root, "sts", TOY, str(pairs), "--outdir", str(tmp_path / "out")]
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(2):
+            assert main(argv) == 0
+            assert _open_files_under(os.path.join(root, "stores")) == []
+    finally:
+        gc.enable()
 
 
 def test_sts_rejects_malformed_tsv(root, tmp_path, capsys):

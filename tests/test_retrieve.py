@@ -154,6 +154,41 @@ def test_as_tuple_false_returns_bare_vectors(db, toy_wec):
         assert bare.tobytes() == vec.tobytes()
 
 
+def test_units_of_one_call_share_read_only_vectors(db, toy_wec):
+    from wecdb import pairwise_distances
+    from wecdb.retrieve import RetrievalResult, UnitResult
+
+    _, expected = toy_wec
+    inputs = [["theory", "net"], ["net", "petri", "zzz"], ["theory"]]
+    res = db.get_vectors(TOY, None, inputs=inputs, raw=False)
+    units = res.per_wec[0][1]
+    vectors = [v for unit in units for v in unit.vectors()]
+    assert vectors and not any(v.flags.writeable for v in vectors)
+    assert units[0].pairs[1][1] is units[1].pairs[0][1]
+    assert units[0].pairs[0][1] is units[2].pairs[0][1]
+    assert [unit.words() for unit in units] == [["theory", "net"], ["net", "petri"], ["theory"]]
+    assert res.to_jsonable() == {"results": [{"identifier": TOY, "units": [
+        {"raw": "", "tokens": tokens, "missing": [t for t in tokens if t not in expected],
+         "pairs": [[t, expected[t].tolist()] for t in tokens if t in expected]}
+        for tokens in inputs
+    ]}]}
+    bare = db.get_vectors(TOY, None, inputs=inputs, raw=False, as_tuple=False)
+    assert [[v.tobytes() for v in unit.pairs] for unit in bare.per_wec[0][1]] == [
+        [expected[t].tobytes() for t in tokens if t in expected] for tokens in inputs
+    ]
+
+    # A unit built by hand ranks like the retrieved unit it copies, also
+    # beside retrieved units whose pairs were never read.
+    fresh = db.get_vectors(TOY, None, inputs=inputs, raw=False).per_wec[0][1]
+    by_hand = [UnitResult(raw="", tokens=list(u.tokens), pairs=[(w, expected[w]) for w in
+                          u.words()], missing=list(u.missing)) for u in units]
+    lefts = RetrievalResult([(TOY, fresh[:2])])
+    for rights in ([fresh[1], by_hand[2]], by_hand[1:]):
+        got = pairwise_distances(lefts, RetrievalResult([(TOY, rights)]))
+        want = pairwise_distances(lefts, RetrievalResult([(TOY, fresh[1:])]))
+        assert got.per_wec == want.per_wec and len(got.per_wec[0][1]) == 2
+
+
 def test_raw_flag_must_match_input_shape(db, toy_wec):
     with pytest.raises(WecdbError, match="raw=True"):
         db.get_vectors(TOY, None, inputs=[["tokens"]], raw=True)

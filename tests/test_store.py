@@ -272,6 +272,32 @@ def test_get_many_uses_fixed_sql_texts(tmp_path):
     assert 1 <= len(texts) <= 2
 
 
+def test_get_many_returns_rows_of_one_read_only_matrix(tmp_path):
+    rows = {"a": [1.0, -0.0, 2.5], "b": [3.0, 4.0, 1e-40]}
+    with WecStore(tmp_path / "s.wec", dims=3, create=True) as store:
+        conn = store._conn
+        conn.executemany(
+            "INSERT INTO vectors VALUES (?, ?)",
+            ((w, np.array(v, dtype="<f4").tobytes()) for w, v in rows.items()),
+        )
+        got = store.get_many(["b", "zz", "a", "b"])
+        assert len(got) == 2 and sorted(got) == ["a", "b"] and "zz" not in got
+        assert got.matrix.shape == (2, 3) and not got.matrix.flags.writeable
+        for word, values in rows.items():
+            assert got[word].tobytes() == np.array(values, dtype="<f4").tobytes()
+            assert got[word] is got[word] and np.shares_memory(got[word], got.matrix)
+        with pytest.raises(KeyError):
+            got["zz"]
+        empty = store.get_many(["zz"])
+        assert len(empty) == 0 and empty.matrix.shape == (0, 3)
+        conn.execute("INSERT INTO vectors VALUES ('short', ?)", (b"\0" * 8,))
+        with pytest.raises(StoreError, match="'short'"):
+            store.get_many(["a", "short"])
+    with WecStore(tmp_path / "no-dims.wec", create=True) as store:
+        with pytest.raises(StoreError, match="no vector width"):
+            store.get_many(["a"])
+
+
 def _write_format1_store(path, dims, rows):
     """A store in the format-1 layout: WITHOUT ROWID table, no format key."""
     conn = sqlite3.connect(path)
