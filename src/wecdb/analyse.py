@@ -14,8 +14,9 @@ metrics run as one array pass per WEC: all sentence means of a WEC in one
 position-by-position sum, then one row-wise kernel call over all its pairs,
 with the same bytes as the per-pair functions. A retrieved sentence is
 summed straight from the read-only float32 matrix its WEC's store read
-returned, by row index; the pairs of a hand-built unit are stacked into a
-matrix per width and go through the same sum. A user-supplied callable is
+returned, by row index; the vectors of all hand-built units of one width
+are stacked into one matrix for each call (nothing is stored on the units)
+and go through the same gather and sum. A user-supplied callable is
 called once per pair. Pairs whose sentence vector is undefined, or for
 which the metric returns a non-finite value or raises
 :class:`UndefinedDistanceError`, are reported in ``undefined_pairs``
@@ -72,87 +73,59 @@ def average_vector(
     Undefined (``defined=False``) when nothing remains. Raises
     :class:`AnalysisError` on mixed vector lengths.
     """
-    return _average_units([pairs], set(stopwords))[0]
-
-
-def _average_units(
-    units: Iterable[Iterable[tuple[str, np.ndarray]]], stopset: set[str]
-) -> list[SentenceVector]:
-    """:func:`average_vector` of every unit of hand-made pairs.
-
-    The vectors of the units of one width are stacked into one matrix and
-    averaged by :func:`_row_means`, the summation retrieved units go through.
-    """
-    out: list[SentenceVector] = []
-    by_width: dict[int, tuple[list, list[int]]] = {}
-    for pairs in units:
-        used: list[str] = []
-        excluded: list[str] = []
-        rows: list = []
-        for word, vec in pairs:
-            if word in stopset:
-                excluded.append(word)
-            else:
-                used.append(word)
-                rows.append(vec)
-        if rows:
-            width = len(rows[0])
-            for word, vec in zip(used, rows):
-                if len(vec) != width:
-                    raise AnalysisError(
-                        f"mixed vector lengths: {width} vs {len(vec)} for {word!r}"
-                    )
-            stacked, unit_of = by_width.setdefault(width, ([], []))
-            stacked += rows
-            unit_of += [len(out)] * len(rows)
-        out.append(SentenceVector(vector=None, used_tokens=used, excluded=excluded))
-    for stacked, unit_of in by_width.values():
-        means, counts = _row_means(
-            np.array(stacked), np.arange(len(stacked)), np.array(unit_of), len(out)
-        )
-        for i in np.flatnonzero(counts).tolist():
-            out[i].vector = means[i]
-    return out
+    pairs = list(pairs)
+    stopset = set(stopwords)
+    (vector,) = _unit_means([UnitResult(raw="", tokens=[], pairs=pairs, missing=[])], stopset)
+    used = [w for w, _ in pairs if w not in stopset]
+    return SentenceVector(vector, used, [w for w, _ in pairs if w in stopset])
 
 
 def _unit_means(units: Sequence[UnitResult], stopset: set[str]) -> list[np.ndarray | None]:
     """Sentence vector of every unit, None where undefined.
 
-    Units read from one :meth:`~wecdb.store.WecStore.get_many` are averaged
-    together straight from its matrix: the stopword mask is taken once per
-    row (distinct word), and the kept row indices of all units go to one
-    :func:`_row_means`. Units whose ``pairs`` were built or set go through
-    :func:`_average_units`.
+    One pass groups the units by row source: retrieved units by the
+    :class:`~wecdb.store.VectorRows` whose rows they name, hand-built units
+    by width, their pairs stacked for this call only (a vector changed
+    between calls is read anew). Each group takes the stopword mask once per
+    row and goes to one :func:`_row_means`.
     """
-    means: list[np.ndarray | None] = [None] * len(units)
-    by_matrix: dict[int, tuple[VectorRows, list[int], list[list[int]]]] = {}
-    by_hand: list[int] = []
+    groups: dict[int, tuple[VectorRows | list, list[int], list]] = {}
+    by_width: dict[int, list[tuple[str, np.ndarray]]] = {}
     for i, unit in enumerate(units):
         source = unit._matrix_rows()
         if source is None:
-            by_hand.append(i)
-            continue
+            if not unit.pairs:
+                continue
+            width = len(unit.pairs[0][1])
+            for word, vec in unit.pairs:
+                if len(vec) != width:
+                    raise AnalysisError(
+                        f"mixed vector lengths: {width} vs {len(vec)} for {word!r}"
+                    )
+            stacked = by_width.setdefault(width, [])
+            stacked += unit.pairs
+            source = (stacked, range(len(stacked) - len(unit.pairs), len(stacked)))
         found, rows = source
-        _, members, row_lists = by_matrix.setdefault(id(found), (found, [], []))
+        _, members, row_lists = groups.setdefault(id(found), (found, [], []))
         members.append(i)
         row_lists.append(rows)
-    for found, members, row_lists in by_matrix.values():
+    means: list[np.ndarray | None] = [None] * len(units)
+    for found, members, row_lists in groups.values():
+        if isinstance(found, VectorRows):
+            matrix, words = found.matrix, found
+        else:
+            matrix, words = np.array([vec for _, vec in found]), [word for word, _ in found]
         lengths = np.fromiter(map(len, row_lists), dtype=np.intp, count=len(row_lists))
-        rows = np.fromiter(
-            chain.from_iterable(row_lists), dtype=np.intp, count=int(lengths.sum())
-        )
+        rows = np.fromiter(chain.from_iterable(row_lists), dtype=np.intp)
         unit_of = np.repeat(np.arange(len(members)), lengths)
         if stopset:
-            stop = np.fromiter((w in stopset for w in found), dtype=bool, count=len(found))
+            stop = np.fromiter((w in stopset for w in words), dtype=bool, count=len(words))
             keep = ~stop[rows]
             rows, unit_of = rows[keep], unit_of[keep]
-        vectors, counts = _row_means(found.matrix, rows, unit_of, len(members))
+        vectors, counts = _row_means(matrix, rows, unit_of, len(members))
         for i, vec, n in zip(members, vectors, counts.tolist()):
             if n:
                 means[i] = vec
-    sentences = _average_units([units[i].pairs for i in by_hand], stopset)
-    for i, sentence in zip(by_hand, sentences):
-        means[i] = sentence.vector
     return means
 
 
@@ -364,10 +337,9 @@ def similarity_matrix(
     so joined phrases label their own rows). Errors on empty sides or
     mismatched dimensionality.
     """
-    if not u1.pairs or not u2.pairs:
+    v1, v2 = u1.vectors(), u2.vectors()
+    if not v1 or not v2:
         raise AnalysisError("similarity matrix needs at least one vector on each side")
-    v1 = u1.vectors()
-    v2 = u2.vectors()
     if len(v1[0]) != len(v2[0]):
         raise AnalysisError(
             f"dimension mismatch: {len(v1[0])} vs {len(v2[0])} (different WECs?)"

@@ -56,9 +56,7 @@ _MAX_PLAIN_NAME = 120
 @dataclass(frozen=True)
 class CatalogEntry:
     identifier: WecIdentifier
-    dims: int
     vocab_size: int
-    pipeline_hash: str
     pipeline: PipelineDescriptor
     phrase_model_ref: str | None
     vocab_join_max_len: int | None
@@ -75,6 +73,14 @@ class CatalogEntry:
     @property
     def normalized(self) -> str:
         return self.identifier.normalized()
+
+    @property
+    def dims(self) -> int:
+        return self.identifier.dims
+
+    @property
+    def pipeline_hash(self) -> str:
+        return self.pipeline.hash
 
     @property
     def file_stem(self) -> str:
@@ -133,13 +139,16 @@ class Catalog:
 
     def _load(self) -> dict[str, CatalogEntry]:
         entries: dict[str, CatalogEntry] = {}
-        for raw in self._manifest.read_text("utf-8").splitlines():
+        for lineno, raw in enumerate(self._manifest.read_text("utf-8").splitlines(), start=1):
             if not raw or raw.startswith("#"):
                 continue
+            where = f"{self._manifest}:{lineno}"
             cols = raw.split("\t")
             if len(cols) != 9:
-                raise CatalogError(f"corrupt manifest line: {raw!r}")
+                raise CatalogError(f"{where}: corrupt manifest line: {raw!r}")
             ident = parse_identifier(cols[0])
+            if cols[1] != str(ident.dims):
+                raise CatalogError(f"{where}: dims {cols[1]!r} contradicts dims:{ident.dims}")
             pipeline = parse_pipeline(cols[4], self._resolve_list)
             if pipeline.hash != cols[3]:
                 raise CatalogError(
@@ -150,14 +159,12 @@ class Catalog:
             if cols[5].startswith("model:"):
                 model_ref = cols[5][6:]
             elif cols[5].startswith("vocab:"):
-                vocab_len = int(cols[5][6:])
+                vocab_len = _manifest_int(cols[5][6:], "vocab join length", where)
             elif cols[5] != "-":
-                raise CatalogError(f"corrupt phrases field {cols[5]!r}")
+                raise CatalogError(f"{where}: corrupt phrases field {cols[5]!r}")
             entries[cols[0]] = CatalogEntry(
                 identifier=ident,
-                dims=int(cols[1]),
-                vocab_size=int(cols[2]),
-                pipeline_hash=cols[3],
+                vocab_size=_manifest_int(cols[2], "vocab_size", where),
                 pipeline=pipeline,
                 phrase_model_ref=model_ref,
                 vocab_join_max_len=vocab_len,
@@ -276,9 +283,7 @@ class Catalog:
                 )
             entry = CatalogEntry(
                 identifier=ident,
-                dims=ident.dims,
                 vocab_size=0,
-                pipeline_hash=pipeline.hash,
                 pipeline=pipeline,
                 phrase_model_ref=None,
                 vocab_join_max_len=vocab_join_max_len,
@@ -344,6 +349,12 @@ class Catalog:
             refs = {e.phrase_model_ref for e in entries.values()}
             if entry.phrase_model_ref is not None and entry.phrase_model_ref not in refs:
                 self.phrase_model_path(entry).unlink(missing_ok=True)
+
+
+def _manifest_int(text: str, name: str, where: str) -> int:
+    if not re.fullmatch(r"[0-9]+", text):
+        raise CatalogError(f"{where}: {name} {text!r} is not a non-negative integer")
+    return int(text)
 
 
 def _normalize_arg(ident: WecIdentifier | str) -> str:

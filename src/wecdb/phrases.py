@@ -106,27 +106,30 @@ class PhraseModel:
         uq = urllib.parse.unquote
         model = cls()
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, start=1):
                 line = line.rstrip("\n")
                 if not line or line.startswith("#"):
                     continue
                 fields = line.split(" ")
-                if fields[0] == "delimiter":
-                    model.delimiter = uq(fields[1])
-                elif fields[0] == "discount":
-                    model.discount = float(fields[1])
-                elif fields[0] == "threshold":
-                    model.threshold = float(fields[1])
-                elif fields[0] == "passes":
-                    model.passes = int(fields[1])
-                elif fields[0] == "tokens":
-                    model.corpus_token_count = int(fields[1])
-                elif fields[0] == "u":
-                    model.unigram_counts[uq(fields[1])] = int(fields[2])
-                elif fields[0] == "b":
-                    model.bigram_counts[(uq(fields[1]), uq(fields[2]))] = int(fields[3])
-                else:
-                    raise WecdbError(f"unknown phrase model record {fields[0]!r}")
+                try:
+                    if fields[0] == "delimiter":
+                        model.delimiter = uq(fields[1])
+                    elif fields[0] == "discount":
+                        model.discount = float(fields[1])
+                    elif fields[0] == "threshold":
+                        model.threshold = float(fields[1])
+                    elif fields[0] == "passes":
+                        model.passes = int(fields[1])
+                    elif fields[0] == "tokens":
+                        model.corpus_token_count = int(fields[1])
+                    elif fields[0] == "u":
+                        model.unigram_counts[uq(fields[1])] = int(fields[2])
+                    elif fields[0] == "b":
+                        model.bigram_counts[(uq(fields[1]), uq(fields[2]))] = int(fields[3])
+                    else:
+                        raise WecdbError(f"{path}:{lineno}: unknown record {fields[0]!r}")
+                except (IndexError, ValueError) as exc:
+                    raise WecdbError(f"{path}:{lineno}: malformed record {line!r}") from exc
         return model
 
 

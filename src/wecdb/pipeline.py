@@ -334,6 +334,7 @@ class _ExternalProcess:
 
     def _ensure_started(self) -> subprocess.Popen:
         if self.proc is None or self.proc.poll() is not None:
+            self.close()
             self.proc = subprocess.Popen(
                 self.command,
                 shell=True,
@@ -363,10 +364,15 @@ class _ExternalProcess:
             return out.split()
 
     def close(self) -> None:
-        if self.proc is not None and self.proc.poll() is None:
-            self.proc.stdin.close()
-            self.proc.wait(timeout=5)
-        self.proc = None
+        proc, self.proc = self.proc, None
+        if proc is None:
+            return
+        proc.stdout.close()
+        try:
+            proc.stdin.close()
+        except BrokenPipeError:
+            pass  # an exited process cannot take what is left in the buffer
+        proc.wait(timeout=5)
 
 
 _external_registry: dict[str, _ExternalProcess] = {}

@@ -12,14 +12,17 @@ With ``in_order=False`` (the default) ``pairs`` holds one entry per
 distinct found word, in first-seen order; ``in_order=True`` repeats an
 entry for every token occurrence, in token order. ``missing`` always lists
 distinct not-found tokens in first-seen order. With ``as_tuple=False`` the
-``pairs`` lists contain bare vectors in the same order, words omitted.
+``pairs`` lists contain bare vectors in the same order, words omitted;
+``words()``, ``vectors()`` and the analysis still see the words.
 
 The vectors one call reads from one WEC are the read-only rows of one
 float32 matrix (the :class:`~wecdb.store.VectorRows` of its one
-``get_many``). A unit records its found words and their row indices; its
-``pairs`` are built on first access, and units of one WEC share the one
-view of a word they have in common. Analysis sums the rows straight from
-the matrix.
+``get_many``). A retrieved unit keeps its found words and their row
+indices for its whole life; ``pairs`` is built from them on first read,
+and units of one WEC share the one view of a word they have in common.
+Analysis sums the rows straight from the matrix. A unit built by hand
+holds only its ``pairs``; analysis stacks those per width on each call and
+stores nothing on the unit.
 """
 
 from __future__ import annotations
@@ -39,10 +42,12 @@ class UnitResult:
 
     ``UnitResult(raw=, tokens=, pairs=, missing=)`` builds a unit by hand.
     A unit that retrieval built holds its found words and their rows in the
-    WEC's :class:`~wecdb.store.VectorRows` until ``pairs`` is first read.
+    WEC's :class:`~wecdb.store.VectorRows`; its ``pairs`` are made from them
+    on first read, as ``(word, vector)`` tuples or, for a unit of an
+    ``as_tuple=False`` result, bare vectors.
     """
 
-    __slots__ = ("raw", "tokens", "missing", "_pairs", "_found", "_words", "_rows")
+    __slots__ = ("raw", "tokens", "missing", "_pairs", "_found", "_words", "_rows", "_bare")
 
     def __init__(self, raw: str, tokens: list[str], pairs: list | None, missing: list[str]):
         self.raw = raw
@@ -52,30 +57,28 @@ class UnitResult:
         self._found: VectorRows | None = None
         self._words: list[str] | None = None
         self._rows: list[int] | None = None
+        self._bare = False
 
     @property
     def pairs(self) -> list:
         if self._pairs is None:
             found = self._found
-            self._pairs = [(word, found[word]) for word in self._words]
+            pairs = [(w, found[w]) for w in self._words]
+            self._pairs = [v for _, v in pairs] if self._bare else pairs
         return self._pairs
 
-    @pairs.setter
-    def pairs(self, value: list) -> None:
-        self._pairs = value
-
     def _matrix_rows(self) -> tuple[VectorRows, list[int]] | None:
-        """``(found, rows)`` while ``pairs`` is unbuilt: pair i will be the
-        view of row ``rows[i]`` of ``found.matrix``. None once ``pairs`` is
-        built or set, and for a unit built by hand; ``pairs`` then holds the
-        vectors."""
-        return None if self._pairs is not None else (self._found, self._rows)
+        """``(found, rows)`` of a retrieved unit: vector i is row ``rows[i]``
+        of ``found.matrix``. None for a unit built by hand."""
+        return None if self._found is None else (self._found, self._rows)
 
     def words(self) -> list[str]:
-        return [w for w, _ in self.pairs]
+        return [w for w, _ in self.pairs] if self._found is None else list(self._words)
 
     def vectors(self) -> list[np.ndarray]:
-        return [v for _, v in self.pairs]
+        if self._found is None:
+            return [v for _, v in self.pairs]
+        return [self._found[w] for w in self._words]
 
 
 @dataclass
@@ -218,6 +221,6 @@ def get_vectors(
         units = lookup_units(db, entry, inputs, raw, cache, in_order)
         if not as_tuple:
             for unit in units:
-                unit.pairs = [v for _, v in unit.pairs]
+                unit._bare = True
         result.per_wec.append((entry.normalized, units))
     return result

@@ -18,10 +18,10 @@ from wecdb import (
 )
 from wecdb.analyse import (
     METRICS,
-    _average_units,
     _cosine_distance_rows,
     _cosine_similarity_rows,
     _euclidean_distance_rows,
+    _unit_means,
     euclidean_distance,
     read_heatmap_csv,
 )
@@ -144,17 +144,20 @@ def test_batched_means_match_row_by_row_loop(dims, other_dims, rows, seed):
             pairs[int(rng.integers(0, n))] = ("shared", shared)
         units.append(pairs)
     stopwords = {"w0", "w1"}
-    got = _average_units(units, stopwords)
+    hand_built = [UnitResult(raw="", tokens=[], pairs=pairs, missing=[]) for pairs in units]
+    got = _unit_means(hand_built, stopwords)
     assert len(got) == len(units)
-    for pairs, sv in zip(units, got):
+    for pairs, vector in zip(units, got):
         want = _loop_average(pairs, stopwords)
+        sv = average_vector(pairs, stopwords)
         if want is None:
+            assert vector is None
             assert not sv.defined and sv.vector is None
         else:
-            assert sv.vector.dtype == np.float32
+            assert vector.dtype == np.float32
             nan = np.isnan(want)
-            assert np.array_equal(np.isnan(sv.vector), nan)
-            assert sv.vector[~nan].tobytes() == want[~nan].tobytes()
+            assert np.array_equal(np.isnan(vector), nan)
+            assert vector[~nan].tobytes() == want[~nan].tobytes()
         assert sv.used_tokens == [w for w, _ in pairs if w not in stopwords]
         assert sv.excluded == [w for w, _ in pairs if w in stopwords]
 
@@ -222,6 +225,19 @@ def test_ranking_through_a_store_matches_a_row_loop_bytewise(db, tmp_path, dims,
         assert ranking.undefined_pairs.get(ident, []) == undefined
         assert got and undefined
 
+
+
+def test_hand_built_unit_ranks_by_its_current_vectors():
+    # Nothing is kept on a hand-built unit between calls: a vector changed
+    # in place, or a pair replaced, shows in the next ranking.
+    left, right = _unit([("a", (1, 0))]), _unit([("b", (1, 0)), ("c", (1, 0))])
+    res1, res2 = _result("w", [left]), _result("w", [right])
+    assert pairwise_distances(res1, res2).per_wec[0][1] == [(0.0, "a", "b c")]
+    right.pairs[1][1][:] = (0, 1)
+    want = cosine_distance(_vec(1, 0), _vec(0.5, 0.5))
+    assert pairwise_distances(res1, res2).per_wec[0][1] == [(want, "a", "b c")]
+    right.pairs[0] = ("b", _vec(0, 1))
+    assert pairwise_distances(res1, res2).per_wec[0][1] == [(1.0, "a", "b c")]
 
 def test_average_rejects_mixed_lengths():
     with pytest.raises(AnalysisError, match="mixed"):

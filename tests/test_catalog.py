@@ -230,6 +230,33 @@ def test_manifest_phrases_field_must_be_known(catalog):
         catalog.require(SEVEN[0])
 
 
+
+@pytest.mark.parametrize(
+    "column, value, message",
+    [
+        (1, "300", "dims '300' contradicts dims:50"),
+        (1, "fifty", "dims 'fifty' contradicts dims:50"),
+        (2, "12k", "vocab_size '12k' is not a non-negative integer"),
+        (2, "-1", "vocab_size '-1' is not a non-negative integer"),
+        (5, "vocab:four", "vocab join length 'four' is not a non-negative integer"),
+    ],
+)
+def test_manifest_with_a_bad_number_is_refused_naming_the_line(catalog, column, value, message):
+    _register(catalog, SEVEN[0])
+    _rewrite_manifest_line(
+        catalog, lambda cols: "\t".join(cols[:column] + [value] + cols[column + 1 :])
+    )
+    with pytest.raises(CatalogError, match=f"catalog.manifest:3: {message}"):
+        catalog.require(SEVEN[0])
+
+
+def test_entry_dims_and_pipeline_hash_are_derived(catalog):
+    entry = _register(catalog, SEVEN[0])
+    fields = {f.name for f in dataclasses.fields(entry)}
+    assert "dims" not in fields and "pipeline_hash" not in fields
+    assert (entry.dims, entry.pipeline_hash) == (50, entry.pipeline.hash)
+    assert catalog.require(SEVEN[0]) == entry
+
 def test_rewritten_stopword_list_fails_the_pipeline_hash_check(catalog, tmp_path):
     listfile = tmp_path / "my-stops.txt"
     listfile.write_text("alpha\nbeta\n", encoding="utf-8")

@@ -153,6 +153,34 @@ def test_train_phrases_attaches_model(root, tmp_path, capsys):
     assert "petri_net" in doc["results"][0]["units"][0]["tokens"]
 
 
+
+@pytest.mark.parametrize("record", ["u a", "u a many", "b a b", "tokens"])
+def test_malformed_phrase_model_is_an_error_not_a_crash(root, tmp_path, capsys, record):
+    _import_toy(root, tmp_path)
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("petri net\n" * 30 + "net\n" * 5)
+    assert main(["--root", root, "train-phrases", str(corpus), TOY, "--threshold", "1"]) == 0
+    (model,) = (tmp_path / "catalog" / "phrases").glob("*.phr")
+    lines = model.read_text("utf-8").splitlines()
+    model.write_text("\n".join(lines + [record]) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["--root", root, "vectors", TOY, "--text", "petri net theory"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{model.name}:{len(lines) + 1}:" in err
+
+
+def test_corrupt_manifest_number_is_an_error_not_a_crash(root, tmp_path, capsys):
+    _import_toy(root, tmp_path)
+    manifest = tmp_path / "catalog" / "catalog.manifest"
+    lines = manifest.read_text("utf-8").splitlines()
+    cols = lines[2].split("\t")
+    lines[2] = "\t".join(cols[:2] + ["five"] + cols[3:])
+    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["--root", root, "list"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "catalog.manifest:3: vocab_size 'five'" in err
+
 def test_sts_writes_ranking_per_wec(root, tmp_path, capsys):
     _import_toy(root, tmp_path)
     pairs = tmp_path / "pairs.tsv"

@@ -12,6 +12,7 @@ from wecdb.pipeline import (
     PipelineDescriptor,
     Stage,
     _TOKENIZERS,
+    _ExternalProcess,
     _external_for,
     builtin_stopwords_text,
     content_ref,
@@ -326,6 +327,25 @@ def test_external_stage_failure_names_the_stage():
     with pytest.raises(ExternalStageError, match="external stage"):
         run_pipeline(p, "anything")
 
+
+
+def test_an_exited_external_stage_leaves_no_open_pipes():
+    from wecdb.errors import ExternalStageError
+
+    runner = _ExternalProcess(f'{sys.executable} -c "pass"')
+    with pytest.raises(ExternalStageError):
+        runner.process_line("one")
+    first = runner.proc
+    first.wait(timeout=10)
+    with pytest.raises(ExternalStageError):
+        runner.process_line("two")  # starts a second process
+    second = runner.proc
+    assert second is not first
+    assert first.stdin.closed and first.stdout.closed
+    second.wait(timeout=10)
+    runner.close()
+    assert runner.proc is None
+    assert second.stdin.closed and second.stdout.closed
 
 def test_external_content_hash_follows_script(tmp_path):
     script = tmp_path / "tok.py"

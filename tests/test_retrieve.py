@@ -154,6 +154,41 @@ def test_as_tuple_false_returns_bare_vectors(db, toy_wec):
         assert bare.tobytes() == vec.tobytes()
 
 
+
+@pytest.mark.parametrize("dims", [2, 3])
+def test_bare_vector_results_keep_their_words_for_analysis(db, tmp_path, dims):
+    # as_tuple shapes only ``pairs``: words, vectors, sentence rankings and
+    # similarity matrices of a bare-vector result match the tuple result.
+    from wecdb import cosine_similarity, pairwise_distances, similarity_matrix
+    from wecdb.retrieve import RetrievalResult
+
+    write_wec_text(tmp_path / "w.txt", ["a", "b", "c", "d"], dims=dims)
+    ident = f"algo:x;dataset:shape;dims:{dims};fold:0;unit:token"
+    db.import_from_file(tmp_path / "w.txt", ident)
+    inputs = [["a", "b"], ["c", "zz", "a"], ["d", "d"], ["b", "c", "d"]]
+    tuples, bare = (
+        db.get_vectors(ident, None, inputs=inputs, raw=False, as_tuple=shape).per_wec[0][1]
+        for shape in (True, False)
+    )
+    assert [len(unit.pairs) for unit in bare] == [2, 2, 1, 3]  # pairs read before words()
+    for t, b in zip(tuples, bare):
+        assert b.words() == t.words()
+        assert [v.tobytes() for v in b.vectors()] == [v.tobytes() for v in t.vectors()]
+        assert [v.tobytes() for v in b.pairs] == [v.tobytes() for _, v in t.pairs]
+    assert bare[0].words() == ["a", "b"]
+
+    def ranking(units, stopwords):
+        halves = (RetrievalResult([(ident, units[:2])]), RetrievalResult([(ident, units[2:])]))
+        return pairwise_distances(*halves, stopwords=stopwords)
+
+    for stopwords in ((), {"a"}):
+        got, want = ranking(bare, stopwords), ranking(tuples, stopwords)
+        assert got.per_wec == want.per_wec and got.undefined_pairs == want.undefined_pairs
+        assert len(want.per_wec[0][1]) == 2
+    got = similarity_matrix(bare[1], bare[3], metric=cosine_similarity)
+    want = similarity_matrix(tuples[1], tuples[3], metric=cosine_similarity)
+    assert got.shape == (2, 3) and got.tobytes() == want.tobytes()
+
 def test_units_of_one_call_share_read_only_vectors(db, toy_wec):
     from wecdb import pairwise_distances
     from wecdb.retrieve import RetrievalResult, UnitResult
