@@ -250,7 +250,7 @@ class Catalog:
         source: str | Path = "",
         vocab_join_max_len: int | None = None,
     ) -> CatalogEntry:
-        """Create the entry for a new WEC; the store starts empty.
+        """Create the entry for a new WEC; reads see no records until an import.
 
         The pipeline must agree with the identifier's metadata: case folding
         on iff ``fold:1``, stemming on iff ``unit:stem``. User stopword
@@ -258,6 +258,10 @@ class Catalog:
         so the directory stays self-contained. At most one of
         ``phrase_model`` and ``vocab_join_max_len`` may be given.
         """
+        return self._register(ident, pipeline, source, vocab_join_max_len, phrase_model)
+
+    def _check_new(self, ident, pipeline, source, vocab_join_max_len) -> dict[str, CatalogEntry]:
+        """Raise what :meth:`register` would raise; else return the registered entries."""
         if pipeline.case_fold_enabled != (ident.fold == 1):
             raise CatalogError(
                 f"pipeline case_fold={'on' if pipeline.case_fold_enabled else 'off'}"
@@ -270,35 +274,40 @@ class Catalog:
             )
         if vocab_join_max_len is not None and vocab_join_max_len < 2:
             raise CatalogError("vocab_join_max_len must be >= 2")
-        source = str(source)
-        if "\t" in source or "\n" in source:
+        if "\t" in str(source) or "\n" in str(source):
             raise CatalogError("source path may not contain tabs or newlines")
         norm = ident.normalized()
+        entries = self._load()
+        if norm in entries:
+            raise DuplicateEntryError(f"identifier {norm!r} already registered"
+                                      f" (store {entries[norm].store_file})")
+        return entries
+
+    def _register(self, ident, pipeline, source, vocab_join_max_len, model=None, built=None):
+        """:meth:`register`, moving ``built`` (store file, record count) into place."""
+        norm = ident.normalized()
         with self._locked():
-            entries = self._load()
-            if norm in entries:
-                raise DuplicateEntryError(
-                    f"identifier {norm!r} already registered"
-                    f" (store {entries[norm].store_file})"
-                )
+            entries = self._check_new(ident, pipeline, source, vocab_join_max_len)
             entry = CatalogEntry(
                 identifier=ident,
-                vocab_size=0,
+                vocab_size=built[1] if built else 0,
                 pipeline=pipeline,
                 phrase_model_ref=None,
                 vocab_join_max_len=vocab_join_max_len,
                 store_file=store_filename(norm, {e.store_file for e in entries.values()}),
                 created_at=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-                source_file=source,
+                source_file=str(source),
             )
-            if phrase_model is not None:
+            if model is not None:
                 # the entry refuses a model with a vocabulary join before the file is written
-                entry = self._attach_model(entry, phrase_model)
+                entry = self._attach_model(entry, model)
             for ref, content in pipeline.resources:
                 if ref.startswith("list:"):
                     list_path = self.root / "lists" / f"{ref[5:]}.txt"
                     if not list_path.exists():
                         _write_atomic(list_path, content)
+            if built:
+                os.replace(built[0], self.store_path(entry))
             entries[norm] = entry
             self._write_manifest(entries)
         return entry
@@ -365,14 +374,16 @@ def _normalize_arg(ident: WecIdentifier | str) -> str:
 
 def _write_atomic(path: Path, content: str | Callable[[Path], object]) -> None:
     """Write ``content`` (text, or a function that writes a given path) to a
-    temp file beside ``path``, then move it over ``path`` with ``os.replace``:
-    readers see the old file or the whole new one, never a part."""
+    temp file beside ``path``, sync it, then move it over ``path`` with
+    ``os.replace``: readers and crashes see the old file or the whole new one."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
     try:
         if isinstance(content, str):
             tmp.write_text(content, encoding="utf-8")
         else:
             content(tmp)
+        with open(tmp, "rb") as fh:
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)

@@ -13,14 +13,16 @@ Store handles are cached until their file is replaced or the database closes.
 from __future__ import annotations
 
 import os
-from pathlib import Path
 import threading
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
 from . import phrases as phrases_mod
 from . import store as store_mod
 from .catalog import Catalog, CatalogEntry
+from .errors import WecImportError
 from .identifier import WecIdentifier, parse_identifier
 from .phrases import PhraseModel
 from .pipeline import PipelineDescriptor, PreprocessCache, pipeline_for_identifier, run_pipeline
@@ -86,26 +88,18 @@ class Database:
         The identifier must be unused: registering twice is a duplicate-
         identifier error (identifiers are one-per-import citations). Use
         :meth:`register` plus :meth:`import_into` to split the two halves.
+        The store is built in a private file that the registering catalog
+        write moves into place, so a failed or killed import leaves no entry.
         """
         ident = _as_identifier(ident)
-        self.register(
-            ident,
-            pipeline,
-            vocab_join_max_len=vocab_join_max_len,
-            source=str(path),
-            **pipeline_options,
-        )
-        try:
-            return self.import_into(path, ident, on_duplicate=on_duplicate,
-                                    expect_header=expect_header, on_malformed=on_malformed)
-        except Exception:
-            # combined register+import is all-or-nothing: a failed import
-            # must not leave a registered, empty WEC behind
-            try:
-                self.delete(ident, force=True)
-            except Exception:
-                pass
-            raise
+        if pipeline is None:
+            pipeline = pipeline_for_identifier(ident, **pipeline_options)
+        self.catalog._check_new(ident, pipeline, path, vocab_join_max_len)
+        with self._build(path, ident.dims, on_duplicate, expect_header,
+                         on_malformed) as (tmp, report):
+            self.catalog._register(ident, pipeline, path, vocab_join_max_len,
+                                   built=(tmp, report.imported))
+        return report
 
     def import_into(
         self,
@@ -116,23 +110,31 @@ class Database:
         expect_header: str = "auto",
         on_malformed: str = "fail",
     ) -> ImportReport:
-        """Import into an already-registered WEC (the catalog half done separately)."""
+        """Import into a registered WEC without records (the catalog half done separately)."""
         entry = self.catalog.require(_as_identifier(ident))
-        store = self.open_store(entry, create=True)
-        report = store_mod.import_from_file(
-            path,
-            store,
-            entry.dims,
-            on_duplicate=on_duplicate,
-            expect_header=expect_header,
-            on_malformed=on_malformed,
-        )
-        self.catalog.set_vocab_size(entry.identifier, store.count())
+        if self.open_store(entry).count():
+            raise WecImportError(f"store {entry.store_file} already contains records")
+        with self._build(path, entry.dims, on_duplicate, expect_header,
+                         on_malformed) as (tmp, report):
+            os.replace(tmp, self.catalog.store_path(entry))
+        self.catalog.set_vocab_size(entry.identifier, report.imported)
         return report
+
+    @contextmanager
+    def _build(self, path, dims, on_duplicate, expect_header, on_malformed):
+        """Yield (file, report) of ``path`` built in this thread's file under ``stores/``."""
+        tmp = self.root / "stores" / f".import-{os.getpid()}-{threading.get_ident()}.tmp"
+        tmp.unlink(missing_ok=True)  # left by a killed process that had this pid
+        try:
+            yield tmp, store_mod.import_from_file(path, tmp, dims, on_duplicate=on_duplicate,
+                                                  expect_header=expect_header,
+                                                  on_malformed=on_malformed)
+        finally:
+            tmp.unlink(missing_ok=True)
 
     # -- store access ------------------------------------------------------
 
-    def open_store(self, entry: CatalogEntry, create: bool = False) -> WecStore:
+    def open_store(self, entry: CatalogEntry) -> WecStore:
         path = self.catalog.store_path(entry)
         with self._stores_lock:
             cached = self._stores.get(entry.store_file)
@@ -144,7 +146,7 @@ class Database:
             # inode: another inode means the file was deleted and made again
             if cached is not None and st is not None and os.path.samestat(cached[0], st):
                 return cached[1]
-            handle = WecStore(path, dims=entry.dims, create=create or st is None)
+            handle = WecStore(path, dims=entry.dims, create=st is None)
             self._stores[entry.store_file] = (st or path.stat(), handle)
         if cached is not None:
             cached[1].close()

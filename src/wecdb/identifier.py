@@ -76,7 +76,7 @@ class WecIdentifier:
             if key not in attrs:
                 raise IdentifierError(f"missing system key {key!r}")
         dims = attrs["dims"]
-        if not dims.isdigit() or int(dims) <= 0:
+        if not (dims.isascii() and dims.isdigit()) or int(dims) <= 0:
             raise IdentifierError(f"invalid 'dims' value {dims!r}: not a positive integer")
         if attrs["fold"] not in ("0", "1"):
             raise IdentifierError(f"invalid 'fold' value {attrs['fold']!r}: must be 0 or 1")

@@ -19,13 +19,12 @@ Store format (``format`` key of the ``meta`` table): ``2`` is the layout
 above, stamped when the table is created. A store without the key is
 format 1, an earlier ``WITHOUT ROWID`` layout whose rows over about
 1,000 B (250-d and wider) spill into overflow pages; it is read as it is,
-since every statement here works on both layouts. Re-importing it gives
+since every statement here works on both layouts. An import writes
 format 2. Any other value is refused.
 
 SQLite is an implementation detail behind :class:`WecStore`; any engine
 providing a unique key, point lookup, atomic batch writes, and a single
-file would do. Concurrent readers are safe; an import takes the writer
-lock on its own file only.
+file would do. Concurrent readers are safe; an import builds a new file.
 
 Text format accepted by :func:`import_from_file`: UTF-8, one record per
 line, fields separated by single spaces, word first, then exactly ``dims``
@@ -37,6 +36,7 @@ to the nearest binary64 and then rounded to the nearest binary32
 
 from __future__ import annotations
 
+import os
 import re
 import sqlite3
 import threading
@@ -274,14 +274,14 @@ def _detect_header(first_line: str, mode: str) -> tuple[int, int] | None:
 
 def import_from_file(
     path: str | Path,
-    store: WecStore,
+    dest: str | Path,
     dims: int,
     *,
     on_duplicate: str = "reject",
     expect_header: str = "auto",
     on_malformed: str = "fail",
 ) -> ImportReport:
-    """Import a plain-text WEC file into an empty store, atomically.
+    """Build a new store file at ``dest``, a path not taken yet, from a text WEC file.
 
     ``on_duplicate``: ``reject`` fails on the first repeated word, naming it
     and its line; ``keep_first`` keeps the first occurrence and counts the
@@ -290,8 +290,8 @@ def import_from_file(
     every line as data. ``on_malformed``: ``fail`` aborts on the first bad
     line; ``skip`` records (line, reason) in the report and continues.
 
-    Any failure rolls the store back to empty; a partial import is never
-    visible.
+    No one reads ``dest`` until it is whole, so it is built without a journal
+    on disk and synced once; a failed build may leave it for the caller.
     """
     if on_duplicate not in ("reject", "keep_first"):
         raise ValueError(f"invalid on_duplicate policy {on_duplicate!r}")
@@ -299,46 +299,33 @@ def import_from_file(
         raise ValueError(f"invalid expect_header mode {expect_header!r}")
     if on_malformed not in ("fail", "skip"):
         raise ValueError(f"invalid on_malformed mode {on_malformed!r}")
-    path = Path(path)
-    if store.count() > 0:
-        raise WecImportError(f"store {store.path} already contains records")
-
-    report = ImportReport(bytes_text=path.stat().st_size)
+    report = ImportReport(bytes_text=os.path.getsize(path))
     started = time.perf_counter()
-    conn = store._conn
-    conn.execute("PRAGMA journal_mode=MEMORY")
-    conn.execute("PRAGMA synchronous=OFF")
-    conn.execute("BEGIN")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = enumerate(fh, start=1)
-            first = next(lines, None)
-            pending: list[tuple[int, str, bytes]] = []
-            if first is not None:
-                header = _detect_header(first[1], expect_header)
-                if header is not None:
-                    if header[1] != dims:
-                        raise HeaderError(
-                            f"header declares dims {header[1]}, catalog dims is {dims}"
-                        )
-                else:
-                    pending.append(_parse_line(first[0], first[1], dims, report, on_malformed))
-            for lineno, line in lines:
-                pending.append(_parse_line(lineno, line, dims, report, on_malformed))
-                if len(pending) >= _BATCH_ROWS:
-                    _insert_batch(conn, pending, on_duplicate, report)
-                    pending.clear()
-            _insert_batch(conn, pending, on_duplicate, report)
+    open(dest, "x").close()  # refuses a taken path; SQLite takes an empty file as a new store
+    with WecStore(dest, dims, create=True) as store, open(path, "r", encoding="utf-8") as fh:
+        conn = store._conn
+        conn.executescript("PRAGMA journal_mode=MEMORY; PRAGMA synchronous=OFF; BEGIN")
+        lines = enumerate(fh, start=1)
+        first = next(lines, None)
+        pending: list[tuple[int, str, bytes]] = []
+        if first is not None:
+            header = _detect_header(first[1], expect_header)
+            if header is None:
+                pending.append(_parse_line(first[0], first[1], dims, report, on_malformed))
+            elif header[1] != dims:
+                raise HeaderError(f"header declares dims {header[1]}, catalog dims is {dims}")
+        for lineno, line in lines:
+            pending.append(_parse_line(lineno, line, dims, report, on_malformed))
+            if len(pending) >= _BATCH_ROWS:
+                _insert_batch(conn, pending, on_duplicate, report)
+                pending.clear()
+        _insert_batch(conn, pending, on_duplicate, report)
         conn.execute("COMMIT")
-    except Exception:
-        conn.execute("ROLLBACK")
-        raise
-    finally:
-        conn.execute("PRAGMA synchronous=NORMAL")
-        conn.execute("PRAGMA journal_mode=DELETE")
+    with open(dest, "rb") as fh:
+        os.fsync(fh.fileno())
 
     report.elapsed = time.perf_counter() - started
-    report.bytes_store = store.path.stat().st_size
+    report.bytes_store = os.path.getsize(dest)
     return report
 
 

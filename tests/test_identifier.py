@@ -36,6 +36,9 @@ def test_missing_system_key_is_an_error():
         ("algo:w2v;algo:glove;dataset:d;dims:1;fold:0;unit:token", "duplicate key"),
         ("algo:w2v;dataset:d;dims:zero;fold:0;unit:token", "dims"),
         ("algo:w2v;dataset:d;dims:0;fold:0;unit:token", "dims"),
+        # Unicode digits that str.isdigit accepts and int() may not
+        ("algo:w2v;dataset:d;dims:\u00b2;fold:0;unit:token", "dims"),
+        ("algo:w2v;dataset:d;dims:\u0665;fold:0;unit:token", "dims"),
         ("algo:w2v;dataset:d;dims:1;fold:2;unit:token", "fold"),
         ("algo:w2v;dataset:d;dims:1;fold:0;unit:", "empty value"),
         ("algo;dataset:d;dims:1;fold:0;unit:token", "malformed pair"),

@@ -5,13 +5,17 @@ import numpy as np
 import pytest
 
 from wecdb import (
+    CatalogError,
     Database,
+    DuplicateEntryError,
     DuplicateWordError,
     HeaderError,
     MalformedLineError,
     StoreError,
     WecImportError,
 )
+from wecdb.catalog import Catalog
+from wecdb.pipeline import build_pipeline
 from wecdb.store import WecStore, import_from_file, parse_vector_text
 
 from conftest import write_wec_text
@@ -19,10 +23,23 @@ from conftest import write_wec_text
 IDENT = "algo:test;dataset:d;dims:4;fold:0;unit:token"
 
 
-def test_import_counts_three_lines(db, tmp_path):
+def _store_files(db):
+    return sorted(p.name for p in (db.root / "stores").iterdir())
+
+
+def test_import_counts_three_lines(db, tmp_path, monkeypatch):
     path = tmp_path / "t.txt"
     path.write_text("a 1 2 3 4\nb 5 6 7 8\nc 9 10 11 12\n")
+    writes = []
+    write_manifest = Catalog._write_manifest
+
+    def counted(self, entries):
+        writes.append(entries)
+        write_manifest(self, entries)
+
+    monkeypatch.setattr(Catalog, "_write_manifest", counted)
     report = db.import_from_file(path, IDENT)
+    assert len(writes) == 1  # registration and record count land in one manifest write
     assert report.imported == 3
     assert report.skipped_duplicates == 0
     assert report.malformed_lines == []
@@ -63,6 +80,7 @@ def test_duplicate_rejected_with_word_and_line(db, tmp_path):
     assert exc.value.line == 3
     # one-step register+import is all-or-nothing
     assert db.catalog.lookup(IDENT) is None
+    assert _store_files(db) == []
     path.write_text("the 1 2 3 4\nnet 5 6 7 8\n")
     assert db.import_from_file(path, IDENT).imported == 2  # retry works
 
@@ -73,9 +91,10 @@ def test_failed_import_into_registered_wec_leaves_it_empty(db, tmp_path):
     path.write_text("a 1 2 3 4\na 5 6 7 8\n")
     with pytest.raises(DuplicateWordError):
         db.import_into(path, IDENT)
-    # separately-made registration stays; the store rolls back to empty
+    # separately-made registration stays, its empty store untouched
     assert db.catalog.lookup(IDENT).vocab_size == 0
     assert db.vocab_size(IDENT) == 0
+    assert _store_files(db) == [db.catalog.require(IDENT).store_file]
 
 
 def test_file_dims_inconsistent_with_identifier_dims(db, tmp_path):
@@ -104,6 +123,7 @@ def test_dimension_mismatch_is_fatal_by_default(db, tmp_path):
     with pytest.raises(MalformedLineError, match="line 2"):
         db.import_from_file(path, IDENT)
     assert db.catalog.lookup(IDENT) is None
+    assert _store_files(db) == []
 
 
 def test_lenient_mode_records_malformed_lines(db, tmp_path):
@@ -130,6 +150,8 @@ def test_header_dims_mismatch_rejected(db, tmp_path):
     path.write_text("2 300\na 1 2 3 4\n")
     with pytest.raises(HeaderError, match="300"):
         db.import_from_file(path, IDENT)
+    assert db.catalog.lookup(IDENT) is None
+    assert _store_files(db) == []
 
 
 def test_expect_header_no_takes_first_line_as_data(db, tmp_path):
@@ -188,10 +210,11 @@ def test_batch_lookup_dedups_and_orders(db, tmp_path):
 def test_iterate_vocab_yields_sorted_words_on_both_formats(db, tmp_path):
     words = [f"tok{i}" for i in range(300)]
     random.Random(5).shuffle(words)
-    write_wec_text(tmp_path / "t.txt", words, dims=4)
+    vectors = write_wec_text(tmp_path / "t.txt", words, dims=4)
     old = "algo:test;dataset:old;dims:4;fold:0;unit:token"
-    _write_format1_store(db.catalog.store_path(db.register(old)), 4, [])
-    db.import_into(tmp_path / "t.txt", old)
+    # an import always writes format 2, so the format-1 store is written directly
+    rows = [(w, v.tobytes()) for w, v in vectors.items()]
+    _write_format1_store(db.catalog.store_path(db.register(old)), 4, rows)
     db.import_from_file(tmp_path / "t.txt", IDENT)
     for ident, fmt in ((old, None), (IDENT, "2")):
         assert _meta(db.catalog.store_path(db.catalog.require(ident))).get("format") == fmt
@@ -212,6 +235,19 @@ def test_reimport_into_populated_store_rejected(db, tmp_path):
     db.import_from_file(path, IDENT)
     with pytest.raises(WecImportError, match="already contains"):
         db.import_into(path, IDENT)
+    with pytest.raises(FileExistsError):  # the store-level build never writes a taken path
+        import_from_file(path, db.catalog.store_path(db.catalog.require(IDENT)), 4)
+    assert db.vocab_size(IDENT) == 1
+    # refusals that need no text come before the text file is opened
+    missing = tmp_path / "missing.txt"
+    with pytest.raises(DuplicateEntryError):
+        db.import_from_file(missing, IDENT)
+    other = "algo:test;dataset:other;dims:4;fold:0;unit:token"
+    with pytest.raises(CatalogError, match="fold"):
+        db.import_from_file(missing, other, pipeline=build_pipeline(case_fold=True))
+    with pytest.raises(CatalogError, match="vocab_join_max_len"):
+        db.import_from_file(missing, other, vocab_join_max_len=1)
+    assert len(_store_files(db)) == 1
 
 
 def test_unknown_wec_is_an_error(db):
