@@ -114,14 +114,12 @@ class Catalog:
 
     def __init__(self, root: str | Path, create_if_missing: bool = False):
         self.root = Path(root)
-        if not self.root.is_dir():
-            if not create_if_missing:
-                raise CatalogError(f"catalog root {self.root} does not exist")
-            self.root.mkdir(parents=True, exist_ok=True)
-        for sub in ("stores", "phrases", "lists"):
-            (self.root / sub).mkdir(exist_ok=True)
         self._manifest = self.root / MANIFEST_NAME
         if not self._manifest.exists():
+            if not create_if_missing:
+                raise CatalogError(f"no wecdb catalog at {self.root}: {MANIFEST_NAME} is missing")
+            for sub in ("stores", "phrases", "lists"):
+                (self.root / sub).mkdir(parents=True, exist_ok=True)
             self._write_manifest({})
         self._mutex = threading.Lock()
 
@@ -250,7 +248,7 @@ class Catalog:
         source: str | Path = "",
         vocab_join_max_len: int | None = None,
     ) -> CatalogEntry:
-        """Create the entry for a new WEC; reads see no records until an import.
+        """Create the entry for a new WEC, with no store file: it reads as empty until an import.
 
         The pipeline must agree with the identifier's metadata: case folding
         on iff ``fold:1``, stemming on iff ``unit:stem``. User stopword

@@ -15,6 +15,7 @@ from __future__ import annotations
 import os
 import threading
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,12 +23,12 @@ import numpy as np
 from . import phrases as phrases_mod
 from . import store as store_mod
 from .catalog import Catalog, CatalogEntry
-from .errors import WecImportError
+from .errors import StoreError, WecImportError
 from .identifier import WecIdentifier, parse_identifier
 from .phrases import PhraseModel
 from .pipeline import PipelineDescriptor, PreprocessCache, pipeline_for_identifier, run_pipeline
 from .retrieve import RetrievalResult, get_vectors as _get_vectors, lookup_units
-from .store import ImportReport, WecStore
+from .store import EmptyStore, ImportReport, WecStore
 
 
 def _as_identifier(ident: WecIdentifier | str) -> WecIdentifier:
@@ -110,14 +111,19 @@ class Database:
         expect_header: str = "auto",
         on_malformed: str = "fail",
     ) -> ImportReport:
-        """Import into a registered WEC without records (the catalog half done separately)."""
+        """Import into a registered WEC without records (the catalog half done separately);
+        the record check, the move into place and ``vocab_size`` are one catalog step."""
         entry = self.catalog.require(_as_identifier(ident))
-        if self.open_store(entry).count():
-            raise WecImportError(f"store {entry.store_file} already contains records")
+
+        def move_in(current: CatalogEntry) -> CatalogEntry:
+            if current.vocab_size:
+                raise WecImportError(f"store {current.store_file} already contains records")
+            os.replace(tmp, self.catalog.store_path(current))
+            return replace(current, vocab_size=report.imported)
+
         with self._build(path, entry.dims, on_duplicate, expect_header,
                          on_malformed) as (tmp, report):
-            os.replace(tmp, self.catalog.store_path(entry))
-        self.catalog.set_vocab_size(entry.identifier, report.imported)
+            self.catalog._update(entry.identifier, move_in)
         return report
 
     @contextmanager
@@ -134,23 +140,29 @@ class Database:
 
     # -- store access ------------------------------------------------------
 
-    def open_store(self, entry: CatalogEntry) -> WecStore:
+    def open_store(self, entry: CatalogEntry) -> WecStore | EmptyStore:
+        """The entry's read-only store, cached until its file changes; writes nothing.
+        A WEC registered but never imported has no store file and reads as empty."""
         path = self.catalog.store_path(entry)
         with self._stores_lock:
             cached = self._stores.get(entry.store_file)
             try:
                 st = path.stat()
             except FileNotFoundError:
-                st = None
-            # a live handle holds its file open, so no new file can take its
-            # inode: another inode means the file was deleted and made again
-            if cached is not None and st is not None and os.path.samestat(cached[0], st):
-                return cached[1]
-            handle = WecStore(path, dims=entry.dims, create=st is None)
-            self._stores[entry.store_file] = (st or path.stat(), handle)
+                handle = None
+                self._stores.pop(entry.store_file, None)
+            else:
+                # a live handle holds its file open, so no new file can take
+                # its inode: another inode means the file was deleted and made again
+                if cached is not None and os.path.samestat(cached[0], st):
+                    return cached[1]
+                handle = WecStore(path, dims=entry.dims)
+                self._stores[entry.store_file] = (st, handle)
         if cached is not None:
             cached[1].close()
-        return handle
+        if handle is None and entry.vocab_size:
+            raise StoreError(f"store file {path} of {entry.normalized} is missing")
+        return EmptyStore(entry.dims) if handle is None else handle
 
     def get_vector(self, ident: WecIdentifier | str, word: str) -> np.ndarray | None:
         """Exact-match single lookup; absent words return None, never an error."""

@@ -16,15 +16,16 @@ read-only :class:`VectorRows` mapping: the vectors it found are the
 read-only rows of one float32 matrix.
 
 Store format (``format`` key of the ``meta`` table): ``2`` is the layout
-above, stamped when the table is created. A store without the key is
-format 1, an earlier ``WITHOUT ROWID`` layout whose rows over about
+above, stamped by the import that creates the table. A store without the
+key is format 1, an earlier ``WITHOUT ROWID`` layout whose rows over about
 1,000 B (250-d and wider) spill into overflow pages; it is read as it is,
 since every statement here works on both layouts. An import writes
 format 2. Any other value is refused.
 
 SQLite is an implementation detail behind :class:`WecStore`; any engine
 providing a unique key, point lookup, atomic batch writes, and a single
-file would do. Concurrent readers are safe; an import builds a new file.
+file would do. Only :func:`import_from_file` makes a store file; a
+:class:`WecStore` opens one read-only, so no read creates or changes a file.
 
 Text format accepted by :func:`import_from_file`: UTF-8, one record per
 line, fields separated by single spaces, word first, then exactly ``dims``
@@ -42,6 +43,7 @@ import sqlite3
 import threading
 import time
 from collections.abc import Iterable, Iterator, Mapping
+from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -113,61 +115,31 @@ class VectorRows(Mapping):
 class WecStore:
     """Single-file store of ``<word, float32 vector>`` records for one WEC.
 
-    One instance may be shared between threads: every thread gets its own
-    SQLite connection (thread-local), so concurrent readers never contend
-    in Python, and the engine's file locking serializes the one writer an
-    import brings along.
+    The file is opened read-only and must exist: only :func:`import_from_file`
+    makes store files. One instance may be shared between threads: every
+    thread gets its own SQLite connection (thread-local), so concurrent
+    readers never contend in Python.
     """
 
-    def __init__(self, path: str | Path, dims: int | None = None, create: bool = False):
+    def __init__(self, path: str | Path, dims: int | None = None):
         self.path = Path(path)
-        if not create and not self.path.exists():
-            raise StoreError(f"store file {self.path} does not exist")
+        # read-only URI: SQLite can neither create the file nor write to it
+        self._uri = f"{self.path.absolute().as_uri()}?mode=ro"
         self._local = threading.local()
         self._all_conns: list[sqlite3.Connection] = []
         self._conns_lock = threading.Lock()
         try:
-            if create:
-                self._create(dims)
             meta = dict(self._conn.execute("SELECT key, value FROM meta"))
         except sqlite3.Error as exc:
+            self.close()
             raise StoreError(f"{self.path} is not a readable vector store: {exc}") from exc
-        self._check_format(meta.get("format"))
-        self.dims = int(meta["dims"]) if "dims" in meta else dims
-
-    def _check_format(self, fmt: str | None) -> None:
         # a store without a format key predates the key: format 1, read as is
-        if fmt not in (None, "1", _FORMAT):
+        if (fmt := meta.get("format")) not in (None, "1", _FORMAT):
+            self.close()
             raise StoreError(
                 f"{self.path} has store format {fmt!r}; this wecdb reads formats 1 and {_FORMAT}"
             )
-
-    def _create(self, dims: int | None) -> None:
-        """Create the tables if missing; only a table created here is stamped
-        with the current format, so an older store keeps its own, and a store
-        of an unknown format is refused before anything is written to it."""
-        conn = self._conn
-        conn.execute("BEGIN IMMEDIATE")
-        try:
-            new = conn.execute(
-                "SELECT 1 FROM sqlite_master WHERE type='table' AND name='vectors'"
-            ).fetchone() is None
-            conn.execute(
-                "CREATE TABLE IF NOT EXISTS vectors"
-                " (word TEXT PRIMARY KEY NOT NULL, vector BLOB NOT NULL)"
-            )
-            conn.execute("CREATE TABLE IF NOT EXISTS meta (key TEXT PRIMARY KEY, value TEXT)")
-            if new:
-                conn.execute("INSERT OR REPLACE INTO meta VALUES ('format', ?)", (_FORMAT,))
-            else:
-                row = conn.execute("SELECT value FROM meta WHERE key = 'format'").fetchone()
-                self._check_format(row[0] if row else None)
-            if dims is not None:
-                conn.execute("INSERT OR REPLACE INTO meta VALUES ('dims', ?)", (str(dims),))
-            conn.execute("COMMIT")
-        except Exception:
-            conn.execute("ROLLBACK")
-            raise
+        self.dims = int(meta["dims"]) if "dims" in meta else dims
 
     @property
     def _conn(self) -> sqlite3.Connection:
@@ -175,9 +147,7 @@ class WecStore:
         if conn is None:
             # check_same_thread off only to allow close() from the owner;
             # by construction each connection is used by a single thread.
-            conn = sqlite3.connect(
-                self.path, isolation_level=None, timeout=30.0, check_same_thread=False
-            )
+            conn = sqlite3.connect(self._uri, uri=True, check_same_thread=False)
             self._local.conn = conn
             with self._conns_lock:
                 self._all_conns.append(conn)
@@ -256,6 +226,21 @@ class WecStore:
         self.close()
 
 
+class EmptyStore(VectorRows):
+    """Reads of a WEC that has no store file because no import filled it:
+    an empty :class:`VectorRows` that also answers as a :class:`WecStore`."""
+
+    __slots__ = ()
+
+    def __init__(self, dims: int):
+        super().__init__(np.frombuffer(b"", dtype="<f4").reshape(0, dims), {})
+
+    def get_many(self, words: Iterable[str]) -> VectorRows:
+        return self
+
+    contains, count, iter_words = VectorRows.__contains__, VectorRows.__len__, VectorRows.__iter__
+
+
 def parse_vector_text(fields: list[str]) -> bytes:
     """Pinned float conversion: decimal text -> binary64 -> binary32, little-endian."""
     return np.array(fields, dtype="<f8").astype("<f4").tobytes()
@@ -302,9 +287,14 @@ def import_from_file(
     report = ImportReport(bytes_text=os.path.getsize(path))
     started = time.perf_counter()
     open(dest, "x").close()  # refuses a taken path; SQLite takes an empty file as a new store
-    with WecStore(dest, dims, create=True) as store, open(path, "r", encoding="utf-8") as fh:
-        conn = store._conn
-        conn.executescript("PRAGMA journal_mode=MEMORY; PRAGMA synchronous=OFF; BEGIN")
+    conn = sqlite3.connect(dest, isolation_level=None)
+    with closing(conn), open(path, "r", encoding="utf-8") as fh:
+        conn.executescript(
+            "PRAGMA journal_mode=MEMORY; PRAGMA synchronous=OFF; BEGIN;"
+            " CREATE TABLE vectors (word TEXT PRIMARY KEY NOT NULL, vector BLOB NOT NULL);"
+            " CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT);"
+            f" INSERT INTO meta VALUES ('format', '{_FORMAT}'), ('dims', '{int(dims)}');"
+        )
         lines = enumerate(fh, start=1)
         first = next(lines, None)
         pending: list[tuple[int, str, bytes]] = []

@@ -2,7 +2,7 @@ import threading
 
 import numpy as np
 
-from wecdb import Database, PreprocessCache, build_pipeline, run_pipeline
+from wecdb import Database, PreprocessCache, WecImportError, build_pipeline, run_pipeline
 
 from conftest import write_wec_text
 
@@ -112,3 +112,31 @@ def test_parallel_imports_of_different_wecs(tmp_path):
     _run_threads(worker, n=4)
     for k in range(4):
         assert db.vocab_size(f"algo:t;dataset:d{k};dims:3;fold:0;unit:token") == 200
+
+
+def test_concurrent_imports_into_one_wec_let_exactly_one_succeed(tmp_path):
+    db = Database(tmp_path / "cat", create_if_missing=True)
+    texts = []
+    for k in range(2):
+        path = tmp_path / f"w{k}.txt"
+        texts.append(write_wec_text(path, [f"t{j}" for j in range(300)], dims=3,
+                                    rng=np.random.default_rng(k)))
+    for trial in range(3):
+        ident = f"algo:t;dataset:into{trial};dims:3;fold:0;unit:token"
+        db.register(ident)
+        start = threading.Barrier(2, timeout=60)
+        outcomes = {}
+
+        def worker(k):
+            start.wait()
+            try:
+                outcomes[k] = db.import_into(tmp_path / f"w{k}.txt", ident).imported
+            except WecImportError as exc:
+                outcomes[k] = exc
+
+        _run_threads(worker, n=2)
+        (winner,) = [k for k, got in outcomes.items() if got == 300]
+        assert "already contains records" in str(outcomes[1 - winner])
+        assert db.catalog.require(ident).vocab_size == db.vocab_size(ident) == 300
+        assert db.get_vector(ident, "t7").tobytes() == texts[winner]["t7"].tobytes()
+    db.close()

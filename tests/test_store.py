@@ -51,11 +51,14 @@ def test_import_counts_three_lines(db, tmp_path, monkeypatch):
 def test_bit_exact_round_trip(db, tmp_path):
     words = [f"w{i}" for i in range(200)]
     expected = write_wec_text(tmp_path / "t.txt", words, dims=4, fmt="%.7g")
-    db.import_from_file(tmp_path / "t.txt", IDENT)
-    for word, vec in expected.items():
-        got = db.get_vector(IDENT, word)
-        assert got.dtype == np.dtype("<f4")
-        assert got.tobytes() == vec.tobytes(), word
+    # a root whose path must be quoted in the store's SQLite URI
+    with Database(tmp_path / "cat a#b?c%20d", create_if_missing=True) as quoted:
+        for database in (db, quoted):
+            database.import_from_file(tmp_path / "t.txt", IDENT)
+            for word, vec in expected.items():
+                got = database.get_vector(IDENT, word)
+                assert got.dtype == np.dtype("<f4")
+                assert got.tobytes() == vec.tobytes(), word
 
 
 def test_absent_word_returns_none_not_error(db, tmp_path):
@@ -91,10 +94,10 @@ def test_failed_import_into_registered_wec_leaves_it_empty(db, tmp_path):
     path.write_text("a 1 2 3 4\na 5 6 7 8\n")
     with pytest.raises(DuplicateWordError):
         db.import_into(path, IDENT)
-    # separately-made registration stays, its empty store untouched
+    # separately-made registration stays, still without a store file
     assert db.catalog.lookup(IDENT).vocab_size == 0
     assert db.vocab_size(IDENT) == 0
-    assert _store_files(db) == [db.catalog.require(IDENT).store_file]
+    assert _store_files(db) == []
 
 
 def test_file_dims_inconsistent_with_identifier_dims(db, tmp_path):
@@ -268,10 +271,7 @@ def test_parse_vector_text_pins_float64_then_float32():
 
 def test_persisted_store_reopens(tmp_path):
     path = tmp_path / "solo.wec"
-    with WecStore(path, dims=2, create=True) as store:
-        store._conn.executemany(
-            "INSERT INTO vectors VALUES (?, ?)", [("x", np.array([1, 2], dtype="<f4").tobytes())]
-        )
+    _write_store(path, 2, [("x", np.array([1, 2], dtype="<f4").tobytes())])
     with WecStore(path) as store:
         assert store.dims == 2
         assert store.get("x").tolist() == [1.0, 2.0]
@@ -283,14 +283,12 @@ def test_get_many_uses_fixed_sql_texts(tmp_path):
     import re
 
     words = [f"w{i:05d}" for i in range(6000)]
-    with WecStore(tmp_path / "s.wec", dims=2, create=True) as store:
-        conn = store._conn
-        conn.execute("BEGIN")
-        conn.executemany(
-            "INSERT INTO vectors VALUES (?, ?)",
-            ((w, np.array([i, -i], dtype="<f4").tobytes()) for i, w in enumerate(words[:3000])),
-        )
-        conn.execute("COMMIT")
+    _write_store(
+        tmp_path / "s.wec",
+        2,
+        ((w, np.array([i, -i], dtype="<f4").tobytes()) for i, w in enumerate(words[:3000])),
+    )
+    with WecStore(tmp_path / "s.wec") as store:
         statements: list[str] = []
         store._conn.set_trace_callback(statements.append)
         # 16, 17 and 272 end on a partly filled (NULL-padded) chunk
@@ -310,12 +308,9 @@ def test_get_many_uses_fixed_sql_texts(tmp_path):
 
 def test_get_many_returns_rows_of_one_read_only_matrix(tmp_path):
     rows = {"a": [1.0, -0.0, 2.5], "b": [3.0, 4.0, 1e-40]}
-    with WecStore(tmp_path / "s.wec", dims=3, create=True) as store:
-        conn = store._conn
-        conn.executemany(
-            "INSERT INTO vectors VALUES (?, ?)",
-            ((w, np.array(v, dtype="<f4").tobytes()) for w, v in rows.items()),
-        )
+    path = tmp_path / "s.wec"
+    _write_store(path, 3, ((w, np.array(v, dtype="<f4").tobytes()) for w, v in rows.items()))
+    with WecStore(path) as store:
         got = store.get_many(["b", "zz", "a", "b"])
         assert len(got) == 2 and sorted(got) == ["a", "b"] and "zz" not in got
         assert got.matrix.shape == (2, 3) and not got.matrix.flags.writeable
@@ -326,12 +321,29 @@ def test_get_many_returns_rows_of_one_read_only_matrix(tmp_path):
             got["zz"]
         empty = store.get_many(["zz"])
         assert len(empty) == 0 and empty.matrix.shape == (0, 3)
-        conn.execute("INSERT INTO vectors VALUES ('short', ?)", (b"\0" * 8,))
+        _execute(path, "INSERT INTO vectors VALUES ('short', ?)", [(b"\0" * 8,)])
         with pytest.raises(StoreError, match="'short'"):
             store.get_many(["a", "short"])
-    with WecStore(tmp_path / "no-dims.wec", create=True) as store:
+    _write_store(tmp_path / "no-dims.wec", 3)
+    _execute(tmp_path / "no-dims.wec", "DELETE FROM meta WHERE key = 'dims'")
+    with WecStore(tmp_path / "no-dims.wec") as store:
         with pytest.raises(StoreError, match="no vector width"):
             store.get_many(["a"])
+
+
+def _write_store(path, dims, rows=()):
+    """A format-2 store as an import builds it, ``rows`` added through a plain connection."""
+    text = path.with_suffix(".txt")
+    text.write_text("")
+    import_from_file(text, path, dims)
+    _execute(path, "INSERT INTO vectors VALUES (?, ?)", rows)
+
+
+def _execute(path, sql, rows=((),)):
+    conn = sqlite3.connect(path)
+    conn.executemany(sql, rows)
+    conn.commit()
+    conn.close()
 
 
 def _write_format1_store(path, dims, rows):
@@ -366,11 +378,10 @@ def _table_sql(path):
 
 def test_new_store_is_format_2_rowid_table(tmp_path):
     path = tmp_path / "new.wec"
-    WecStore(path, dims=3, create=True).close()
+    _write_store(path, 3)
     assert _meta(path) == {"format": "2", "dims": "3"}
     assert "WITHOUT ROWID" not in _table_sql(path).upper()
-    # reopening, with or without create, leaves the key as it is
-    WecStore(path, dims=3, create=True).close()
+    # reopening leaves the key as it is
     WecStore(path).close()
     assert _meta(path)["format"] == "2"
 
@@ -380,27 +391,22 @@ def test_format_1_store_reads_bit_exact_and_keeps_its_format(tmp_path):
     vectors = {f"w{i:03d}": rng.standard_normal(300).astype("<f4") for i in range(40)}
     path = tmp_path / "old.wec"
     _write_format1_store(path, 300, [(w, v.tobytes()) for w, v in vectors.items()])
-    for create in (False, True):
-        with WecStore(path, dims=300, create=create) as store:
-            assert store.dims == 300
-            for word, vec in vectors.items():
-                assert store.get(word).tobytes() == vec.tobytes()
-            got = store.get_many(list(vectors) + ["absent"])
-            assert got.keys() == vectors.keys()
-            assert all(got[w].tobytes() == v.tobytes() for w, v in vectors.items())
-            assert list(store.iter_words()) == sorted(vectors)
-        assert "format" not in _meta(path)
-        assert "WITHOUT ROWID" in _table_sql(path).upper()
+    with WecStore(path, dims=300) as store:
+        assert store.dims == 300
+        for word, vec in vectors.items():
+            assert store.get(word).tobytes() == vec.tobytes()
+        got = store.get_many(list(vectors) + ["absent"])
+        assert got.keys() == vectors.keys()
+        assert all(got[w].tobytes() == v.tobytes() for w, v in vectors.items())
+        assert list(store.iter_words()) == sorted(vectors)
+    assert "format" not in _meta(path)
+    assert "WITHOUT ROWID" in _table_sql(path).upper()
 
 
 def test_unknown_store_format_is_refused(tmp_path):
     path = tmp_path / "future.wec"
-    WecStore(path, dims=2, create=True).close()
-    conn = sqlite3.connect(path)
-    conn.execute("UPDATE meta SET value = '3' WHERE key = 'format'")
-    conn.commit()
-    conn.close()
-    for create in (False, True):
-        with pytest.raises(StoreError, match="future.wec.*format '3'"):
-            WecStore(path, dims=5, create=create)
+    _write_store(path, 2)
+    _execute(path, "UPDATE meta SET value = '3' WHERE key = 'format'")
+    with pytest.raises(StoreError, match="future.wec.*format '3'"):
+        WecStore(path, dims=5)
     assert _meta(path) == {"format": "3", "dims": "2"}  # refused before any write
