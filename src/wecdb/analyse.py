@@ -12,17 +12,20 @@ vectors. Metrics are plain callables ``(vec, vec) -> float``; anything with
 that shape (e.g. ``scipy.spatial.distance.cosine``) plugs in. The built-in
 metrics run as one array pass per WEC: all sentence means of a WEC in one
 position-by-position sum, then one row-wise kernel call over all its pairs,
-with the same bytes as the per-pair functions. A retrieved sentence is
-summed straight from the read-only float32 matrix its WEC's store read
-returned, by row index; the vectors of all hand-built units of one width
-are stacked into one matrix for each call (nothing is stored on the units)
-and go through the same gather and sum. A user-supplied callable is
-called once per pair. Pairs whose sentence vector is undefined, or for
-which the metric returns a non-finite value or raises
-:class:`UndefinedDistanceError`, are reported in ``undefined_pairs``
-instead of being ranked with a fabricated distance. A NaN or infinite
-component makes every built-in undefined: the cosine metrics raise (as they
-do on a zero norm), euclidean distance returns NaN or inf.
+with the same bytes as the per-pair functions. Retrieved sentences are
+summed straight from the read-only float32 matrix their WEC's store read
+returned: the rows of all units of one read are gathered from the row
+array of their batch in one step. The vectors of all hand-built units of
+one width are stacked into one matrix for each call (nothing is stored on
+the units) and go through the same sum. The means form one float32 matrix
+per width, and each side of the pairs is taken from it with one float64
+conversion. A user-supplied callable is called once per pair. Pairs whose
+sentence vector is undefined, or for which the metric returns a non-finite
+value or raises :class:`UndefinedDistanceError`, are reported in
+``undefined_pairs`` instead of being ranked with a fabricated distance. A
+NaN or infinite component makes every built-in undefined: the cosine
+metrics raise (as they do on a zero norm), euclidean distance returns NaN
+or inf.
 """
 
 from __future__ import annotations
@@ -30,15 +33,13 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import AnalysisError, UndefinedDistanceError
-from .retrieve import RetrievalResult, UnitResult
-from .store import VectorRows
+from .retrieve import RetrievalResult, UnitResult, _Batch
 
 Metric = Callable[[np.ndarray, np.ndarray], float]
 
@@ -75,58 +76,74 @@ def average_vector(
     """
     pairs = list(pairs)
     stopset = set(stopwords)
-    (vector,) = _unit_means([UnitResult(raw="", tokens=[], pairs=pairs, missing=[])], stopset)
+    unit = UnitResult(raw="", tokens=[], pairs=pairs, missing=[])
+    (width,), means = _unit_means([unit], stopset)
+    vector = None if width < 0 else means[width][0]
     used = [w for w, _ in pairs if w not in stopset]
     return SentenceVector(vector, used, [w for w, _ in pairs if w in stopset])
 
 
-def _unit_means(units: Sequence[UnitResult], stopset: set[str]) -> list[np.ndarray | None]:
-    """Sentence vector of every unit, None where undefined.
+def _unit_means(
+    units: Sequence[UnitResult], stopset: set[str]
+) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """Sentence vector of every unit, by width: ``(width, means)``.
 
-    One pass groups the units by row source: retrieved units by the
-    :class:`~wecdb.store.VectorRows` whose rows they name, hand-built units
-    by width, their pairs stacked for this call only (a vector changed
-    between calls is read anew). Each group takes the stopword mask once per
-    row and goes to one :func:`_row_means`.
+    Unit i's vector is row i of the float32 matrix ``means[width[i]]``;
+    ``width[i]`` is -1 where the vector is undefined. Retrieved units are
+    grouped by the batch of their store read, and each group's rows are
+    gathered straight from the batch's row array. Hand-built units are
+    grouped by width, their pairs stacked for this call only (a vector
+    changed between calls is read anew). Each group takes the stopword mask
+    once per row of its matrix and goes to one :func:`_row_means`.
     """
-    groups: dict[int, tuple[VectorRows | list, list[int], list]] = {}
-    by_width: dict[int, list[tuple[str, np.ndarray]]] = {}
+    batches: dict[int, tuple[_Batch, list[int], list[int]]] = {}
+    by_width: dict[int, tuple[list[int], list[tuple[str, np.ndarray]], list[int]]] = {}
     for i, unit in enumerate(units):
-        source = unit._matrix_rows()
-        if source is None:
-            if not unit.pairs:
-                continue
-            width = len(unit.pairs[0][1])
-            for word, vec in unit.pairs:
-                if len(vec) != width:
-                    raise AnalysisError(
-                        f"mixed vector lengths: {width} vs {len(vec)} for {word!r}"
-                    )
-            stacked = by_width.setdefault(width, [])
-            stacked += unit.pairs
-            source = (stacked, range(len(stacked) - len(unit.pairs), len(stacked)))
-        found, rows = source
-        _, members, row_lists = groups.setdefault(id(found), (found, [], []))
+        batch = unit._batch
+        if batch is not None:
+            _, members, positions = batches.setdefault(id(batch), (batch, [], []))
+            members.append(i)
+            positions.append(unit._position)
+            continue
+        pairs = unit.pairs
+        if not pairs:
+            continue
+        width = len(pairs[0][1])
+        for word, vec in pairs:
+            if len(vec) != width:
+                raise AnalysisError(f"mixed vector lengths: {width} vs {len(vec)} for {word!r}")
+        members, stacked, lengths = by_width.setdefault(width, ([], [], []))
         members.append(i)
-        row_lists.append(rows)
-    means: list[np.ndarray | None] = [None] * len(units)
-    for found, members, row_lists in groups.values():
-        if isinstance(found, VectorRows):
-            matrix, words = found.matrix, found
-        else:
-            matrix, words = np.array([vec for _, vec in found]), [word for word, _ in found]
-        lengths = np.fromiter(map(len, row_lists), dtype=np.intp, count=len(row_lists))
-        rows = np.fromiter(chain.from_iterable(row_lists), dtype=np.intp)
+        stacked += pairs
+        lengths.append(len(pairs))
+    groups = []
+    for batch, members, positions in batches.values():
+        starts = batch.starts[positions]
+        lengths = batch.starts[np.add(positions, 1)] - starts
+        ends = np.cumsum(lengths)
+        gather = np.repeat(starts - (ends - lengths), lengths) + np.arange(ends[-1])
+        groups.append((members, batch.found.matrix, batch.found, batch.rows[gather], lengths))
+    for members, stacked, lengths in by_width.values():
+        matrix = np.array([vec for _, vec in stacked])
+        words = [word for word, _ in stacked]
+        groups.append((members, matrix, words, np.arange(len(stacked)), lengths))
+    width = np.full(len(units), -1, dtype=np.intp)
+    means: dict[int, np.ndarray] = {}
+    for members, matrix, words, rows, lengths in groups:
         unit_of = np.repeat(np.arange(len(members)), lengths)
         if stopset:
             stop = np.fromiter((w in stopset for w in words), dtype=bool, count=len(words))
             keep = ~stop[rows]
             rows, unit_of = rows[keep], unit_of[keep]
         vectors, counts = _row_means(matrix, rows, unit_of, len(members))
-        for i, vec, n in zip(members, vectors, counts.tolist()):
-            if n:
-                means[i] = vec
-    return means
+        defined = np.flatnonzero(counts)
+        at = np.asarray(members)[defined]
+        d = matrix.shape[1]
+        if d not in means:
+            means[d] = np.zeros((len(units), d), dtype=np.float32)
+        means[d][at] = vectors[defined]
+        width[at] = d
+    return width, means
 
 
 def _row_means(
@@ -245,19 +262,23 @@ def _row_kernel(metric: Metric):
     return None
 
 
-def _pair_rows(kernel, lefts: Sequence[np.ndarray], rights: Sequence[np.ndarray]) -> np.ndarray:
-    """``kernel`` over the pairs ``(lefts[i], rights[i])``, one call per width."""
-    out = np.empty(len(lefts), dtype=np.float64)
-    by_width: dict[int, list[int]] = {}
-    for i, (a, b) in enumerate(zip(lefts, rights)):
-        if len(a) != len(b):
-            raise AnalysisError(f"vector length mismatch: ({len(a)},) vs ({len(b)},)")
-        by_width.setdefault(len(a), []).append(i)
-    for rows in by_width.values():
-        out[rows] = kernel(
-            np.array([lefts[i] for i in rows], dtype=np.float64),
-            np.array([rights[i] for i in rows], dtype=np.float64),
-        )
+def _pair_rows(
+    kernel, width: np.ndarray, means: dict[int, np.ndarray], left: np.ndarray, right: np.ndarray
+) -> np.ndarray:
+    """``kernel`` over the sentence vectors of units ``left[i]`` and
+    ``right[i]`` (see :func:`_unit_means`), one call per width."""
+    out = np.empty(len(left), dtype=np.float64)
+    width_left, width_right = width[left], width[right]
+    mismatch = np.flatnonzero(width_left != width_right)
+    if len(mismatch):
+        a, b = width_left[mismatch[0]], width_right[mismatch[0]]
+        raise AnalysisError(f"vector length mismatch: ({a},) vs ({b},)")
+    for d, matrix in means.items():
+        at = np.flatnonzero(width_left == d)
+        if len(at):
+            out[at] = kernel(
+                matrix[left[at]].astype(np.float64), matrix[right[at]].astype(np.float64)
+            )
     return out
 
 
@@ -293,18 +314,17 @@ def pairwise_distances(
             raise AnalysisError(
                 f"unit counts differ for {norm!r}: {len(units1)} vs {len(units2)}"
             )
-        means = _unit_means([*units1, *units2], stopset)
-        s1, s2 = means[: len(units1)], means[len(units1) :]
-        defined = [i for i, (a, b) in enumerate(zip(s1, s2)) if a is not None and b is not None]
-        distances = np.full(len(units1), np.nan)
+        width, means = _unit_means([*units1, *units2], stopset)
+        n = len(units1)
+        defined = np.flatnonzero((width[:n] >= 0) & (width[n:] >= 0))
+        distances = np.full(n, np.nan)
         if kernel is not None:
-            distances[defined] = _pair_rows(
-                kernel, [s1[i] for i in defined], [s2[i] for i in defined]
-            )
+            distances[defined] = _pair_rows(kernel, width, means, defined, n + defined)
         else:
-            for i in defined:
+            w = width.tolist()
+            for i in defined.tolist():
                 try:
-                    distances[i] = float(metric(s1[i], s2[i]))
+                    distances[i] = float(metric(means[w[i]][i], means[w[n + i]][n + i]))
                 except UndefinedDistanceError:
                     pass
         triples: list[tuple[float, str, str]] = []

@@ -233,8 +233,6 @@ class Database:
         self.catalog.set_phrase_model(entry.identifier, model)
         return model
 
-    # -- retrieval -----------------------------------------------------------
-
     def delete(self, ident: WecIdentifier | str, force: bool = False) -> None:
         """Close any cached handle for the WEC, then drop it from the catalog."""
         ident = _as_identifier(ident)
@@ -245,6 +243,8 @@ class Database:
             if cached is not None:
                 cached[1].close()
         self.catalog.delete(ident, force=force)
+
+    # -- retrieval -----------------------------------------------------------
 
     def get_vectors(
         self,

@@ -66,6 +66,11 @@ def _is_peelable(ch: str) -> bool:
 def _tokenize_default(line: str) -> list[str]:
     tokens: list[str] = []
     for chunk in line.split():
+        # no character that isalnum() accepts is in a P or S category, so
+        # such a chunk has nothing to peel (checked for every code point in the tests)
+        if chunk[0].isalnum() and chunk[-1].isalnum():
+            tokens.append(chunk)
+            continue
         lead: list[str] = []
         trail: list[str] = []
         while chunk and _is_peelable(chunk[0]):

@@ -17,17 +17,20 @@ distinct not-found tokens in first-seen order. With ``as_tuple=False`` the
 
 The vectors one call reads from one WEC are the read-only rows of one
 float32 matrix (the :class:`~wecdb.store.VectorRows` of its one
-``get_many``). A retrieved unit keeps its found words and their row
-indices for its whole life; ``pairs`` is built from them on first read,
-and units of one WEC share the one view of a word they have in common.
-Analysis sums the rows straight from the matrix. A unit built by hand
-holds only its ``pairs``; analysis stacks those per width on each call and
-stores nothing on the unit.
+``get_many``). The call's units share one :class:`_Batch`: one array of
+matrix rows for every found token of every unit, in unit order, and each
+unit's start offset in it. A retrieved unit is a view of its span of that
+array; ``pairs``, ``words()``, ``vectors()`` and ``missing`` are built from
+the batch on first read, and units of one WEC share the one view of a word
+they have in common. Analysis gathers the rows of many units straight from
+the batch arrays. A unit built by hand holds only its ``pairs``; analysis
+stacks those per width on each call and stores nothing on the unit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -41,44 +44,85 @@ class UnitResult:
     """Lookup outcome for one input unit against one WEC.
 
     ``UnitResult(raw=, tokens=, pairs=, missing=)`` builds a unit by hand.
-    A unit that retrieval built holds its found words and their rows in the
-    WEC's :class:`~wecdb.store.VectorRows`; its ``pairs`` are made from them
-    on first read, as ``(word, vector)`` tuples or, for a unit of an
-    ``as_tuple=False`` result, bare vectors.
+    A unit that retrieval built is a view of unit ``position`` of the
+    :class:`_Batch` of its store read; its ``pairs`` (``(word, vector)``
+    tuples or, for a unit of an ``as_tuple=False`` result, bare vectors),
+    ``words()``, ``vectors()`` and ``missing`` are made from the batch when
+    first read.
     """
 
-    __slots__ = ("raw", "tokens", "missing", "_pairs", "_found", "_words", "_rows", "_bare")
+    __slots__ = ("raw", "tokens", "_missing", "_pairs", "_batch", "_position", "_bare")
 
     def __init__(self, raw: str, tokens: list[str], pairs: list | None, missing: list[str]):
         self.raw = raw
         self.tokens = tokens
-        self.missing = missing
+        self._missing = missing
         self._pairs = pairs
-        self._found: VectorRows | None = None
-        self._words: list[str] | None = None
-        self._rows: list[int] | None = None
+        self._batch: _Batch | None = None
+        self._position = 0
         self._bare = False
+
+    @property
+    def missing(self) -> list[str]:
+        if self._missing is None:
+            index = self._batch.found.index
+            self._missing = list(dict.fromkeys(t for t in self.tokens if t not in index))
+        return self._missing
 
     @property
     def pairs(self) -> list:
         if self._pairs is None:
-            found = self._found
-            pairs = [(w, found[w]) for w in self._words]
-            self._pairs = [v for _, v in pairs] if self._bare else pairs
+            found = self._batch.found
+            words = self.words()
+            vectors = [found[w] for w in words]
+            self._pairs = vectors if self._bare else list(zip(words, vectors))
         return self._pairs
 
-    def _matrix_rows(self) -> tuple[VectorRows, list[int]] | None:
-        """``(found, rows)`` of a retrieved unit: vector i is row ``rows[i]``
-        of ``found.matrix``. None for a unit built by hand."""
-        return None if self._found is None else (self._found, self._rows)
-
     def words(self) -> list[str]:
-        return [w for w, _ in self.pairs] if self._found is None else list(self._words)
+        if self._batch is None:
+            return [w for w, _ in self.pairs]
+        return self._batch.words(self._position)
 
     def vectors(self) -> list[np.ndarray]:
-        if self._found is None:
+        if self._batch is None:
             return [v for _, v in self.pairs]
-        return [self._found[w] for w in self._words]
+        found = self._batch.found
+        return [found[w] for w in self.words()]
+
+
+class _Batch:
+    """Every unit of one store read against one WEC, column by column.
+
+    Unit i's vectors are rows ``rows[starts[i]:starts[i + 1]]`` of
+    ``found.matrix``: one row per found token, in token order, or with
+    ``in_order=False`` one per distinct found token, in first-seen order.
+    """
+
+    __slots__ = ("found", "rows", "starts", "_vocab")
+
+    def __init__(self, found: VectorRows, token_lists: list[list[str]], in_order: bool):
+        get = found.index.get
+        rows = np.array([get(t, -1) for tokens in token_lists for t in tokens], dtype=np.intp)
+        lengths = np.fromiter(map(len, token_lists), dtype=np.intp, count=len(token_lists))
+        unit_of = np.repeat(np.arange(len(token_lists)), lengths)
+        hit = rows >= 0
+        rows, unit_of = rows[hit], unit_of[hit]
+        if not in_order:
+            # np.unique returns each key's first position; sorted, they keep token order
+            _, first = np.unique(unit_of * len(found) + rows, return_index=True)
+            first.sort()
+            rows, unit_of = rows[first], unit_of[first]
+        self.found = found
+        self.rows = rows
+        self.starts = np.searchsorted(unit_of, np.arange(len(token_lists) + 1))
+        self._vocab: list[str] | None = None
+
+    def words(self, position: int) -> list[str]:
+        if self._vocab is None:
+            self._vocab = list(self.found.index)  # the index lists words in row order
+        vocab = self._vocab
+        start, end = self.starts[position : position + 2].tolist()
+        return [vocab[r] for r in self.rows[start:end].tolist()]
 
 
 @dataclass
@@ -117,69 +161,55 @@ class RetrievalResult:
 
 
 def lookup_unit(store, raw_text: str, tokens: list[str], in_order: bool) -> UnitResult:
-    """Assemble one UnitResult from a store and a ready token list, with a
-    store read of its own; :func:`lookup_units` shares one read between units."""
-    return _assemble(raw_text, tokens, store.get_many(tokens), in_order)
-
-
-def _assemble(
-    raw_text: str, tokens: list[str], found: VectorRows, in_order: bool
-) -> UnitResult:
-    index = found.index
-    words: list[str] = []
-    rows: list[int] = []
-    if in_order:
-        for token in tokens:
-            row = index.get(token)
-            if row is not None:
-                words.append(token)
-                rows.append(row)
-        missing = list(dict.fromkeys(t for t in tokens if t not in index))
-    else:
-        missing = []
-        for token in dict.fromkeys(tokens):
-            row = index.get(token)
-            if row is None:
-                missing.append(token)
-            else:
-                words.append(token)
-                rows.append(row)
-    unit = UnitResult(raw=raw_text, tokens=list(tokens), pairs=None, missing=missing)
-    unit._found, unit._words, unit._rows = found, words, rows
+    """One UnitResult from a store and a ready token list, with a store read
+    of its own; :func:`lookup_units` shares one read between units."""
+    (unit,) = _units(store.get_many(tokens), [raw_text], [list(tokens)], in_order)
     return unit
 
 
+def _units(
+    found: VectorRows, texts: list[str], token_lists: list[list[str]], in_order: bool
+) -> list[UnitResult]:
+    """One unit per token list; each unit keeps its list as its ``tokens``."""
+    batch = _Batch(found, token_lists, in_order)
+    units = []
+    for i, (text, tokens) in enumerate(zip(texts, token_lists)):
+        unit = UnitResult.__new__(UnitResult)  # a view; __init__ builds hand-built units
+        unit.raw, unit.tokens, unit._missing, unit._pairs = text, tokens, None, None
+        unit._batch, unit._position, unit._bare = batch, i, False
+        units.append(unit)
+    return units
+
+
 def lookup_units(
-    db, entry, inputs, raw: bool, cache: PreprocessCache | None, in_order: bool,
+    db, entry, inputs: Sequence, raw: bool, cache: PreprocessCache | None, in_order: bool,
     join: bool = True,
 ) -> list[UnitResult]:
-    """Every input unit against one WEC, with a single store read.
+    """Every input unit of the sequence ``inputs`` against one WEC, with a
+    single store read.
 
     With ``raw=True`` each unit runs through the WEC's pipeline and, when
     ``join`` is on, its phrase model; one ``get_many`` then covers every
     token of every unit plus, for vocabulary joining, every candidate
-    window, so the greedy join and the assembly both read that one mapping.
+    window, so the greedy join and the units' :class:`_Batch` both read that
+    one mapping.
     """
     store = db.open_store(entry)
-    texts: list[str] = []
-    token_lists: list[list[str]] = []
-    for unit in inputs:
-        if raw:
-            if not isinstance(unit, str):
-                raise WecdbError("raw=True expects each input unit to be a string")
-            try:
-                tokens = run_pipeline(entry.pipeline, unit, cache)
-            except PipelineError as exc:
-                raise PipelineError(f"[{entry.normalized}] {exc}") from exc
-            if join and entry.phrase_model_ref is not None:
-                tokens = db.join_phrases(entry, tokens)
-            texts.append(unit)
-        else:
-            if isinstance(unit, str):
-                raise WecdbError("raw=False expects each input unit to be a token list")
-            tokens = list(unit)
-            texts.append("")
-        token_lists.append(tokens)
+    if raw:
+        if not all(isinstance(unit, str) for unit in inputs):
+            raise WecdbError("raw=True expects each input unit to be a string")
+        texts = inputs
+        try:
+            token_lists = [run_pipeline(entry.pipeline, unit, cache) for unit in inputs]
+        except PipelineError as exc:
+            raise PipelineError(f"[{entry.normalized}] {exc}") from exc
+        if join and entry.phrase_model_ref is not None:
+            token_lists = [db.join_phrases(entry, tokens) for tokens in token_lists]
+    else:
+        if any(isinstance(unit, str) for unit in inputs):
+            raise WecdbError("raw=False expects each input unit to be a token list")
+        texts = [""] * len(inputs)
+        token_lists = [list(unit) for unit in inputs]
     max_len = entry.vocab_join_max_len if raw and join else None
     wanted = [token for tokens in token_lists for token in tokens]
     if max_len is not None:
@@ -190,7 +220,7 @@ def lookup_units(
             phrases.apply_phrases_vocab(found.index.__contains__, tokens, max_len=max_len)
             for tokens in token_lists
         ]
-    return [_assemble(text, tokens, found, in_order) for text, tokens in zip(texts, token_lists)]
+    return _units(found, texts, token_lists, in_order)
 
 
 def get_vectors(
@@ -215,6 +245,7 @@ def get_vectors(
 
     if not isinstance(query, WecQuery):
         query = parse_query(query)
+    inputs = list(inputs)  # read once: every WEC gets the same units
     result = RetrievalResult()
     for ident in query.expanded:
         entry = db.catalog.require(ident)

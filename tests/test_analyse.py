@@ -145,7 +145,8 @@ def test_batched_means_match_row_by_row_loop(dims, other_dims, rows, seed):
         units.append(pairs)
     stopwords = {"w0", "w1"}
     hand_built = [UnitResult(raw="", tokens=[], pairs=pairs, missing=[]) for pairs in units]
-    got = _unit_means(hand_built, stopwords)
+    width, means = _unit_means(hand_built, stopwords)
+    got = [None if w < 0 else means[w][i] for i, w in enumerate(width.tolist())]
     assert len(got) == len(units)
     for pairs, vector in zip(units, got):
         want = _loop_average(pairs, stopwords)
@@ -224,6 +225,47 @@ def test_ranking_through_a_store_matches_a_row_loop_bytewise(db, tmp_path, dims,
         assert [(d.hex(), a, b) for d, a, b in got] == [(d.hex(), a, b) for d, a, b in want]
         assert ranking.undefined_pairs.get(ident, []) == undefined
         assert got and undefined
+
+    # The same units in other arrangements: shuffled, a subset, one unit
+    # repeated, units of both calls on one side, and hand-built units among them.
+    pool_tokens = side1 + side2
+    pool_units = res1.per_wec[0][1] + res2.per_wec[0][1]
+    n, m = len(side1), len(side1) // 3
+    subset1, subset2 = rng.choice(n, m, replace=False), n + rng.choice(n, m, replace=False)
+    arrangements = [
+        (rng.permutation(n), n + rng.permutation(n), ()),
+        (subset1, subset2, ()),
+        ([*subset1, subset1[0]], [*subset2, subset2[1]], ()),
+        (rng.choice(2 * n, m), rng.choice(2 * n, m), ()),
+        (subset1, rng.choice(2 * n, m), set(rng.choice(2 * n, n, replace=False).tolist())),
+    ]
+
+    def arranged(picks, by_hand):
+        units = []
+        for k in picks:
+            tokens = pool_tokens[k]
+            if k not in by_hand:
+                units.append(pool_units[k])
+                continue
+            seq = tokens if in_order else list(dict.fromkeys(tokens))
+            pairs = [(w, vectors[w]) for w in seq if w in vectors]
+            units.append(UnitResult(raw="", tokens=list(tokens), pairs=pairs, missing=[]))
+        return _result(ident, units)
+
+    for left, right, by_hand in arrangements:
+        left, right = np.asarray(left).tolist(), np.asarray(right).tolist()
+        for metric in (cosine_distance, euclidean_distance):
+            ranking = pairwise_distances(
+                arranged(left, by_hand), arranged(right, by_hand), metric=metric,
+                stopwords=stopwords,
+            )
+            want, undefined = _reference_ranking(
+                [pool_tokens[k] for k in left], [pool_tokens[k] for k in right],
+                vectors, stopwords, metric, in_order,
+            )
+            got = ranking.per_wec[0][1]
+            assert [(d.hex(), a, b) for d, a, b in got] == [(d.hex(), a, b) for d, a, b in want]
+            assert ranking.undefined_pairs.get(ident, []) == undefined
 
 
 

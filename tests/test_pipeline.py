@@ -1,6 +1,7 @@
 import itertools
 import pickle
 import sys
+import unicodedata
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -360,6 +361,8 @@ def _apply_stage(stage, value, stopword_sets):
     """Reference interpreter: works out each stage's name, parameter and the
     shape of its input again for every line."""
     if stage.name == "tokenize":
+        if stage.params == ("default",):
+            return _reference_tokenize_default(value)
         return _TOKENIZERS[stage.params[0]](value)
     if stage.name == "external":
         line = value if isinstance(value, str) else " ".join(value)
@@ -383,6 +386,22 @@ def _apply_stage(stage, value, stopword_sets):
             return value
         return [t for t in value if any(ch.isalnum() for ch in t)]
     raise AssertionError(f"unknown stage {stage.name!r}")
+
+
+def _reference_tokenize_default(line):
+    """Reference default tokenizer: split on whitespace, then peel the
+    punctuation and symbol characters off each chunk one at a time."""
+    tokens = []
+    for chunk in line.split():
+        lead, trail = [], []
+        while chunk and unicodedata.category(chunk[0])[0] in "PS":
+            lead.append(chunk[0])
+            chunk = chunk[1:]
+        while chunk and unicodedata.category(chunk[-1])[0] in "PS":
+            trail.append(chunk[-1])
+            chunk = chunk[:-1]
+        tokens += lead + ([chunk] if chunk else []) + trail[::-1]
+    return tokens
 
 
 def _reference_run(p, raw):
@@ -432,6 +451,24 @@ def stage_lists(draw):
         else:
             after.append(stage)
     return PipelineDescriptor(tuple(before + [tokenize] + after), resources)
+
+
+def test_no_alphanumeric_character_is_punctuation_or_symbol():
+    # The default tokenizer keeps a chunk that starts and ends with an
+    # alphanumeric character whole, without looking for anything to peel.
+    clashes = [
+        hex(c) for c in range(sys.maxunicode + 1)
+        if chr(c).isalnum() and unicodedata.category(chr(c))[0] in "PS"
+    ]
+    assert clashes == []
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(
+    any_line, st.lists(st.sampled_from(list("a1,(²é$_-Ⅻ½ \t")), max_size=20).map("".join)
+))
+def test_default_tokenizer_matches_the_peeling_reference(line):
+    assert _TOKENIZERS["default"](line) == _reference_tokenize_default(line)
 
 
 @settings(max_examples=300, deadline=None)

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from wecdb import Database, PreprocessCache, UnknownWecError, WecdbError
 from wecdb.pipeline import run_pipeline
-from wecdb.retrieve import lookup_unit
 
 from conftest import write_wec_text
 
@@ -224,6 +223,19 @@ def test_units_of_one_call_share_read_only_vectors(db, toy_wec):
         assert got.per_wec == want.per_wec and len(got.per_wec[0][1]) == 2
 
 
+def test_one_shot_inputs_reach_every_wec(db, tmp_path):
+    for fold in (0, 1):
+        write_wec_text(tmp_path / f"f{fold}.txt", ["a", "b"], dims=2)
+        db.import_from_file(
+            tmp_path / f"f{fold}.txt", f"algo:g;dataset:d;dims:2;fold:{fold};unit:token"
+        )
+    res = db.get_vectors(
+        "algo:g;dataset:d;dims:2;fold:{0,1};unit:token", None,
+        inputs=(s for s in ["a b", "b"]), raw=True,
+    )
+    assert [[unit.words() for unit in units] for _, units in res] == [[["a", "b"], ["b"]]] * 2
+
+
 def test_raw_flag_must_match_input_shape(db, toy_wec):
     with pytest.raises(WecdbError, match="raw=True"):
         db.get_vectors(TOY, None, inputs=[["tokens"]], raw=True)
@@ -297,13 +309,20 @@ def eq_db(tmp_path_factory):
 
 
 def _reference_unit(db, norm, unit, raw, in_order):
-    """Per-unit path: pipeline, join against the store itself, own store read."""
+    """Plain per-unit lookup, ``(raw, tokens, pairs, missing)``: pipeline,
+    then the WEC's join, then one ``store.get`` per token (per distinct
+    token unless ``in_order``); missing tokens once each, first seen first."""
     entry = db.catalog.require(norm)
-    if raw:
-        tokens = db.join_phrases(entry, run_pipeline(entry.pipeline, unit))
-    else:
-        tokens = list(unit)
-    return lookup_unit(db.open_store(entry), unit if raw else "", tokens, in_order)
+    tokens = db.join_phrases(entry, run_pipeline(entry.pipeline, unit)) if raw else list(unit)
+    store = db.open_store(entry)
+    pairs, missing = [], []
+    for token in tokens if in_order else dict.fromkeys(tokens):
+        vector = store.get(token)
+        if vector is not None:
+            pairs.append((token, vector))
+        elif token not in missing:
+            missing.append(token)
+    return (unit if raw else "", tokens, pairs, missing)
 
 
 @given(
@@ -322,9 +341,13 @@ def test_batched_retrieval_equals_per_unit_reference(eq_db, units, raw, in_order
     for norm, got_units in res:
         assert len(got_units) == len(inputs)
         for unit, got in zip(inputs, got_units):
-            want = _reference_unit(eq_db, norm, unit, raw, in_order)
-            assert (got.raw, got.tokens, got.missing) == (want.raw, want.tokens, want.missing)
-            want_pairs = [(w, v.tobytes()) for w, v in want.pairs]
+            want_raw, want_tokens, want_pairs, want_missing = _reference_unit(
+                eq_db, norm, unit, raw, in_order
+            )
+            assert (got.raw, got.tokens, got.missing) == (want_raw, want_tokens, want_missing)
+            want_pairs = [(w, v.tobytes()) for w, v in want_pairs]
+            assert got.words() == [w for w, _ in want_pairs]
+            assert [v.tobytes() for v in got.vectors()] == [v for _, v in want_pairs]
             if as_tuple:
                 assert [(w, v.tobytes()) for w, v in got.pairs] == want_pairs
             else:
