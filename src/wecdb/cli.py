@@ -136,6 +136,10 @@ def cmd_import(args) -> int:
     print(f"malformed lines: {len(report.malformed_lines)}")
     print(f"elapsed: {report.elapsed:.2f}s")
     print(
+        f"layers: parse {report.parse_s:.2f}s, insert {report.insert_s:.2f}s,"
+        f" sync {report.sync_s:.2f}s"
+    )
+    print(
         f"size: {report.bytes_text} bytes text -> {report.bytes_store} bytes store"
         f" (x{ratio})"
     )

@@ -27,7 +27,9 @@ Stages
     A user command reads one line on stdin and writes one line of tokens on
     stdout per request; the process is started lazily, kept alive, and
     serialized with a lock, so concurrent callers never interleave lines.
-    The command must flush stdout after every line (e.g. ``python3 -u``).
+    The command must flush stdout after every line (e.g. ``python3 -u``). A
+    stage that gives no line within 30 s is killed, with every process it
+    started, and the request fails with :class:`ExternalStageError`.
 
 ``stem``, ``stopword_filter`` and ``strip_special`` need tokens, so they come
 after a tokenize or external stage, and a pipeline has one of the two. A
@@ -40,10 +42,17 @@ percent-encoded; it is stable and included verbatim in catalog manifests.
 from __future__ import annotations
 
 import atexit
+import codecs
+import contextlib
 import functools
 import hashlib
+import io
+import os
+import select
+import signal
 import subprocess
 import threading
+import time
 import unicodedata
 import urllib.parse
 from dataclasses import dataclass, field
@@ -57,6 +66,7 @@ from .errors import ExternalStageError, PipelineError
 BUILTIN_STOPWORDS = "builtin:en"
 
 _HASH_PREFIX = "pipeline-hash-v1"
+_EXTERNAL_TIMEOUT_S = 30.0  # longest wait for an external stage's response line
 
 
 def _is_peelable(ch: str) -> bool:
@@ -330,12 +340,21 @@ class PreprocessCache:
 
 
 class _ExternalProcess:
-    """One persistent external-stage process, one request/response at a time."""
+    """One persistent external-stage process, one request/response at a time.
+
+    A response line is read from the pipe's file descriptor, so that the wait
+    for it can be bounded: a stage that gives no whole line within
+    ``_EXTERNAL_TIMEOUT_S`` seconds is killed with every process it started,
+    and the next request starts a fresh one. Bytes are decoded and newlines
+    translated as ``proc.stdout.readline()`` would do it.
+    """
 
     def __init__(self, command: str):
         self.command = command
         self.lock = threading.Lock()
         self.proc: subprocess.Popen | None = None
+        self._decoder: io.IncrementalNewlineDecoder | None = None
+        self._pending = ""  # decoded output not yet returned as a line
 
     def _ensure_started(self) -> subprocess.Popen:
         if self.proc is None or self.proc.poll() is not None:
@@ -346,7 +365,13 @@ class _ExternalProcess:
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
                 text=True,
+                start_new_session=True,  # its own process group, killed as one
             )
+            decoder = codecs.getincrementaldecoder(self.proc.stdout.encoding)
+            self._decoder = io.IncrementalNewlineDecoder(
+                decoder(self.proc.stdout.errors), translate=True
+            )
+            self._pending = ""
         return self.proc
 
     def process_line(self, line: str) -> list[str]:
@@ -355,7 +380,7 @@ class _ExternalProcess:
             try:
                 proc.stdin.write(line.replace("\n", " ") + "\n")
                 proc.stdin.flush()
-                out = proc.stdout.readline()
+                out = self._read_line(proc)
             except (BrokenPipeError, OSError) as exc:
                 raise ExternalStageError(
                     f"external stage {self.command!r} failed: {exc}"
@@ -367,6 +392,30 @@ class _ExternalProcess:
                     + (f" (exit code {code})" if code is not None else "")
                 )
             return out.split()
+
+    def _read_line(self, proc: subprocess.Popen) -> str:
+        """The next output line with its newline, or what is left at end of output."""
+        fd = proc.stdout.fileno()
+        ready = select.poll()  # unlike select(), works for any descriptor number
+        ready.register(fd, select.POLLIN)
+        deadline = time.monotonic() + _EXTERNAL_TIMEOUT_S
+        while (end := self._pending.find("\n")) < 0:
+            wait = deadline - time.monotonic()
+            if wait <= 0 or not ready.poll(wait * 1000):
+                with contextlib.suppress(ProcessLookupError):
+                    os.killpg(proc.pid, signal.SIGKILL)
+                self.close()
+                raise ExternalStageError(
+                    f"external stage {self.command!r} gave no output line"
+                    f" within {_EXTERNAL_TIMEOUT_S:g} s and was stopped"
+                )
+            chunk = os.read(fd, 65536)
+            self._pending += self._decoder.decode(chunk, final=not chunk)
+            if not chunk:  # end of output
+                out, self._pending = self._pending, ""
+                return out
+        out, self._pending = self._pending[: end + 1], self._pending[end + 1 :]
+        return out
 
     def close(self) -> None:
         proc, self.proc = self.proc, None

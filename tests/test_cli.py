@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -42,6 +43,7 @@ def test_import_reports_counts(root, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "imported: 5" in out
     assert "bytes store" in out
+    assert re.search(r"^layers: parse \d+\.\d\ds, insert \d+\.\d\ds, sync \d+\.\d\ds$", out, re.M)
 
 
 def test_import_rejects_bad_identifier(root, tmp_path, capsys):

@@ -1,6 +1,8 @@
 import itertools
 import pickle
+import shlex
 import sys
+import time
 import unicodedata
 
 import pytest
@@ -488,3 +490,56 @@ def test_external_after_tokenize_gets_the_tokens_joined_by_spaces():
     p = PipelineDescriptor((tok, fold, Stage("external", (cmd, "x"))))
     raw = "Nets,\tNets!"
     assert run_pipeline(p, raw) == _reference_run(p, raw) == ["nets_,_nets_!"]
+
+
+def test_a_hung_external_stage_times_out_and_the_next_call_restarts_it(monkeypatch):
+    import subprocess
+
+    from wecdb import pipeline
+    from wecdb.errors import ExternalStageError
+
+    monkeypatch.setattr(pipeline, "_EXTERNAL_TIMEOUT_S", 0.5)
+    started = []
+    popen = subprocess.Popen
+
+    def recorded(*args, **kwargs):
+        started.append(popen(*args, **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(subprocess, "Popen", recorded)
+    cmd = f'{sys.executable} -c "import sys, time; sys.stdin.readline(); time.sleep(60)"'
+    runner = _ExternalProcess(cmd)
+    for call in (1, 2):
+        began = time.monotonic()
+        with pytest.raises(ExternalStageError, match=r"within 0\.5 s") as excinfo:
+            runner.process_line("one")
+        assert cmd in str(excinfo.value)
+        assert time.monotonic() - began < 10
+        assert runner.proc is None
+        assert len(started) == call  # each call started its own process
+        killed = started[-1]
+        assert killed.returncode is not None
+        assert killed.stdin.closed and killed.stdout.closed
+    runner.close()
+
+
+def test_external_stage_lines_are_read_one_per_request():
+    # two answers written at once, then one in two pieces: each request
+    # gets exactly one line, with universal newlines as in readline()
+    script = (
+        "import sys, time\n"
+        "sys.stdin.readline()\n"
+        "sys.stdout.write('a b\\r\\nc\\n'); sys.stdout.flush()\n"
+        "sys.stdin.readline()\n"
+        "sys.stdin.readline()\n"
+        "sys.stdout.write('d'); sys.stdout.flush(); time.sleep(0.2)\n"
+        "sys.stdout.write(' e\\n'); sys.stdout.flush()\n"
+        "sys.stdin.readline()\n"
+        "sys.stdout.write('tail')\n"
+    )
+    runner = _ExternalProcess(f"{sys.executable} -c {shlex.quote(script)}")
+    assert runner.process_line("1") == ["a", "b"]
+    assert runner.process_line("2") == ["c"]
+    assert runner.process_line("3") == ["d", "e"]
+    assert runner.process_line("4") == ["tail"]  # last output without a newline
+    runner.close()
