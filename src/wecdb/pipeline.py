@@ -28,8 +28,9 @@ Stages
     stdout per request; the process is started lazily, kept alive, and
     serialized with a lock, so concurrent callers never interleave lines.
     The command must flush stdout after every line (e.g. ``python3 -u``). A
-    stage that gives no line within 30 s is killed, with every process it
-    started, and the request fails with :class:`ExternalStageError`.
+    stage that has not taken a request and answered it with a line within
+    30 s is killed, with every process it started, and the request fails
+    with :class:`ExternalStageError`.
 
 ``stem``, ``stopword_filter`` and ``strip_special`` need tokens, so they come
 after a tokenize or external stage, and a pipeline has one of the two. A
@@ -342,11 +343,13 @@ class PreprocessCache:
 class _ExternalProcess:
     """One persistent external-stage process, one request/response at a time.
 
-    A response line is read from the pipe's file descriptor, so that the wait
-    for it can be bounded: a stage that gives no whole line within
+    A request is written to and its response line read from the pipes' file
+    descriptors, so that both waits can be bounded: a stage that has not
+    taken the request and given a whole line back within
     ``_EXTERNAL_TIMEOUT_S`` seconds is killed with every process it started,
-    and the next request starts a fresh one. Bytes are decoded and newlines
-    translated as ``proc.stdout.readline()`` would do it.
+    and the next request starts a fresh one. Text is encoded, decoded and
+    its newlines translated as ``proc.stdin.write()`` and
+    ``proc.stdout.readline()`` would do it.
     """
 
     def __init__(self, command: str):
@@ -367,6 +370,7 @@ class _ExternalProcess:
                 text=True,
                 start_new_session=True,  # its own process group, killed as one
             )
+            os.set_blocking(self.proc.stdin.fileno(), False)  # writes wait in poll(), not write()
             decoder = codecs.getincrementaldecoder(self.proc.stdout.encoding)
             self._decoder = io.IncrementalNewlineDecoder(
                 decoder(self.proc.stdout.errors), translate=True
@@ -377,10 +381,10 @@ class _ExternalProcess:
     def process_line(self, line: str) -> list[str]:
         with self.lock:
             proc = self._ensure_started()
+            deadline = time.monotonic() + _EXTERNAL_TIMEOUT_S
             try:
-                proc.stdin.write(line.replace("\n", " ") + "\n")
-                proc.stdin.flush()
-                out = self._read_line(proc)
+                self._write_line(proc, line.replace("\n", " ") + "\n", deadline)
+                out = self._read_line(proc, deadline)
             except (BrokenPipeError, OSError) as exc:
                 raise ExternalStageError(
                     f"external stage {self.command!r} failed: {exc}"
@@ -393,22 +397,22 @@ class _ExternalProcess:
                 )
             return out.split()
 
-    def _read_line(self, proc: subprocess.Popen) -> str:
+    def _write_line(self, proc: subprocess.Popen, line: str, deadline: float) -> None:
+        """Write ``line`` to the stage, as much at a time as its pipe takes."""
+        fd = proc.stdin.fileno()
+        data = memoryview(line.encode(proc.stdin.encoding, proc.stdin.errors))
+        while data:
+            self._wait(proc, fd, select.POLLOUT, deadline)
+            try:
+                data = data[os.write(fd, data) :]
+            except BlockingIOError:
+                pass  # the pipe filled up again; wait for it
+
+    def _read_line(self, proc: subprocess.Popen, deadline: float) -> str:
         """The next output line with its newline, or what is left at end of output."""
         fd = proc.stdout.fileno()
-        ready = select.poll()  # unlike select(), works for any descriptor number
-        ready.register(fd, select.POLLIN)
-        deadline = time.monotonic() + _EXTERNAL_TIMEOUT_S
         while (end := self._pending.find("\n")) < 0:
-            wait = deadline - time.monotonic()
-            if wait <= 0 or not ready.poll(wait * 1000):
-                with contextlib.suppress(ProcessLookupError):
-                    os.killpg(proc.pid, signal.SIGKILL)
-                self.close()
-                raise ExternalStageError(
-                    f"external stage {self.command!r} gave no output line"
-                    f" within {_EXTERNAL_TIMEOUT_S:g} s and was stopped"
-                )
+            self._wait(proc, fd, select.POLLIN, deadline)
             chunk = os.read(fd, 65536)
             self._pending += self._decoder.decode(chunk, final=not chunk)
             if not chunk:  # end of output
@@ -416,6 +420,20 @@ class _ExternalProcess:
                 return out
         out, self._pending = self._pending[: end + 1], self._pending[end + 1 :]
         return out
+
+    def _wait(self, proc: subprocess.Popen, fd: int, event: int, deadline: float) -> None:
+        """Wait for ``event`` on ``fd``; past ``deadline``, stop the stage and raise."""
+        ready = select.poll()  # unlike select(), works for any descriptor number
+        ready.register(fd, event)
+        wait = deadline - time.monotonic()
+        if wait <= 0 or not ready.poll(wait * 1000):
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            self.close()
+            raise ExternalStageError(
+                f"external stage {self.command!r} did not answer"
+                f" within {_EXTERNAL_TIMEOUT_S:g} s and was stopped"
+            )
 
     def close(self) -> None:
         proc, self.proc = self.proc, None

@@ -34,10 +34,11 @@ as a ``count dims`` header (word2vec text convention). Floats are parsed
 to the nearest binary64 and then rounded to the nearest binary32
 (round-half-even); re-retrieval is bit-exact against that conversion.
 Data lines are parsed in groups by numpy's C text reader (``np.loadtxt``),
-with the per-line parse (``line.split()`` and :func:`parse_vector_text`)
-as the fallback for any group the reader refuses or would read otherwise;
-the accepted set, the malformed-line reports and the error raised are
-those of the per-line parse.
+which also takes the trailing space the word2vec and fastText tools write
+at the end of each line, with the per-line parse (``line.split()`` and
+:func:`parse_vector_text`) as the fallback for any group the reader
+refuses or would read otherwise; the accepted set, the malformed-line
+reports and the error raised are those of the per-line parse.
 """
 
 from __future__ import annotations
@@ -312,7 +313,6 @@ def import_from_file(
             " CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT);"
             f" INSERT INTO meta VALUES ('format', '{_FORMAT}'), ('dims', '{int(dims)}');"
         )
-        mark = time.perf_counter()
         lines = enumerate(fh, start=1)
         first = next(lines, None)
         if first is not None:
@@ -325,15 +325,24 @@ def import_from_file(
         # exactly every _BATCH_ROWS data lines, as in a line-by-line loop
         group_rows = max(1, _GROUP_BYTES // (8 * dims))
         pending: list[tuple[int, str, bytes] | None] = []
-        while group := list(islice(lines, min(group_rows, _BATCH_ROWS - len(pending)))):
-            pending += _parse_group(group, dims, report, on_malformed)
-            if len(pending) == _BATCH_ROWS:
-                mark = _timed_insert(conn, pending, on_duplicate, report, mark)
-        mark = _timed_insert(conn, pending, on_duplicate, report, mark)
+        while True:
+            start = time.perf_counter()
+            group = list(islice(lines, min(group_rows, _BATCH_ROWS - len(pending))))
+            if group:
+                pending += _parse_group(group, dims, report, on_malformed)
+            report.parse_s += time.perf_counter() - start
+            if len(pending) == _BATCH_ROWS or not group:
+                start = time.perf_counter()
+                _insert_batch(conn, pending, on_duplicate, report)
+                pending.clear()
+                report.insert_s += time.perf_counter() - start
+            if not group:
+                break
+        start = time.perf_counter()
         conn.execute("COMMIT")
     with open(dest, "rb") as fh:
         os.fsync(fh.fileno())
-    report.sync_s = time.perf_counter() - mark
+    report.sync_s = time.perf_counter() - start
 
     report.elapsed = time.perf_counter() - started
     report.bytes_store = os.path.getsize(dest)
@@ -346,9 +355,11 @@ def _parse_group(
     """Parse ``(lineno, line)`` data lines with one numpy call, else line by line.
 
     The C reader of ``np.loadtxt`` parses the text after each line's first
-    space. Its result is used only when every word is what ``line.split()``
-    gives (non-empty, no whitespace) and it holds one row of ``dims`` values
-    per line. The reader skips blank lines and refuses some text that
+    space, without its trailing whitespace, which ``line.split()`` drops too
+    (the word2vec and fastText tools end every line with a space). Its
+    result is used only when every word is what ``line.split()`` gives
+    (non-empty, no whitespace), no line is blank after the word, and it holds
+    one row of ``dims`` values per line. The reader refuses some text that
     :func:`_parse_line` accepts (``1_0``, non-ASCII digits, runs of spaces,
     tabs), so any other outcome parses the whole group with
     :func:`_parse_line`: the accepted set, the malformed-line reports and the
@@ -357,9 +368,9 @@ def _parse_group(
     """
     parts = [line.partition(" ") for _, line in group]
     words = [word for word, _, _ in parts]
-    rests = [rest for _, _, rest in parts]
-    # the reader warns on a group whose every line it skips as blank
-    if " ".join(words).split() == words and "" not in rests and "\n" not in rests:
+    rests = [rest.rstrip() for _, _, rest in parts]
+    # the reader skips blank lines, and warns on a group of nothing else
+    if " ".join(words).split() == words and "" not in rests:
         try:
             values = np.loadtxt(rests, dtype="<f8", delimiter=" ", comments=None, ndmin=2)
         except ValueError:
@@ -396,23 +407,6 @@ def _malformed(lineno: int, reason: str, report: ImportReport, on_malformed: str
         raise MalformedLineError(lineno, reason)
     report.malformed_lines.append((lineno, reason))
     return None
-
-
-def _timed_insert(
-    conn: sqlite3.Connection,
-    pending: list[tuple[int, str, bytes] | None],
-    on_duplicate: str,
-    report: ImportReport,
-    since: float,
-) -> float:
-    """Insert and clear ``pending``, counting the time from ``since`` as parsing."""
-    start = time.perf_counter()
-    report.parse_s += start - since
-    _insert_batch(conn, pending, on_duplicate, report)
-    pending.clear()
-    end = time.perf_counter()
-    report.insert_s += end - start
-    return end
 
 
 def _insert_batch(

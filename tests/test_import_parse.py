@@ -166,14 +166,19 @@ def test_grouped_parse_matches_the_line_by_line_import(case, on_duplicate, batch
         _compare(text, dims, on_duplicate, on_malformed, batch_rows, group_rows)
 
 
+def _full_size_lines(n, dims, trailing):
+    return [
+        f"w{i} " + " ".join(f"{(i * 7 + j) % 101 / 13 - 3:.5f}" for j in range(dims)) + trailing
+        for i in range(n)
+    ]
+
+
+@pytest.mark.parametrize("trailing", ["", " "])
 @pytest.mark.parametrize("on_malformed", ["fail", "skip"])
-def test_grouped_parse_matches_over_many_full_size_groups(on_malformed):
+def test_grouped_parse_matches_over_many_full_size_groups(on_malformed, trailing):
     # 64-d: 512 lines per group, 4,096 per batch; odd lines in the second batch
     dims = 64
-    lines = [
-        f"w{i} " + " ".join(f"{(i * 7 + j) % 101 / 13 - 3:.5f}" for j in range(dims))
-        for i in range(5000)
-    ]
+    lines = _full_size_lines(5000, dims, trailing)
     # two lines that the per-line parse accepts and numpy's reader refuses
     lines[4500] = lines[4500].replace(" ", "  ", 1)
     word, _, rest = lines[4700].partition(" ")
@@ -187,6 +192,16 @@ def test_grouped_parse_matches_over_many_full_size_groups(on_malformed):
         assert outcome[0] == 4999 and outcome[2] == [(4801, reason)]
     else:
         assert outcome[:2] == (MalformedLineError, 4801)
+
+
+@pytest.mark.parametrize("trailing", ["", " ", " \t"])
+def test_trailing_whitespace_stays_on_the_grouped_parse(tmp_path, monkeypatch, trailing):
+    # word2vec and fastText text files end every line with a space
+    calls = []
+    monkeypatch.setattr(store, "_parse_line", lambda *args: calls.append(args))
+    (tmp_path / "wec.txt").write_text("\n".join(_full_size_lines(1000, 64, trailing)) + "\n")
+    report = import_from_file(tmp_path / "wec.txt", tmp_path / "wec.db", 64)
+    assert report.imported == 1000 and calls == []
 
 
 def _numbered(n):

@@ -523,6 +523,29 @@ def test_a_hung_external_stage_times_out_and_the_next_call_restarts_it(monkeypat
     runner.close()
 
 
+def test_a_stage_that_stops_reading_times_out_on_a_long_request(monkeypatch):
+    from wecdb import pipeline
+    from wecdb.errors import ExternalStageError
+
+    monkeypatch.setattr(pipeline, "_EXTERNAL_TIMEOUT_S", 0.5)
+    # the request is far larger than a pipe holds, and nothing reads it
+    runner = _ExternalProcess(f'{sys.executable} -c "import time; time.sleep(60)"')
+    began = time.monotonic()
+    with pytest.raises(ExternalStageError, match=r"within 0\.5 s"):
+        runner.process_line("x" * (1 << 20))
+    assert time.monotonic() - began < 10
+    assert runner.proc is None
+
+
+def test_a_request_larger_than_the_pipe_reaches_the_stage_whole():
+    runner = _ExternalProcess(
+        f'{sys.executable} -u -c "import sys\nfor line in sys.stdin: print(len(line.split()))"'
+    )
+    assert runner.process_line("é " * 300_000) == ["300000"]
+    assert runner.process_line("a b") == ["2"]
+    runner.close()
+
+
 def test_external_stage_lines_are_read_one_per_request():
     # two answers written at once, then one in two pieces: each request
     # gets exactly one line, with universal newlines as in readline()
