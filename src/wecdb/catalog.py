@@ -215,10 +215,18 @@ class Catalog:
         return self._load().get(norm)
 
     def require(self, ident: WecIdentifier | str) -> CatalogEntry:
-        entry = self.lookup(ident)
-        if entry is None:
-            raise UnknownWecError(f"no WEC registered as {_normalize_arg(ident)!r}")
+        (entry,) = self.require_all((ident,))
         return entry
+
+    def require_all(self, idents) -> list[CatalogEntry]:
+        """The entry of each identifier, in order, all from one read of the
+        manifest; raises :class:`UnknownWecError` for the first unregistered one."""
+        norms = [_normalize_arg(ident) for ident in idents]
+        entries = self._load()
+        for norm in norms:
+            if norm not in entries:
+                raise UnknownWecError(f"no WEC registered as {norm!r}")
+        return [entries[norm] for norm in norms]
 
     def list_entries(self, attr_filter: dict[str, str] | None = None) -> list[CatalogEntry]:
         """Entries whose identifier contains every filter pair, by normalized string."""

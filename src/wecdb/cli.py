@@ -292,8 +292,7 @@ def cmd_heatmap(args) -> int:
         cache = PreprocessCache()
         outdir = Path(args.outdir)
         outdir.mkdir(parents=True, exist_ok=True)
-        for ident in query.expanded:
-            entry = db.catalog.require(ident)
+        for entry in db.catalog.require_all(query.expanded):
             units = lookup_units(
                 db, entry, [args.sentence1, args.sentence2], raw=True, cache=cache,
                 in_order=False, join=not args.no_phrases,

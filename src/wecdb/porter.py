@@ -6,11 +6,21 @@ longest matching suffix is selected; if its condition fails, the step does
 nothing. Words of length one or two are returned unchanged, and only
 lowercase ASCII words are stemmed (input is lowercased first; tokens with
 non-alphabetic characters should not be passed here).
+
+:func:`stem` is a pure function of its argument, so its answers are kept in
+a bounded, process-wide least-recently-used memo of ``_STEM_MEMO_SIZE``
+words (``stem.cache_info()`` reports its use): a repeated word costs one
+dictionary lookup, and the results are those of the rules themselves
+(``stem.__wrapped__``). The rule tables are built once, at import.
 """
 
 from __future__ import annotations
 
+import functools
+
 _VOWELS = frozenset("aeiou")
+# a full memo holds about 12.5 MiB: ~200 bytes per word of 3-15 letters, key and stem included
+_STEM_MEMO_SIZE = 1 << 16
 
 
 def _is_consonant(word: str, i: int) -> bool:
@@ -65,8 +75,12 @@ def _longest_rule(word: str, rules: list[tuple[str, str]]) -> tuple[str, str] | 
     return best
 
 
+_STEP1A_RULES = [("sses", "ss"), ("ies", "i"), ("ss", "ss"), ("s", "")]
+_STEP1B_RULES = [("at", "ate"), ("bl", "ble"), ("iz", "ize")]
+
+
 def _step1a(word: str) -> str:
-    rule = _longest_rule(word, [("sses", "ss"), ("ies", "i"), ("ss", "ss"), ("s", "")])
+    rule = _longest_rule(word, _STEP1A_RULES)
     if rule:
         return word[: len(word) - len(rule[0])] + rule[1]
     return word
@@ -85,7 +99,7 @@ def _step1b(word: str) -> str:
             break
     if stripped is None:
         return word
-    rule = _longest_rule(stripped, [("at", "ate"), ("bl", "ble"), ("iz", "ize")])
+    rule = _longest_rule(stripped, _STEP1B_RULES)
     if rule:
         return stripped[: len(stripped) - len(rule[0])] + rule[1]
     if _ends_double_consonant(stripped) and stripped[-1] not in "lsz":
@@ -114,9 +128,12 @@ _STEP3_RULES = [
     ("ical", "ic"), ("ful", ""), ("ness", ""),
 ]
 
-_STEP4_SUFFIXES = [
-    "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
-    "ment", "ent", "ion", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
+_STEP4_RULES = [
+    (suffix, "")
+    for suffix in (
+        "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
+        "ment", "ent", "ion", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
+    )
 ]
 
 
@@ -135,7 +152,7 @@ def _step3(word: str) -> str:
 
 
 def _step4(word: str) -> str:
-    rule = _longest_rule(word, [(s, "") for s in _STEP4_SUFFIXES])
+    rule = _longest_rule(word, _STEP4_RULES)
     if rule is None:
         return word
     stem = word[: len(word) - len(rule[0])]
@@ -161,11 +178,15 @@ def _step5b(word: str) -> str:
     return word
 
 
+_STEPS = (_step1a, _step1b, _step1c, _step2, _step3, _step4, _step5a, _step5b)
+
+
+@functools.lru_cache(maxsize=_STEM_MEMO_SIZE)
 def stem(word: str) -> str:
-    """Return the Porter stem of ``word``."""
+    """Return the Porter stem of ``word``, from the memo when it was asked before."""
     word = word.lower()
     if len(word) <= 2:
         return word
-    for step in (_step1a, _step1b, _step1c, _step2, _step3, _step4, _step5a, _step5b):
+    for step in _STEPS:
         word = step(word)
     return word

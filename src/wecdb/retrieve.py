@@ -239,7 +239,10 @@ def get_vectors(
     is a string and is run through the owning WEC's bound pipeline (then
     its phrase model or vocabulary join, if configured) via the shared
     ``cache``; with ``raw=False`` each unit is a ready token list and the
-    pipeline is bypassed. Each WEC's store is read once per call.
+    pipeline is bypassed. Every identifier the query expands to is resolved
+    from one read of the catalog manifest, so a call sees one catalog
+    version and an unknown identifier raises before any store is opened.
+    Each WEC's store is read once per call.
     """
     from .identifier import WecQuery, parse_query
 
@@ -247,8 +250,7 @@ def get_vectors(
         query = parse_query(query)
     inputs = list(inputs)  # read once: every WEC gets the same units
     result = RetrievalResult()
-    for ident in query.expanded:
-        entry = db.catalog.require(ident)
+    for entry in db.catalog.require_all(query.expanded):
         units = lookup_units(db, entry, inputs, raw, cache, in_order)
         if not as_tuple:
             for unit in units:

@@ -276,6 +276,23 @@ def test_heatmap_svg_format(root, tmp_path):
     assert svg.count("<rect ") == 4
 
 
+def test_heatmap_reads_the_manifest_once(root, tmp_path, monkeypatch):
+    from wecdb.catalog import Catalog
+
+    for dims in (2, 3, 4):
+        write_wec_text(tmp_path / f"w{dims}.txt", ["theory", "net"], dims=dims)
+        assert main(["--root", root, "import", str(tmp_path / f"w{dims}.txt"),
+                     f"algo:a;dataset:d;dims:{dims};fold:0;unit:token", "--create"]) == 0
+    loads = []
+    real_load = Catalog._load
+    monkeypatch.setattr(Catalog, "_load", lambda self: loads.append(1) or real_load(self))
+    outdir = tmp_path / "hm"
+    assert main(["--root", root, "heatmap", "algo:a;dataset:d;dims:{2,3,4};fold:0;unit:token",
+                 "theory net", "net", "--outdir", str(outdir)]) == 0
+    assert len(list(outdir.glob("*.csv"))) == 3
+    assert len(loads) == 1
+
+
 def test_heatmap_pipeline_error_names_the_wec(root, tmp_path, capsys):
     from wecdb import Database
     from wecdb.identifier import parse_identifier

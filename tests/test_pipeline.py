@@ -61,6 +61,13 @@ def test_stem_stage_applies_porter():
     assert run_pipeline(p, "running computations easily") == ["run", "comput", "easili"]
 
 
+def test_stem_step_looks_porter_stem_up_when_it_runs(monkeypatch):
+    # the benchmark's tracer counts stems by rebinding this name
+    p = build_pipeline(case_fold=True, stem=True)
+    monkeypatch.setattr(porter, "stem", str.upper)
+    assert run_pipeline(p, "running computations") == ["RUNNING", "COMPUTATIONS"]
+
+
 def test_stem_skips_non_alphabetic_tokens():
     p = build_pipeline(case_fold=True, stem=True)
     assert run_pipeline(p, "v2 running") == ["v2", "run"]

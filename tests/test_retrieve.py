@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wecdb import Database, PreprocessCache, UnknownWecError, WecdbError
+from wecdb.catalog import Catalog
 from wecdb.pipeline import run_pipeline
 
 from conftest import write_wec_text
@@ -108,6 +109,43 @@ def test_unknown_wec_error_carries_identifier(db, toy_wec):
             "algo:glove;dataset:toy;dims:9;fold:1;unit:token", None,
             inputs=[["x"]], raw=False,
         )
+
+
+def _three_wecs(db, tmp_path):
+    for dims in (2, 3, 4):
+        write_wec_text(tmp_path / f"w{dims}.txt", ["alpha", "beta"], dims=dims)
+        db.import_from_file(
+            tmp_path / f"w{dims}.txt", f"algo:a;dataset:d;dims:{dims};fold:0;unit:token"
+        )
+
+
+def test_multi_wec_call_reads_the_manifest_once(db, tmp_path, monkeypatch):
+    _three_wecs(db, tmp_path)
+    loads = []
+    real_load = Catalog._load
+    monkeypatch.setattr(Catalog, "_load", lambda self: loads.append(1) or real_load(self))
+    res = db.get_vectors(
+        "algo:a;dataset:d;dims:{2,3,4};fold:0;unit:token", None,
+        inputs=["alpha gamma"], raw=True,
+    )
+    assert len(res) == 3
+    assert len(loads) == 1
+
+
+def test_unknown_last_wec_raises_before_any_store_opens(db, tmp_path, monkeypatch):
+    _three_wecs(db, tmp_path)
+    opens = []
+    real_open = Database.open_store
+    monkeypatch.setattr(
+        Database, "open_store", lambda self, entry: opens.append(entry) or real_open(self, entry)
+    )
+    with pytest.raises(UnknownWecError) as exc:
+        db.get_vectors(
+            "algo:a;dataset:d;dims:{2,3,9};fold:0;unit:token", None,
+            inputs=[["alpha"]], raw=False,
+        )
+    assert str(exc.value) == "no WEC registered as 'algo:a;dataset:d;dims:9;fold:0;unit:token'"
+    assert opens == []
 
 
 def test_shared_cache_hits_on_second_call(db, toy_wec):
