@@ -90,8 +90,8 @@ def _unit_means(
 
     Unit i's vector is row i of the float32 matrix ``means[width[i]]``;
     ``width[i]`` is -1 where the vector is undefined. Retrieved units are
-    grouped by the batch of their store read, and each group's rows are
-    gathered straight from the batch's row array. Hand-built units are
+    grouped by the batch of their store read, and each group's rows come
+    from one :meth:`~wecdb.retrieve._Batch.spans` call. Hand-built units are
     grouped by width, their pairs stacked for this call only (a vector
     changed between calls is read anew). Each group takes the stopword mask
     once per row of its matrix and goes to one :func:`_row_means`.
@@ -118,11 +118,7 @@ def _unit_means(
         lengths.append(len(pairs))
     groups = []
     for batch, members, positions in batches.values():
-        starts = batch.starts[positions]
-        lengths = batch.starts[np.add(positions, 1)] - starts
-        ends = np.cumsum(lengths)
-        gather = np.repeat(starts - (ends - lengths), lengths) + np.arange(ends[-1])
-        groups.append((members, batch.found.matrix, batch.found, batch.rows[gather], lengths))
+        groups.append((members, batch.found.matrix, batch.found, *batch.spans(positions)))
     for members, stacked, lengths in by_width.values():
         matrix = np.array([vec for _, vec in stacked])
         words = [word for word, _ in stacked]

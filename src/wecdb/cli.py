@@ -15,6 +15,7 @@ variable. Exit code is 0 iff the command completed without an error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -274,9 +275,8 @@ def cmd_sts(args) -> int:
             f"stopwords: {args.stopwords} sha256={stop_hash}",
             f"cache: {cache.hits} hits / {cache.misses} misses",
         ]
-        stems = {entry.normalized: entry.file_stem for entry in db.catalog.list_entries()}
         for norm, rows in ranking.per_wec:
-            path = outdir / f"{stems[norm]}.ranking.tsv"
+            path = outdir / f"{both.entries[norm].file_stem}.ranking.tsv"
             analyse.write_ranking(rows, path)
             undefined = len(ranking.undefined_pairs.get(norm, []))
             info.append(f"wec: {norm} ranked={len(rows)} undefined={undefined} file={path.name}")
@@ -293,9 +293,10 @@ def cmd_heatmap(args) -> int:
         outdir = Path(args.outdir)
         outdir.mkdir(parents=True, exist_ok=True)
         for entry in db.catalog.require_all(query.expanded):
+            if args.no_phrases:  # a copy for this run; the catalog keeps its join
+                entry = dataclasses.replace(entry, phrase_model_ref=None, vocab_join_max_len=None)
             units = lookup_units(
-                db, entry, [args.sentence1, args.sentence2], raw=True, cache=cache,
-                in_order=False, join=not args.no_phrases,
+                db, entry, [args.sentence1, args.sentence2], raw=True, cache=cache, in_order=False
             )
             matrix = analyse.similarity_matrix(units[0], units[1], metric=metric)
             path = outdir / f"{entry.file_stem}.heatmap.{args.format}"

@@ -3,8 +3,9 @@
 The result mirrors the identifier-first nesting users iterate over:
 
     RetrievalResult.per_wec          one (normalized identifier, units) per
-                                     expanded query identifier, in expansion
-                                     order
+                                     expanded identifier, in expansion order
+    RetrievalResult.entries          each such identifier's catalog entry
+                                     (empty in a result built by hand)
     UnitResult (one per input unit)  raw input, tokens used for lookup,
                                      (word, vector) pairs, missing tokens
 
@@ -22,9 +23,11 @@ matrix rows for every found token of every unit, in unit order, and each
 unit's start offset in it. A retrieved unit is a view of its span of that
 array; ``pairs``, ``words()``, ``vectors()`` and ``missing`` are built from
 the batch on first read, and units of one WEC share the one view of a word
-they have in common. Analysis gathers the rows of many units straight from
-the batch arrays. A unit built by hand holds only its ``pairs``; analysis
-stacks those per width on each call and stores nothing on the unit.
+they have in common. Analysis gathers many units' rows via :meth:`_Batch.spans`
+and reads no layout itself. A unit built by hand holds only its ``pairs``;
+analysis stacks those per width on each call and stores nothing on the unit.
+Each WEC read is one :func:`lookup_units` call, with the entry's own pipeline
+and join; ``heatmap --no-phrases`` passes a copy of the entry without a join.
 """
 
 from __future__ import annotations
@@ -35,7 +38,9 @@ from typing import Sequence
 import numpy as np
 
 from . import phrases
+from .catalog import CatalogEntry
 from .errors import PipelineError, WecdbError
+from .identifier import WecQuery, parse_query
 from .pipeline import PreprocessCache, run_pipeline
 from .store import VectorRows
 
@@ -46,12 +51,12 @@ class UnitResult:
     ``UnitResult(raw=, tokens=, pairs=, missing=)`` builds a unit by hand.
     A unit that retrieval built is a view of unit ``position`` of the
     :class:`_Batch` of its store read; its ``pairs`` (``(word, vector)``
-    tuples or, for a unit of an ``as_tuple=False`` result, bare vectors),
+    tuples or, for a batch read with ``bare=True``, bare vectors),
     ``words()``, ``vectors()`` and ``missing`` are made from the batch when
     first read.
     """
 
-    __slots__ = ("raw", "tokens", "_missing", "_pairs", "_batch", "_position", "_bare")
+    __slots__ = ("raw", "tokens", "_missing", "_pairs", "_batch", "_position")
 
     def __init__(self, raw: str, tokens: list[str], pairs: list | None, missing: list[str]):
         self.raw = raw
@@ -60,7 +65,6 @@ class UnitResult:
         self._pairs = pairs
         self._batch: _Batch | None = None
         self._position = 0
-        self._bare = False
 
     @property
     def missing(self) -> list[str]:
@@ -75,7 +79,7 @@ class UnitResult:
             found = self._batch.found
             words = self.words()
             vectors = [found[w] for w in words]
-            self._pairs = vectors if self._bare else list(zip(words, vectors))
+            self._pairs = vectors if self._batch.bare else list(zip(words, vectors))
         return self._pairs
 
     def words(self) -> list[str]:
@@ -96,11 +100,14 @@ class _Batch:
     Unit i's vectors are rows ``rows[starts[i]:starts[i + 1]]`` of
     ``found.matrix``: one row per found token, in token order, or with
     ``in_order=False`` one per distinct found token, in first-seen order.
+    ``bare`` makes each unit's ``pairs`` its vectors alone.
     """
 
-    __slots__ = ("found", "rows", "starts", "_vocab")
+    __slots__ = ("found", "rows", "starts", "bare", "_vocab")
 
-    def __init__(self, found: VectorRows, token_lists: list[list[str]], in_order: bool):
+    def __init__(
+        self, found: VectorRows, token_lists: list[list[str]], in_order: bool, bare: bool
+    ):
         get = found.index.get
         rows = np.array([get(t, -1) for tokens in token_lists for t in tokens], dtype=np.intp)
         lengths = np.fromiter(map(len, token_lists), dtype=np.intp, count=len(token_lists))
@@ -112,8 +119,7 @@ class _Batch:
             _, first = np.unique(unit_of * len(found) + rows, return_index=True)
             first.sort()
             rows, unit_of = rows[first], unit_of[first]
-        self.found = found
-        self.rows = rows
+        self.found, self.rows, self.bare = found, rows, bare
         self.starts = np.searchsorted(unit_of, np.arange(len(token_lists) + 1))
         self._vocab: list[str] | None = None
 
@@ -124,10 +130,19 @@ class _Batch:
         start, end = self.starts[position : position + 2].tolist()
         return [vocab[r] for r in self.rows[start:end].tolist()]
 
+    def spans(self, positions: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Matrix rows of the units at ``positions``, concatenated, and each one's row count."""
+        starts = self.starts[positions]
+        lengths = self.starts[np.add(positions, 1)] - starts
+        offset = starts - np.cumsum(lengths) + lengths  # a unit's start in rows minus in gather
+        gather = np.repeat(offset, lengths) + np.arange(lengths.sum())
+        return self.rows[gather], lengths
+
 
 @dataclass
 class RetrievalResult:
     per_wec: list[tuple[str, list[UnitResult]]] = field(default_factory=list)
+    entries: dict[str, CatalogEntry] = field(default_factory=dict)
 
     def __iter__(self):
         return iter(self.per_wec)
@@ -141,58 +156,54 @@ class RetrievalResult:
     def to_jsonable(self) -> dict:
         """Stable machine-readable form (identifier / raw / tokens / pairs / missing);
         a pair is ``[word, vector]``, or the bare vector of an ``as_tuple=False`` result."""
-        results = []
-        for norm, units in self.per_wec:
-            unit_docs = []
-            for unit in units:
-                unit_docs.append(
-                    {
-                        "raw": unit.raw,
-                        "tokens": list(unit.tokens),
-                        "pairs": [
-                            [p[0], p[1].tolist()] if isinstance(p, tuple) else p.tolist()
-                            for p in unit.pairs
-                        ],
-                        "missing": list(unit.missing),
-                    }
-                )
-            results.append({"identifier": norm, "units": unit_docs})
+        def pair(p):
+            return [p[0], p[1].tolist()] if isinstance(p, tuple) else p.tolist()
+
+        results = [
+            {"identifier": norm, "units": [
+                {"raw": u.raw, "tokens": list(u.tokens),
+                 "pairs": [pair(p) for p in u.pairs], "missing": list(u.missing)}
+                for u in units
+            ]}
+            for norm, units in self.per_wec
+        ]
         return {"results": results}
 
 
 def lookup_unit(store, raw_text: str, tokens: list[str], in_order: bool) -> UnitResult:
     """One UnitResult from a store and a ready token list, with a store read
     of its own; :func:`lookup_units` shares one read between units."""
-    (unit,) = _units(store.get_many(tokens), [raw_text], [list(tokens)], in_order)
+    (unit,) = _units(store.get_many(tokens), [raw_text], [list(tokens)], in_order, False)
     return unit
 
 
 def _units(
-    found: VectorRows, texts: list[str], token_lists: list[list[str]], in_order: bool
+    found: VectorRows, texts: list[str], token_lists: list[list[str]], in_order: bool,
+    bare: bool,
 ) -> list[UnitResult]:
     """One unit per token list; each unit keeps its list as its ``tokens``."""
-    batch = _Batch(found, token_lists, in_order)
+    batch = _Batch(found, token_lists, in_order, bare)
     units = []
     for i, (text, tokens) in enumerate(zip(texts, token_lists)):
         unit = UnitResult.__new__(UnitResult)  # a view; __init__ builds hand-built units
         unit.raw, unit.tokens, unit._missing, unit._pairs = text, tokens, None, None
-        unit._batch, unit._position, unit._bare = batch, i, False
+        unit._batch, unit._position = batch, i
         units.append(unit)
     return units
 
 
 def lookup_units(
-    db, entry, inputs: Sequence, raw: bool, cache: PreprocessCache | None, in_order: bool,
-    join: bool = True,
+    db, entry: CatalogEntry, inputs: Sequence, raw: bool, cache: PreprocessCache | None,
+    in_order: bool, bare: bool = False,
 ) -> list[UnitResult]:
     """Every input unit of the sequence ``inputs`` against one WEC, with a
     single store read.
 
-    With ``raw=True`` each unit runs through the WEC's pipeline and, when
-    ``join`` is on, its phrase model; one ``get_many`` then covers every
-    token of every unit plus, for vocabulary joining, every candidate
-    window, so the greedy join and the units' :class:`_Batch` both read that
-    one mapping.
+    With ``raw=True`` each unit runs through the entry's pipeline and its
+    phrase model, if it has one; one ``get_many`` then covers every token of
+    every unit plus, for the entry's vocabulary join, every candidate window,
+    so the greedy join and the units' :class:`_Batch` both read that one
+    mapping. ``bare=True`` gives units whose ``pairs`` are bare vectors.
     """
     store = db.open_store(entry)
     if raw:
@@ -203,14 +214,14 @@ def lookup_units(
             token_lists = [run_pipeline(entry.pipeline, unit, cache) for unit in inputs]
         except PipelineError as exc:
             raise PipelineError(f"[{entry.normalized}] {exc}") from exc
-        if join and entry.phrase_model_ref is not None:
+        if entry.phrase_model_ref is not None:
             token_lists = [db.join_phrases(entry, tokens) for tokens in token_lists]
     else:
         if any(isinstance(unit, str) for unit in inputs):
             raise WecdbError("raw=False expects each input unit to be a token list")
         texts = [""] * len(inputs)
         token_lists = [list(unit) for unit in inputs]
-    max_len = entry.vocab_join_max_len if raw and join else None
+    max_len = entry.vocab_join_max_len if raw else None
     wanted = [token for tokens in token_lists for token in tokens]
     if max_len is not None:
         wanted += [w for tokens in token_lists for w in phrases.vocab_windows(tokens, max_len)]
@@ -220,7 +231,7 @@ def lookup_units(
             phrases.apply_phrases_vocab(found.index.__contains__, tokens, max_len=max_len)
             for tokens in token_lists
         ]
-    return _units(found, texts, token_lists, in_order)
+    return _units(found, texts, token_lists, in_order, bare)
 
 
 def get_vectors(
@@ -241,19 +252,18 @@ def get_vectors(
     ``cache``; with ``raw=False`` each unit is a ready token list and the
     pipeline is bypassed. Every identifier the query expands to is resolved
     from one read of the catalog manifest, so a call sees one catalog
-    version and an unknown identifier raises before any store is opened.
-    Each WEC's store is read once per call.
+    version (the result's ``entries``) and an unknown identifier raises
+    before any store is opened. Each WEC's store is read once per call.
+    ``inputs`` that is one string, not a sequence of units, raises.
     """
-    from .identifier import WecQuery, parse_query
-
+    if isinstance(inputs, str):
+        raise WecdbError("inputs must be a sequence of units, not a single string")
     if not isinstance(query, WecQuery):
         query = parse_query(query)
     inputs = list(inputs)  # read once: every WEC gets the same units
     result = RetrievalResult()
     for entry in db.catalog.require_all(query.expanded):
-        units = lookup_units(db, entry, inputs, raw, cache, in_order)
-        if not as_tuple:
-            for unit in units:
-                unit._bare = True
+        units = lookup_units(db, entry, inputs, raw, cache, in_order, bare=not as_tuple)
         result.per_wec.append((entry.normalized, units))
+        result.entries[entry.normalized] = entry
     return result

@@ -293,6 +293,40 @@ def test_heatmap_reads_the_manifest_once(root, tmp_path, monkeypatch):
     assert len(loads) == 1
 
 
+def test_heatmap_no_phrases_skips_a_trained_model_and_leaves_the_catalog(root, tmp_path):
+    _import_toy(root, tmp_path)
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("petri net\n" * 30 + "net\n" * 5)
+    assert main(["--root", root, "train-phrases", str(corpus), TOY, "--threshold", "1"]) == 0
+    manifest = tmp_path / "catalog" / "catalog.manifest"
+    before = manifest.read_bytes()
+    argv = ["--root", root, "heatmap", TOY, "Petri net theory", "net computation"]
+    for outdir, flags, joined in (("off", ["--no-phrases"], False), ("on", [], True)):
+        assert main(argv + ["--outdir", str(tmp_path / outdir)] + flags) == 0
+        csv = next((tmp_path / outdir).glob("*.csv")).read_text()
+        assert ("petri_net" in csv) is joined
+        assert manifest.read_bytes() == before
+
+
+def test_sts_reads_the_manifest_once(root, tmp_path, monkeypatch):
+    from wecdb.catalog import Catalog
+
+    for dims in (2, 3, 4):
+        write_wec_text(tmp_path / f"w{dims}.txt", ["theory", "net"], dims=dims)
+        assert main(["--root", root, "import", str(tmp_path / f"w{dims}.txt"),
+                     f"algo:a;dataset:d;dims:{dims};fold:0;unit:token", "--create"]) == 0
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("theory net\tnet\nnet\ttheory\n")
+    loads = []
+    real_load = Catalog._load
+    monkeypatch.setattr(Catalog, "_load", lambda self: loads.append(1) or real_load(self))
+    outdir = tmp_path / "sts"
+    assert main(["--root", root, "sts", "algo:a;dataset:d;dims:{2,3,4};fold:0;unit:token",
+                 str(pairs), "--outdir", str(outdir)]) == 0
+    assert len(list(outdir.glob("*.ranking.tsv"))) == 3
+    assert len(loads) == 1
+
+
 def test_heatmap_pipeline_error_names_the_wec(root, tmp_path, capsys):
     from wecdb import Database
     from wecdb.identifier import parse_identifier

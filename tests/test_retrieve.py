@@ -148,6 +148,39 @@ def test_unknown_last_wec_raises_before_any_store_opens(db, tmp_path, monkeypatc
     assert opens == []
 
 
+@pytest.mark.parametrize("raw", [True, False])
+def test_a_single_string_as_inputs_is_refused_before_any_store_opens(
+    db, toy_wec, monkeypatch, raw
+):
+    opens = []
+    real_open = Database.open_store
+    monkeypatch.setattr(
+        Database, "open_store", lambda self, entry: opens.append(entry) or real_open(self, entry)
+    )
+    with pytest.raises(WecdbError, match="not a single string"):
+        db.get_vectors(TOY, None, inputs="theory net", raw=raw)
+    assert opens == []
+
+
+def test_result_entries_come_from_the_one_manifest_read(db, tmp_path):
+    from wecdb.analyse import pairwise_distances
+    from wecdb.retrieve import RetrievalResult
+
+    _three_wecs(db, tmp_path)
+    query = "algo:a;dataset:d;dims:{4,2,3};fold:0;unit:token"
+    res = db.get_vectors(query, None, inputs=["alpha", "beta gamma"], raw=True)
+    norms = [f"algo:a;dataset:d;dims:{d};fold:0;unit:token" for d in (4, 2, 3)]
+    assert list(res.entries) == norms == res.identifiers()
+    assert list(res.entries.values()) == db.catalog.require_all(norms)
+    # slices built by hand, as ``wecdb sts`` makes them, carry no entries and still rank
+    first = RetrievalResult([(norm, units[:1]) for norm, units in res])
+    second = RetrievalResult([(norm, units[1:]) for norm, units in res])
+    assert first.entries == {} and second.entries == {}
+    ranking = pairwise_distances(first, second)
+    assert [norm for norm, _ in ranking.per_wec] == norms
+    assert all(len(rows) == 1 for _, rows in ranking.per_wec)
+
+
 def test_shared_cache_hits_on_second_call(db, toy_wec):
     cache = PreprocessCache()
     inputs = ["Theory of computation", "Petri net analysis"]
