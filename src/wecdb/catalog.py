@@ -137,7 +137,11 @@ class Catalog:
 
     def _load(self) -> dict[str, CatalogEntry]:
         entries: dict[str, CatalogEntry] = {}
-        for lineno, raw in enumerate(self._manifest.read_text("utf-8").splitlines(), start=1):
+        try:
+            text = self._manifest.read_text("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CatalogError(f"{self._manifest} is not UTF-8 text: {exc}") from None
+        for lineno, raw in enumerate(text.splitlines(), start=1):
             if not raw or raw.startswith("#"):
                 continue
             where = f"{self._manifest}:{lineno}"
@@ -155,7 +159,7 @@ class Catalog:
                 )
             model_ref, vocab_len = None, None
             if cols[5].startswith("model:"):
-                model_ref = cols[5][6:]
+                model_ref = _plain_name(cols[5][6:], "phrase model", where)
             elif cols[5].startswith("vocab:"):
                 vocab_len = _manifest_int(cols[5][6:], "vocab join length", where)
             elif cols[5] != "-":
@@ -166,7 +170,7 @@ class Catalog:
                 pipeline=pipeline,
                 phrase_model_ref=model_ref,
                 vocab_join_max_len=vocab_len,
-                store_file=cols[6],
+                store_file=_plain_name(cols[6], "store", where),
                 created_at=cols[7],
                 source_file=cols[8],
             )
@@ -370,6 +374,13 @@ def _manifest_int(text: str, name: str, where: str) -> int:
     if not re.fullmatch(r"[0-9]+", text):
         raise CatalogError(f"{where}: {name} {text!r} is not a non-negative integer")
     return int(text)
+
+
+def _plain_name(text: str, name: str, where: str) -> str:
+    """``text`` if it names a file in its directory, not a path elsewhere."""
+    if text in ("", ".", "..") or "/" in text or "\0" in text:
+        raise CatalogError(f"{where}: {name} {text!r} is not a plain file name")
+    return text
 
 
 def _normalize_arg(ident: WecIdentifier | str) -> str:

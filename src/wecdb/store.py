@@ -11,9 +11,13 @@ below the plain text it was imported from at typical float print widths,
 but above it at a few dimensions. A row of up to about 4 KB (about 1,000-d)
 stays on its table leaf page. Point lookups never scan the store; that is
 the whole point: retrieval cost depends on the words requested, not the
-collection size. A batched read (:meth:`WecStore.get_many`) returns a
-read-only :class:`VectorRows` mapping: the vectors it found are the
-read-only rows of one float32 matrix.
+collection size. A batched read (:meth:`WecStore.get_many`) is one
+statement: it binds the distinct words once, as one JSON array read by
+SQLite's ``json_each`` (built in by default since SQLite 3.38.0), and probes
+the word index once per word. It returns a read-only :class:`VectorRows`
+mapping: the vectors it found are the read-only rows of one float32 matrix.
+A read that SQLite cannot complete on a damaged file raises
+:class:`~wecdb.errors.StoreError` naming the file.
 
 Store format (``format`` key of the ``meta`` table): ``2`` is the layout
 above, stamped by the import that creates the table. A store without the
@@ -43,6 +47,7 @@ reports and the error raised are those of the per-line parse.
 
 from __future__ import annotations
 
+import json
 import os
 import re
 import sqlite3
@@ -56,20 +61,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    DuplicateWordError,
-    HeaderError,
-    MalformedLineError,
-    StoreError,
-    WecImportError,
-)
+from .errors import DuplicateWordError, HeaderError, MalformedLineError, StoreError
 
 _BATCH_ROWS = 4096
 _GROUP_BYTES = 256 * 1024  # bytes of float64 values per numpy parse call; bounds import memory
-_CHUNK = 256
-_SELECT_IN = f"SELECT word, vector FROM vectors WHERE word IN ({','.join('?' * _CHUNK)})"
+_SELECT_ONE = "SELECT vector FROM vectors WHERE word = ?"
+# CROSS JOIN keeps json_each outermost: one word-index probe per requested word
+_SELECT_MANY = (
+    "SELECT v.word, v.vector FROM json_each(?) AS j CROSS JOIN vectors AS v ON v.word = j.value"
+)
 _HEADER_RE = re.compile(r"(\d+) (\d+)")
 _FORMAT = "2"
+# what a read of a damaged file raises; SQLite's message may quote its damaged schema
+_READ_ERRORS = (sqlite3.DatabaseError, UnicodeDecodeError)
 
 
 @dataclass
@@ -148,7 +152,7 @@ class WecStore:
         self._conns_lock = threading.Lock()
         try:
             meta = dict(self._conn.execute("SELECT key, value FROM meta"))
-        except sqlite3.Error as exc:
+        except (sqlite3.Error, UnicodeDecodeError) as exc:
             self.close()
             raise StoreError(f"{self.path} is not a readable vector store: {exc}") from exc
         # a store without a format key predates the key: format 1, read as is
@@ -157,7 +161,11 @@ class WecStore:
             raise StoreError(
                 f"{self.path} has store format {fmt!r}; this wecdb reads formats 1 and {_FORMAT}"
             )
-        self.dims = int(meta["dims"]) if "dims" in meta else dims
+        try:
+            self.dims = int(meta["dims"]) if "dims" in meta else dims
+        except (TypeError, ValueError):
+            self.close()
+            raise StoreError(f"{self.path} records a bad vector width {meta['dims']!r}") from None
 
     @property
     def _conn(self) -> sqlite3.Connection:
@@ -171,10 +179,14 @@ class WecStore:
                 self._all_conns.append(conn)
         return conn
 
+    def _unreadable(self, exc: Exception) -> StoreError:
+        return StoreError(f"{self.path} could not be read: {exc}")
+
     def get(self, word: str) -> np.ndarray | None:
-        row = self._conn.execute(
-            "SELECT vector FROM vectors WHERE word = ?", (word,)
-        ).fetchone()
+        try:
+            row = self._conn.execute(_SELECT_ONE, (word,)).fetchone()
+        except _READ_ERRORS as exc:
+            raise self._unreadable(exc) from exc
         if row is None:
             return None
         return np.frombuffer(row[0], dtype="<f4")
@@ -182,53 +194,73 @@ class WecStore:
     def get_many(self, words: Iterable[str]) -> "VectorRows":
         """Found subset of ``words`` as a read-only mapping over one matrix.
 
-        Distinct words are read through one indexed ``IN`` list of
-        ``_CHUNK`` words per chunk; the last chunk is padded with NULL, which
-        matches no row. The one SQL text keeps SQLite's per-connection
-        statement cache at one prepared statement for any batch size; a list
-        sized to each batch would fill the cache (128 entries) with large
-        statements that stay resident. The blobs of every chunk become one
-        read-only float32 matrix with one row per found word, so a call
-        makes one array, not one per word.
+        The distinct words are bound once, as one JSON array, to one
+        statement that probes the word index once per word, in request
+        order; its one SQL text keeps SQLite's statement cache at one entry
+        for any batch size. JSON text cannot carry a NUL into SQLite, so a
+        word holding one is read on its own through :meth:`get`'s statement.
+        The blobs become one read-only float32 matrix with one row per found
+        word, so a call makes one array, not one per word. A result that
+        names a word twice or a word not asked for is refused as corrupt.
         """
         if self.dims is None:
             raise StoreError(f"{self.path} records no vector width (dims)")
-        unique = list(dict.fromkeys(words))
-        found: list[str] = []
-        blobs: list[bytes] = []
+        unique = dict.fromkeys(words)
+        text = json.dumps(list(unique), ensure_ascii=False)
+        held = []
+        if "\\u0000" in text:  # a NUL, as JSON escapes it (or a word holding that text)
+            held = [word for word in unique if "\0" in word]
+            text = json.dumps([word for word in unique if "\0" not in word], ensure_ascii=False)
         conn = self._conn
-        for start in range(0, len(unique), _CHUNK):
-            chunk = unique[start : start + _CHUNK]
-            chunk += [None] * (_CHUNK - len(chunk))
-            for word, blob in conn.execute(_SELECT_IN, chunk):
-                found.append(word)
-                blobs.append(blob)
+        try:
+            rows = conn.execute(_SELECT_MANY, (text,)).fetchall()
+            for word in held:
+                if (row := conn.execute(_SELECT_ONE, (word,)).fetchone()) is not None:
+                    rows.append((word, row[0]))
+        except _READ_ERRORS as exc:
+            raise self._unreadable(exc) from exc
+        found = [word for word, _ in rows]
+        index = dict(zip(found, range(len(found))))
+        if len(index) != len(found) or not index.keys() <= unique.keys():
+            raise StoreError(f"{self.path} is corrupt: its word index answered with other words")
+        blobs = [blob for _, blob in rows]
         size = 4 * self.dims
-        if set(map(len, blobs)) - {size}:
-            word = next(w for w, b in zip(found, blobs) if len(b) != size)
+        try:
+            whole = set(map(len, blobs)) <= {size}
+            data = b"".join(blobs)
+        except TypeError:  # a value that is not a blob
+            whole = False
+        if not whole:
+            word = next(w for w, b in rows if not isinstance(b, bytes) or len(b) != size)
             raise StoreError(
                 f"{self.path}: vector of {word!r} is not {self.dims} float32 values"
             )
-        matrix = np.frombuffer(b"".join(blobs), dtype="<f4").reshape(len(blobs), self.dims)
-        return VectorRows(matrix, dict(zip(found, range(len(found)))))
+        matrix = np.frombuffer(data, dtype="<f4").reshape(len(blobs), self.dims)
+        return VectorRows(matrix, index)
 
     def contains(self, word: str) -> bool:
-        row = self._conn.execute(
-            "SELECT 1 FROM vectors WHERE word = ? LIMIT 1", (word,)
-        ).fetchone()
+        try:
+            row = self._conn.execute(
+                "SELECT 1 FROM vectors WHERE word = ? LIMIT 1", (word,)
+            ).fetchone()
+        except _READ_ERRORS as exc:
+            raise self._unreadable(exc) from exc
         return row is not None
 
     def count(self) -> int:
-        return self._conn.execute("SELECT count(*) FROM vectors").fetchone()[0]
+        try:
+            return self._conn.execute("SELECT count(*) FROM vectors").fetchone()[0]
+        except _READ_ERRORS as exc:
+            raise self._unreadable(exc) from exc
 
     def iter_words(self) -> Iterator[str]:
-        cursor = self._conn.execute("SELECT word FROM vectors ORDER BY word")
-        while True:
-            rows = cursor.fetchmany(_BATCH_ROWS)
-            if not rows:
-                return
-            for (word,) in rows:
-                yield word
+        try:
+            cursor = self._conn.execute("SELECT word FROM vectors ORDER BY word")
+            while rows := cursor.fetchmany(_BATCH_ROWS):
+                for (word,) in rows:
+                    yield word
+        except _READ_ERRORS as exc:
+            raise self._unreadable(exc) from exc
 
     def close(self) -> None:
         with self._conns_lock:
@@ -415,29 +447,22 @@ def _insert_batch(
     on_duplicate: str,
     report: ImportReport,
 ) -> None:
-    rows = [(word, blob) for item in pending if item is not None for _, word, blob in [item]]
-    if not rows:
+    """Insert a batch's parsed rows, in line order, with one statement.
+
+    ``conn.total_changes`` counts the rows inserted: under ``keep_first`` the
+    rest are skipped duplicates; under ``reject`` the statement stops at the
+    first duplicate, after every row before it went in.
+    """
+    items = [item for item in pending if item is not None]
+    if not items:
         return
-    cur = conn.cursor()
-    if on_duplicate == "keep_first":
-        cur.executemany("INSERT OR IGNORE INTO vectors VALUES (?, ?)", rows)
-        report.imported += cur.rowcount
-        report.skipped_duplicates += len(rows) - cur.rowcount
-        return
-    conn.execute("SAVEPOINT batch")
+    verb = "INSERT OR IGNORE" if on_duplicate == "keep_first" else "INSERT"
+    before = conn.total_changes
     try:
-        cur.executemany("INSERT INTO vectors VALUES (?, ?)", rows)
-        conn.execute("RELEASE batch")
-        report.imported += len(rows)
+        conn.executemany(f"{verb} INTO vectors VALUES (?, ?)", [item[1:] for item in items])
     except sqlite3.IntegrityError:
-        conn.execute("ROLLBACK TO batch")
-        conn.execute("RELEASE batch")
-        for item in pending:
-            if item is None:
-                continue
-            lineno, word, blob = item
-            try:
-                cur.execute("INSERT INTO vectors VALUES (?, ?)", (word, blob))
-            except sqlite3.IntegrityError:
-                raise DuplicateWordError(word, lineno) from None
-        raise WecImportError("duplicate insert failed on batch but not on replay")
+        lineno, word, _ = items[conn.total_changes - before]
+        raise DuplicateWordError(word, lineno) from None
+    inserted = conn.total_changes - before
+    report.imported += inserted
+    report.skipped_duplicates += len(items) - inserted

@@ -250,6 +250,30 @@ def test_manifest_with_a_bad_number_is_refused_naming_the_line(catalog, column, 
         catalog.require(SEVEN[0])
 
 
+def test_manifest_that_is_not_utf8_is_refused_naming_it(catalog):
+    _register(catalog, SEVEN[0])
+    manifest = catalog.root / "catalog.manifest"
+    manifest.write_bytes(manifest.read_bytes().replace(b"glove", b"gl\xffve", 1))
+    with pytest.raises(CatalogError, match=r"catalog\.manifest is not UTF-8 text"):
+        catalog.list_entries()
+
+
+PATH_NAMES = [
+    (6, ""), (6, "."), (6, ".."), (6, "../other.wec"), (6, "a\0b.wec"),
+    (5, "model:"), (5, "model:.."), (5, "model:sub/m.phr"), (5, "model:m\0.phr"),
+]
+
+
+@pytest.mark.parametrize("column, value", PATH_NAMES)
+def test_manifest_file_names_must_be_plain(catalog, column, value):
+    _register(catalog, SEVEN[0])
+    _rewrite_manifest_line(
+        catalog, lambda cols: "\t".join(cols[:column] + [value] + cols[column + 1 :])
+    )
+    with pytest.raises(CatalogError, match=r"catalog\.manifest:3: .* is not a plain file name"):
+        catalog.list_entries()
+
+
 def test_entry_dims_and_pipeline_hash_are_derived(catalog):
     entry = _register(catalog, SEVEN[0])
     fields = {f.name for f in dataclasses.fields(entry)}

@@ -183,6 +183,26 @@ def test_corrupt_manifest_number_is_an_error_not_a_crash(root, tmp_path, capsys)
     err = capsys.readouterr().err
     assert err.startswith("error:") and "catalog.manifest:3: vocab_size 'five'" in err
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda line: line.replace("glove", "gl\udcffve", 1), "catalog.manifest is not UTF-8"),
+        (lambda line: line.replace(".wec", "\0.wec", 1), "catalog.manifest:3: store"),
+        (lambda line: line.replace("\talgo=", "\t../algo=", 1), "catalog.manifest:3: store"),
+    ],
+)
+def test_corrupt_manifest_file_is_an_error_not_a_crash(root, tmp_path, capsys, edit, message):
+    _import_toy(root, tmp_path)
+    manifest = tmp_path / "catalog" / "catalog.manifest"
+    lines = manifest.read_text("utf-8").splitlines()
+    lines[2] = edit(lines[2])
+    manifest.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
+    capsys.readouterr()
+    assert main(["--root", root, "list"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+
+
 def test_sts_writes_ranking_per_wec(root, tmp_path, capsys):
     _import_toy(root, tmp_path)
     pairs = tmp_path / "pairs.tsv"

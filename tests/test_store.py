@@ -12,6 +12,7 @@ from wecdb import (
     HeaderError,
     MalformedLineError,
     StoreError,
+    WecdbError,
     WecImportError,
 )
 from wecdb.catalog import Catalog
@@ -86,6 +87,19 @@ def test_duplicate_rejected_with_word_and_line(db, tmp_path):
     assert _store_files(db) == []
     path.write_text("the 1 2 3 4\nnet 5 6 7 8\n")
     assert db.import_from_file(path, IDENT).imported == 2  # retry works
+
+
+def test_reject_names_a_repeat_of_an_earlier_batch_after_new_words(tmp_path):
+    from wecdb import store as store_mod
+
+    assert store_mod._BATCH_ROWS == 4096
+    lines = [f"w{i} {i} 0.5" for i in range(1, 4097)]  # the whole first batch
+    lines += [f"new{i} {i} 1.5" for i in range(1, 11)]  # lines 4,097-4,106
+    lines += ["w17 9 9", "new11 1 1"]  # line 4,107 repeats the word of line 17
+    (tmp_path / "t.txt").write_text("\n".join(lines) + "\n")
+    with pytest.raises(DuplicateWordError) as exc:
+        import_from_file(tmp_path / "t.txt", tmp_path / "t.wec", 2)
+    assert (exc.value.word, exc.value.line) == ("w17", 4107)
 
 
 def test_failed_import_into_registered_wec_leaves_it_empty(db, tmp_path):
@@ -291,7 +305,8 @@ def test_get_many_uses_fixed_sql_texts(tmp_path):
     with WecStore(tmp_path / "s.wec") as store:
         statements: list[str] = []
         store._conn.set_trace_callback(statements.append)
-        # 16, 17 and 272 end on a partly filled (NULL-padded) chunk
+        # sizes on both sides of 16 and 256, which a fixed-size IN list
+        # would fill only in part; a call binds its words once, as one value
         for n in (1, 16, 17, 272, 399, 400, 401, 5000):
             asked = words[3000 - (n + 1) // 2 :][:n]  # about half stored, half absent
             got = store.get_many(asked + asked[:7])
@@ -321,14 +336,116 @@ def test_get_many_returns_rows_of_one_read_only_matrix(tmp_path):
             got["zz"]
         empty = store.get_many(["zz"])
         assert len(empty) == 0 and empty.matrix.shape == (0, 3)
-        _execute(path, "INSERT INTO vectors VALUES ('short', ?)", [(b"\0" * 8,)])
-        with pytest.raises(StoreError, match="'short'"):
-            store.get_many(["a", "short"])
+        _execute(path, "INSERT INTO vectors VALUES (?, ?)", [("short", b"\0" * 8), ("int", 7),
+                                                               ("text", "x" * 12)])
+        for bad in ("short", "int", "text"):
+            with pytest.raises(StoreError, match=f"'{bad}'"):
+                store.get_many(["a", bad])
     _write_store(tmp_path / "no-dims.wec", 3)
     _execute(tmp_path / "no-dims.wec", "DELETE FROM meta WHERE key = 'dims'")
     with WecStore(tmp_path / "no-dims.wec") as store:
         with pytest.raises(StoreError, match="no vector width"):
             store.get_many(["a"])
+
+
+def test_get_many_is_one_statement_per_call(tmp_path):
+    words = [f"w{i:05d}" for i in range(5000)]
+    _write_store(
+        tmp_path / "s.wec",
+        2,
+        ((w, np.array([i, -i], dtype="<f4").tobytes()) for i, w in enumerate(words[::2])),
+    )
+    with WecStore(tmp_path / "s.wec") as store:
+        statements: list[str] = []
+        store._conn.set_trace_callback(statements.append)
+        for n in (1, 256, 257, 5000):
+            statements.clear()
+            got = store.get_many(words[-n:])
+            assert len(statements) == 1, (n, len(statements))
+            assert sorted(got) == words[-n:][n % 2 :: 2]
+        store._conn.set_trace_callback(None)
+
+
+def test_get_many_reads_words_holding_nul_exactly(db, tmp_path):
+    # JSON text cannot carry a NUL into SQLite: '["a\\u0000b"]' reads as 'a'
+    words = ["a", "a\0b", "\0", "c\\u0000d", "b"]
+    expected = write_wec_text(tmp_path / "t.txt", words, dims=4)
+    db.import_from_file(tmp_path / "t.txt", IDENT)
+    store = db.open_store(db.catalog.require(IDENT))
+    for asked in (["a\0b"], ["a\0b", "zz"], ["\0", "a\0b", "a", "c\\u0000d", "zz"]):
+        got = store.get_many(asked)
+        assert sorted(got) == sorted(w for w in asked if w in expected)
+        assert all(got[w].tobytes() == expected[w].tobytes() for w in got)
+    pairs, missing = db.get_vectors_batch(IDENT, ["b", "a\0b", "zz", "\0"])
+    assert [w for w, _ in pairs] == ["b", "a\0b", "\0"] and missing == ["zz"]
+    assert all(vec.tobytes() == expected[w].tobytes() for w, vec in pairs)
+
+
+def test_get_many_refuses_a_word_read_twice(tmp_path):
+    # a format-1 store whose vectors table has no unique key, holding one word twice
+    path = tmp_path / "twice.wec"
+    conn = sqlite3.connect(path)
+    conn.execute("CREATE TABLE vectors (word TEXT NOT NULL, vector BLOB NOT NULL)")
+    conn.execute("CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT)")
+    conn.execute("INSERT INTO meta VALUES ('dims', '2')")
+    blob = np.array([1, 2], dtype="<f4").tobytes()
+    conn.executemany("INSERT INTO vectors VALUES (?, ?)", [("a", blob), ("b", blob), ("a", blob)])
+    conn.commit()
+    conn.close()
+    with WecStore(path) as store:
+        assert list(store.get_many(["b", "zz"])) == ["b"]
+        with pytest.raises(StoreError, match="twice.wec"):
+            store.get_many(["b", "a"])
+
+
+def test_store_read_errors_name_the_file(tmp_path):
+    path = tmp_path / "gone.wec"
+    _write_store(path, 2, [("a", np.array([1, 2], dtype="<f4").tobytes())])
+    with WecStore(path) as store:
+        assert store.count() == 1
+        _execute(path, "DROP TABLE vectors")
+        reads = [
+            lambda: store.get("a"),
+            lambda: store.get_many(["a"]),
+            lambda: store.contains("a"),
+            store.count,
+            lambda: list(store.iter_words()),
+        ]
+        for read in reads:
+            with pytest.raises(StoreError, match="gone.wec could not be read: no such table"):
+                read()
+
+
+def test_corrupt_store_reads_give_store_errors_or_asked_words(tmp_path):
+    # Seeded byte flips of one small store. Flipped bits inside a vector blob
+    # stay undetected (a store has no checksum), so every read must raise a
+    # WecdbError or answer with words that were asked for, each once.
+    rng = random.Random(16)
+    words = [f"w{i:04d}" for i in range(600)]
+    clean = tmp_path / "clean.wec"
+    _write_store(
+        clean, 4, ((w, np.full(4, i, dtype="<f4").tobytes()) for i, w in enumerate(words))
+    )
+    data = clean.read_bytes()
+    asked = words[::7] + ["absent", "w"]
+    outcomes = {"error": 0, "answer": 0}
+    for case in range(400):
+        flipped = bytearray(data)
+        for _ in range(rng.randint(1, 8)):
+            flipped[rng.randrange(len(flipped))] ^= 1 << rng.randrange(8)
+        path = tmp_path / f"flip{case}.wec"
+        path.write_bytes(flipped)
+        try:
+            with WecStore(path, dims=4) as store:
+                got = store.get_many(asked)
+                assert got.keys() <= set(asked) and got.matrix.shape == (len(got), 4)
+                store.count(), store.contains("w0007"), list(store.iter_words())
+        except WecdbError:
+            outcomes["error"] += 1
+        else:
+            outcomes["answer"] += 1
+        path.unlink()
+    assert outcomes["error"] and outcomes["answer"]
 
 
 def _write_store(path, dims, rows=()):
@@ -401,6 +518,14 @@ def test_format_1_store_reads_bit_exact_and_keeps_its_format(tmp_path):
         assert list(store.iter_words()) == sorted(vectors)
     assert "format" not in _meta(path)
     assert "WITHOUT ROWID" in _table_sql(path).upper()
+
+
+def test_store_with_an_unreadable_width_is_refused(tmp_path):
+    path = tmp_path / "bad-dims.wec"
+    _write_store(path, 2)
+    _execute(path, "UPDATE meta SET value = 'r' WHERE key = 'dims'")
+    with pytest.raises(StoreError, match="bad-dims.wec records a bad vector width"):
+        WecStore(path, dims=2)
 
 
 def test_unknown_store_format_is_refused(tmp_path):
