@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .errors import CatalogError, DuplicateEntryError, UnknownWecError
+from .errors import CatalogError, DuplicateEntryError, UnknownWecError, WecdbError
 from .identifier import WecIdentifier, parse_identifier
 from .phrases import PhraseModel
 from .pipeline import (
@@ -148,13 +148,16 @@ class Catalog:
             cols = raw.split("\t")
             if len(cols) != 9:
                 raise CatalogError(f"{where}: corrupt manifest line: {raw!r}")
-            ident = parse_identifier(cols[0])
+            try:  # IdentifierError, PipelineError, or CatalogError for a missing stopword list
+                ident = parse_identifier(cols[0])
+                pipeline = parse_pipeline(cols[4], self._resolve_list)
+            except WecdbError as exc:
+                raise CatalogError(f"{where}: {exc}") from exc
             if cols[1] != str(ident.dims):
                 raise CatalogError(f"{where}: dims {cols[1]!r} contradicts dims:{ident.dims}")
-            pipeline = parse_pipeline(cols[4], self._resolve_list)
             if pipeline.hash != cols[3]:
                 raise CatalogError(
-                    f"pipeline hash mismatch for {cols[0]!r}: manifest has {cols[3]},"
+                    f"{where}: pipeline hash mismatch for {cols[0]!r}: manifest has {cols[3]},"
                     f" recomputed {pipeline.hash}"
                 )
             model_ref, vocab_len = None, None

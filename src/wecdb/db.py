@@ -111,14 +111,19 @@ class Database:
         expect_header: str = "auto",
         on_malformed: str = "fail",
     ) -> ImportReport:
-        """Import into a registered WEC without records (the catalog half done separately);
-        the record check, the move into place and ``vocab_size`` are one catalog step."""
-        entry = self.catalog.require(_as_identifier(ident))
+        """Import into a registered WEC without records (the catalog half done separately).
+        A WEC with records is refused before the build, and again in the one catalog step
+        that moves the store into place and sets ``vocab_size``, against a concurrent import."""
 
-        def move_in(current: CatalogEntry) -> CatalogEntry:
+        def without_records(current: CatalogEntry) -> CatalogEntry:
             if current.vocab_size:
                 raise WecImportError(f"store {current.store_file} already contains records")
-            os.replace(tmp, self.catalog.store_path(current))
+            return current
+
+        entry = without_records(self.catalog.require(_as_identifier(ident)))
+
+        def move_in(current: CatalogEntry) -> CatalogEntry:
+            os.replace(tmp, self.catalog.store_path(without_records(current)))
             return replace(current, vocab_size=report.imported)
 
         with self._build(path, entry.dims, on_duplicate, expect_header,

@@ -33,17 +33,16 @@ _KEY_RE = re.compile(r"[a-z][a-z0-9_]*")
 _RESERVED = frozenset(";:&{},")
 
 
-def _validate_key(key: str) -> str:
+def _validate_key(key: str) -> None:
     if not key:
         raise IdentifierError("empty attribute key")
     if not _KEY_RE.fullmatch(key):
         raise IdentifierError(
             f"invalid key {key!r}: keys are lowercase ASCII ([a-z][a-z0-9_]*)"
         )
-    return key
 
 
-def _validate_value(key: str, value: str) -> str:
+def _validate_value(key: str, value: str) -> None:
     if not value:
         raise IdentifierError(f"empty value for key {key!r}")
     for ch in value:
@@ -51,7 +50,6 @@ def _validate_value(key: str, value: str) -> str:
             raise IdentifierError(f"reserved character {ch!r} in value for key {key!r}")
         if ch.isspace():
             raise IdentifierError(f"whitespace in value for key {key!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -136,11 +134,12 @@ class WecQuery:
 
 
 def _split_pair(pair_text: str) -> tuple[str, list[str], bool]:
-    """Parse one ``key:value`` or ``key:{v1,...,vn}``; returns (key, values, braced)."""
+    """Split one ``key:value`` or ``key:{v1,...,vn}`` into (key, values, braced),
+    checking only its shape and braces: :class:`WecIdentifier` checks keys and values."""
     head, sep, tail = pair_text.partition(":")
     if not sep:
         raise IdentifierError(f"malformed pair {pair_text!r}: expected 'key:value'")
-    key = _validate_key(head.strip())
+    key = head.strip()
     rest = tail.strip()
     if rest.startswith("{"):
         if not rest.endswith("}"):
@@ -151,24 +150,24 @@ def _split_pair(pair_text: str) -> tuple[str, list[str], bool]:
         values = [v.strip() for v in inner.split(",")]
         if values == [""]:
             raise IdentifierError(f"empty brace set for key {key!r}")
-        return key, [_validate_value(key, v) for v in values], True
+        return key, values, True
     if "{" in rest or "}" in rest:
         raise IdentifierError(f"stray brace in value for key {key!r}")
-    return key, [_validate_value(key, rest)], False
+    return key, [rest], False
 
 
-def _parse_spec(spec_text: str) -> list[tuple[str, list[str]]]:
-    """Split a spec into (key, candidate values) pairs, in supplied order."""
+def _parse_spec(spec_text: str) -> list[tuple[str, list[str], bool]]:
+    """Split a spec into (key, candidate values, braced) triples, in supplied order."""
     if not spec_text.strip():
         raise IdentifierError("empty spec")
-    pairs: list[tuple[str, list[str]]] = []
+    pairs: list[tuple[str, list[str], bool]] = []
     seen: set[str] = set()
     for chunk in spec_text.split(";"):
-        key, values, _ = _split_pair(chunk.strip())
+        key, values, braced = _split_pair(chunk.strip())
         if key in seen:
             raise IdentifierError(f"duplicate key {key!r}")
         seen.add(key)
-        pairs.append((key, values))
+        pairs.append((key, values, braced))
     return pairs
 
 
@@ -183,15 +182,10 @@ def parse_identifier(text: str) -> WecIdentifier:
         raise IdentifierError("'&' not allowed in an atomic identifier")
     if not text.strip():
         raise IdentifierError("empty identifier")
-    attrs: dict[str, str] = {}
-    for chunk in text.split(";"):
-        key, values, braced = _split_pair(chunk.strip())
-        if braced:
-            raise IdentifierError(f"brace set not allowed in an atomic identifier (key {key!r})")
-        if key in attrs:
-            raise IdentifierError(f"duplicate key {key!r}")
-        attrs[key] = values[0]
-    return WecIdentifier.from_attributes(attrs)
+    pairs = _parse_spec(text)
+    if braced := [key for key, _, is_set in pairs if is_set]:
+        raise IdentifierError(f"brace set not allowed in an atomic identifier (key {braced[0]!r})")
+    return WecIdentifier(tuple((key, values[0]) for key, values, _ in pairs))
 
 
 def parse_query(text: str) -> WecQuery:
@@ -208,9 +202,9 @@ def parse_query(text: str) -> WecQuery:
     seen: set[str] = set()
     for spec_text in specs:
         pairs = _parse_spec(spec_text)
-        keys = [k for k, _ in pairs]
-        for combo in itertools.product(*(vs for _, vs in pairs)):
-            ident = WecIdentifier.from_attributes(dict(zip(keys, combo)))
+        keys = [k for k, _, _ in pairs]
+        for combo in itertools.product(*(vs for _, vs, _ in pairs)):
+            ident = WecIdentifier(tuple(zip(keys, combo)))
             norm = ident.normalized()
             if norm in seen:
                 raise IdentifierError(f"duplicate expanded identifier {norm!r}")

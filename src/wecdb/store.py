@@ -16,7 +16,8 @@ statement: it binds the distinct words once, as one JSON array read by
 SQLite's ``json_each`` (built in by default since SQLite 3.38.0), and probes
 the word index once per word. It returns a read-only :class:`VectorRows`
 mapping: the vectors it found are the read-only rows of one float32 matrix.
-A read that SQLite cannot complete on a damaged file raises
+A point read (:meth:`WecStore.get`) is a one-word batched read, with its
+checks. A read that SQLite cannot complete on a damaged file raises
 :class:`~wecdb.errors.StoreError` naming the file.
 
 Store format (``format`` key of the ``meta`` table): ``2`` is the layout
@@ -179,17 +180,17 @@ class WecStore:
                 self._all_conns.append(conn)
         return conn
 
-    def _unreadable(self, exc: Exception) -> StoreError:
-        return StoreError(f"{self.path} could not be read: {exc}")
+    def _rows(self, sql: str, params: tuple = ()) -> list:
+        """Every row of one statement; a read SQLite cannot complete raises
+        :class:`StoreError` naming the file."""
+        try:
+            return self._conn.execute(sql, params).fetchall()
+        except _READ_ERRORS as exc:
+            raise StoreError(f"{self.path} could not be read: {exc}") from exc
 
     def get(self, word: str) -> np.ndarray | None:
-        try:
-            row = self._conn.execute(_SELECT_ONE, (word,)).fetchone()
-        except _READ_ERRORS as exc:
-            raise self._unreadable(exc) from exc
-        if row is None:
-            return None
-        return np.frombuffer(row[0], dtype="<f4")
+        """``word``'s vector, or None: a one-word :meth:`get_many`, with its checks."""
+        return self.get_many((word,)).get(word)
 
     def get_many(self, words: Iterable[str]) -> "VectorRows":
         """Found subset of ``words`` as a read-only mapping over one matrix.
@@ -198,7 +199,7 @@ class WecStore:
         statement that probes the word index once per word, in request
         order; its one SQL text keeps SQLite's statement cache at one entry
         for any batch size. JSON text cannot carry a NUL into SQLite, so a
-        word holding one is read on its own through :meth:`get`'s statement.
+        word holding one is read on its own by a one-word statement.
         The blobs become one read-only float32 matrix with one row per found
         word, so a call makes one array, not one per word. A result that
         names a word twice or a word not asked for is refused as corrupt.
@@ -211,14 +212,9 @@ class WecStore:
         if "\\u0000" in text:  # a NUL, as JSON escapes it (or a word holding that text)
             held = [word for word in unique if "\0" in word]
             text = json.dumps([word for word in unique if "\0" not in word], ensure_ascii=False)
-        conn = self._conn
-        try:
-            rows = conn.execute(_SELECT_MANY, (text,)).fetchall()
-            for word in held:
-                if (row := conn.execute(_SELECT_ONE, (word,)).fetchone()) is not None:
-                    rows.append((word, row[0]))
-        except _READ_ERRORS as exc:
-            raise self._unreadable(exc) from exc
+        rows = self._rows(_SELECT_MANY, (text,))
+        for word in held:
+            rows += [(word, blob) for (blob,) in self._rows(_SELECT_ONE, (word,))]
         found = [word for word, _ in rows]
         index = dict(zip(found, range(len(found))))
         if len(index) != len(found) or not index.keys() <= unique.keys():
@@ -239,28 +235,20 @@ class WecStore:
         return VectorRows(matrix, index)
 
     def contains(self, word: str) -> bool:
-        try:
-            row = self._conn.execute(
-                "SELECT 1 FROM vectors WHERE word = ? LIMIT 1", (word,)
-            ).fetchone()
-        except _READ_ERRORS as exc:
-            raise self._unreadable(exc) from exc
-        return row is not None
+        return bool(self._rows("SELECT 1 FROM vectors WHERE word = ? LIMIT 1", (word,)))
 
     def count(self) -> int:
-        try:
-            return self._conn.execute("SELECT count(*) FROM vectors").fetchone()[0]
-        except _READ_ERRORS as exc:
-            raise self._unreadable(exc) from exc
+        return self._rows("SELECT count(*) FROM vectors")[0][0]
 
     def iter_words(self) -> Iterator[str]:
+        # streams in batches, so it keeps its own try rather than fetchall() in _rows
         try:
             cursor = self._conn.execute("SELECT word FROM vectors ORDER BY word")
             while rows := cursor.fetchmany(_BATCH_ROWS):
                 for (word,) in rows:
                     yield word
         except _READ_ERRORS as exc:
-            raise self._unreadable(exc) from exc
+            raise StoreError(f"{self.path} could not be read: {exc}") from exc
 
     def close(self) -> None:
         with self._conns_lock:

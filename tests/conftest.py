@@ -1,7 +1,27 @@
+import sqlite3
+from contextlib import closing
+
 import numpy as np
 import pytest
 
 from wecdb import Database
+
+
+def pytest_sessionstart(session):
+    """Print SQLite's version, and stop the run unless its JSON functions work:
+    a batched store read binds its words as one JSON array read by json_each."""
+    print("SQLite", sqlite3.sqlite_version)
+    try:
+        with closing(sqlite3.connect(":memory:")) as conn:
+            rows = conn.execute("""SELECT value FROM json_each('["a"]')""").fetchall()
+    except sqlite3.Error as exc:
+        rows = exc
+    if rows != [("a",)]:
+        pytest.exit(
+            f"SQLite {sqlite3.sqlite_version} has no working json_each ({rows});"
+            " wecdb needs SQLite's JSON functions",
+            returncode=1,
+        )
 
 
 def write_wec_text(path, words, dims, rng=None, fmt="%.5f", header=None):

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import pytest
 
@@ -6,6 +7,8 @@ from wecdb import (
     Catalog,
     CatalogError,
     DuplicateEntryError,
+    IdentifierError,
+    PipelineError,
     UnknownWecError,
     parse_identifier,
     train_phrase_model,
@@ -271,6 +274,39 @@ def test_manifest_file_names_must_be_plain(catalog, column, value):
         catalog, lambda cols: "\t".join(cols[:column] + [value] + cols[column + 1 :])
     )
     with pytest.raises(CatalogError, match=r"catalog\.manifest:3: .* is not a plain file name"):
+        catalog.list_entries()
+
+
+@pytest.mark.parametrize(
+    "column, value, message, cause",
+    [
+        (0, "algo:a b", "whitespace in value for key 'algo'", IdentifierError),
+        (4, "tokenize(default", "malformed stage 'tokenize(default'", PipelineError),
+        (4, "tokenize(nope)", "unknown tokenize rule set", PipelineError),
+        (3, "0" * 16, "pipeline hash mismatch for 'algo:glove;", None),
+    ],
+)
+def test_manifest_record_that_fails_to_parse_names_its_line(catalog, column, value, message,
+                                                            cause):
+    _register(catalog, SEVEN[0])
+    _rewrite_manifest_line(
+        catalog, lambda cols: "\t".join(cols[:column] + [value] + cols[column + 1 :])
+    )
+    with pytest.raises(CatalogError, match=rf"catalog\.manifest:3: {re.escape(message)}") as info:
+        catalog.list_entries()
+    assert cause is None or isinstance(info.value.__cause__, cause)
+
+
+def test_manifest_record_whose_stopword_list_is_missing_names_its_line(catalog, tmp_path):
+    listfile = tmp_path / "my-stops.txt"
+    listfile.write_text("alpha\nbeta\n", encoding="utf-8")
+    ident = parse_identifier(SEVEN[0])
+    catalog.register(ident, pipeline_for_identifier(ident, stopwords=listfile))
+    (copy,) = (catalog.root / "lists").glob("*.txt")
+    copy.unlink()
+    with pytest.raises(
+        CatalogError, match=r"catalog\.manifest:3: stopword list 'list:\w+' missing from catalog"
+    ):
         catalog.list_entries()
 
 

@@ -189,6 +189,10 @@ def test_corrupt_manifest_number_is_an_error_not_a_crash(root, tmp_path, capsys)
         (lambda line: line.replace("glove", "gl\udcffve", 1), "catalog.manifest is not UTF-8"),
         (lambda line: line.replace(".wec", "\0.wec", 1), "catalog.manifest:3: store"),
         (lambda line: line.replace("\talgo=", "\t../algo=", 1), "catalog.manifest:3: store"),
+        (lambda line: _column(line, 0, "algo:a b"), "catalog.manifest:3: whitespace in value"),
+        (lambda line: _column(line, 4, "tokenize(default"), "catalog.manifest:3: malformed stage"),
+        (lambda line: _column(line, 4, "tokenize(nope)"), "catalog.manifest:3: unknown tokenize"),
+        (lambda line: _column(line, 3, "0" * 16), "catalog.manifest:3: pipeline hash mismatch"),
     ],
 )
 def test_corrupt_manifest_file_is_an_error_not_a_crash(root, tmp_path, capsys, edit, message):
@@ -201,6 +205,23 @@ def test_corrupt_manifest_file_is_an_error_not_a_crash(root, tmp_path, capsys, e
     assert main(["--root", root, "list"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
+
+
+def _column(line, index, value):
+    cols = line.split("\t")
+    return "\t".join(cols[:index] + [value] + cols[index + 1 :])
+
+
+def test_manifest_whose_stopword_list_is_missing_is_an_error(root, tmp_path, capsys):
+    stops = tmp_path / "stops.txt"
+    stops.write_text("alpha\nbeta\n", encoding="utf-8")
+    _import_toy(root, tmp_path, "--stopword-list", str(stops))
+    (copy,) = (tmp_path / "catalog" / "lists").glob("*.txt")
+    copy.unlink()
+    capsys.readouterr()
+    assert main(["--root", root, "list"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "catalog.manifest:3: stopword list 'list:" in err
 
 
 def test_sts_writes_ranking_per_wec(root, tmp_path, capsys):

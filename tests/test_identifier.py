@@ -193,3 +193,28 @@ def test_fuzz_only_structured_errors(text):
             parse(text)
         except IdentifierError:
             pass
+
+
+def test_parse_identifier_validates_each_value_once(monkeypatch):
+    from wecdb import identifier
+
+    calls = []
+    check = identifier._validate_value
+
+    def counting(key, value):
+        calls.append(key)
+        return check(key, value)
+
+    monkeypatch.setattr(identifier, "_validate_value", counting)
+    ident = parse_identifier("zeta:9;" + GOOGLENEWS)
+    assert sorted(calls) == [k for k, _ in ident.attributes]
+
+
+@settings(max_examples=80, deadline=None)
+@given(identifiers(), st.randoms())
+def test_atomic_identifier_parses_as_a_one_identifier_query(ident, rng):
+    pairs = [f"{k}:{v}" for k, v in ident.attributes]
+    rng.shuffle(pairs)
+    text = " ; ".join(pairs)
+    (expanded,) = parse_query(text).expanded
+    assert parse_identifier(text) == expanded == ident

@@ -246,6 +246,20 @@ def test_iterate_vocab_streams_exact_word_set(db, tmp_path):
     assert db.vocab_size(IDENT) == 500
 
 
+def test_import_into_a_wec_with_records_is_refused_before_the_build(db, tmp_path, monkeypatch):
+    path = tmp_path / "t.txt"
+    path.write_text("a 1 2 3 4\n")
+    db.import_from_file(path, IDENT)
+    builds = []
+    monkeypatch.setattr("wecdb.store.import_from_file", lambda *args, **kw: builds.append(args))
+    with pytest.raises(WecImportError) as info:
+        db.import_into(path, IDENT)
+    store_file = db.catalog.require(IDENT).store_file
+    assert type(info.value) is WecImportError
+    assert str(info.value) == f"store {store_file} already contains records"
+    assert builds == []
+
+
 def test_reimport_into_populated_store_rejected(db, tmp_path):
     path = tmp_path / "t.txt"
     path.write_text("a 1 2 3 4\n")
@@ -341,11 +355,15 @@ def test_get_many_returns_rows_of_one_read_only_matrix(tmp_path):
         for bad in ("short", "int", "text"):
             with pytest.raises(StoreError, match=f"'{bad}'"):
                 store.get_many(["a", bad])
+            with pytest.raises(StoreError, match=f"'{bad}'"):
+                store.get(bad)
     _write_store(tmp_path / "no-dims.wec", 3)
     _execute(tmp_path / "no-dims.wec", "DELETE FROM meta WHERE key = 'dims'")
     with WecStore(tmp_path / "no-dims.wec") as store:
         with pytest.raises(StoreError, match="no vector width"):
             store.get_many(["a"])
+        with pytest.raises(StoreError, match="no vector width"):
+            store.get("a")
 
 
 def test_get_many_is_one_statement_per_call(tmp_path):
@@ -376,6 +394,9 @@ def test_get_many_reads_words_holding_nul_exactly(db, tmp_path):
         got = store.get_many(asked)
         assert sorted(got) == sorted(w for w in asked if w in expected)
         assert all(got[w].tobytes() == expected[w].tobytes() for w in got)
+    for word in ("a\0b", "\0", "a"):
+        assert store.get(word).tobytes() == expected[word].tobytes()
+    assert store.get("a\0zz") is None
     pairs, missing = db.get_vectors_batch(IDENT, ["b", "a\0b", "zz", "\0"])
     assert [w for w, _ in pairs] == ["b", "a\0b", "\0"] and missing == ["zz"]
     assert all(vec.tobytes() == expected[w].tobytes() for w, vec in pairs)
@@ -439,6 +460,9 @@ def test_corrupt_store_reads_give_store_errors_or_asked_words(tmp_path):
             with WecStore(path, dims=4) as store:
                 got = store.get_many(asked)
                 assert got.keys() <= set(asked) and got.matrix.shape == (len(got), 4)
+                for word in asked:
+                    vector = store.get(word)
+                    assert vector is None or vector.shape == (4,)
                 store.count(), store.contains("w0007"), list(store.iter_words())
         except WecdbError:
             outcomes["error"] += 1
