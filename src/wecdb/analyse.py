@@ -118,7 +118,7 @@ def _unit_means(
         lengths.append(len(pairs))
     groups = []
     for batch, members, positions in batches.values():
-        groups.append((members, batch.found.matrix, batch.found, *batch.spans(positions)))
+        groups.append((members, batch.found.matrix, batch.found.words, *batch.spans(positions)))
     for members, stacked, lengths in by_width.values():
         matrix = np.array([vec for _, vec in stacked])
         words = [word for word, _ in stacked]

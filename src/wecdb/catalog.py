@@ -69,6 +69,8 @@ class CatalogEntry:
             raise CatalogError(
                 f"{self.normalized}: a phrase model and a vocabulary join exclude each other"
             )
+        if self.vocab_join_max_len is not None and self.vocab_join_max_len < 2:
+            raise CatalogError(f"{self.normalized}: vocab_join_max_len must be >= 2")
 
     @property
     def normalized(self) -> str:
@@ -137,6 +139,7 @@ class Catalog:
 
     def _load(self) -> dict[str, CatalogEntry]:
         entries: dict[str, CatalogEntry] = {}
+        stores: set[str] = set()
         try:
             text = self._manifest.read_text("utf-8")
         except UnicodeDecodeError as exc:
@@ -148,18 +151,6 @@ class Catalog:
             cols = raw.split("\t")
             if len(cols) != 9:
                 raise CatalogError(f"{where}: corrupt manifest line: {raw!r}")
-            try:  # IdentifierError, PipelineError, or CatalogError for a missing stopword list
-                ident = parse_identifier(cols[0])
-                pipeline = parse_pipeline(cols[4], self._resolve_list)
-            except WecdbError as exc:
-                raise CatalogError(f"{where}: {exc}") from exc
-            if cols[1] != str(ident.dims):
-                raise CatalogError(f"{where}: dims {cols[1]!r} contradicts dims:{ident.dims}")
-            if pipeline.hash != cols[3]:
-                raise CatalogError(
-                    f"{where}: pipeline hash mismatch for {cols[0]!r}: manifest has {cols[3]},"
-                    f" recomputed {pipeline.hash}"
-                )
             model_ref, vocab_len = None, None
             if cols[5].startswith("model:"):
                 model_ref = _plain_name(cols[5][6:], "phrase model", where)
@@ -167,16 +158,39 @@ class Catalog:
                 vocab_len = _manifest_int(cols[5][6:], "vocab join length", where)
             elif cols[5] != "-":
                 raise CatalogError(f"{where}: corrupt phrases field {cols[5]!r}")
-            entries[cols[0]] = CatalogEntry(
-                identifier=ident,
-                vocab_size=_manifest_int(cols[2], "vocab_size", where),
-                pipeline=pipeline,
-                phrase_model_ref=model_ref,
-                vocab_join_max_len=vocab_len,
-                store_file=_plain_name(cols[6], "store", where),
-                created_at=cols[7],
-                source_file=cols[8],
-            )
+            vocab_size = _manifest_int(cols[2], "vocab_size", where)
+            store = _plain_name(cols[6], "store", where)
+            # IdentifierError, PipelineError, or CatalogError for a missing
+            # stopword list or a rule of the entry's own
+            try:
+                entry = CatalogEntry(
+                    identifier=parse_identifier(cols[0]),
+                    vocab_size=vocab_size,
+                    pipeline=parse_pipeline(cols[4], self._resolve_list),
+                    phrase_model_ref=model_ref,
+                    vocab_join_max_len=vocab_len,
+                    store_file=store,
+                    created_at=cols[7],
+                    source_file=cols[8],
+                )
+            except WecdbError as exc:
+                raise CatalogError(f"{where}: {exc}") from exc
+            if entry.normalized != cols[0]:
+                raise CatalogError(f"{where}: identifier {cols[0]!r} is not in its normalized"
+                                   f" form {entry.normalized!r}")
+            if cols[0] in entries:
+                raise CatalogError(f"{where}: identifier {cols[0]!r} is on an earlier line too")
+            if store in stores:
+                raise CatalogError(f"{where}: store {store!r} belongs to an earlier record")
+            if cols[1] != str(entry.dims):
+                raise CatalogError(f"{where}: dims {cols[1]!r} contradicts dims:{entry.dims}")
+            if entry.pipeline_hash != cols[3]:
+                raise CatalogError(
+                    f"{where}: pipeline hash mismatch for {cols[0]!r}: manifest has {cols[3]},"
+                    f" recomputed {entry.pipeline_hash}"
+                )
+            entries[cols[0]] = entry
+            stores.add(store)
         return entries
 
     def _write_manifest(self, entries: dict[str, CatalogEntry]) -> None:
@@ -273,8 +287,9 @@ class Catalog:
         """
         return self._register(ident, pipeline, source, vocab_join_max_len, phrase_model)
 
-    def _check_new(self, ident, pipeline, source, vocab_join_max_len) -> dict[str, CatalogEntry]:
-        """Raise what :meth:`register` would raise; else return the registered entries."""
+    def _check_new(self, ident, pipeline, source, vocab_join_max_len, vocab_size=0):
+        """Raise what :meth:`register` would raise; else return the registered
+        entries and the new entry."""
         if pipeline.case_fold_enabled != (ident.fold == 1):
             raise CatalogError(
                 f"pipeline case_fold={'on' if pipeline.case_fold_enabled else 'off'}"
@@ -285,8 +300,6 @@ class Catalog:
                 f"pipeline stem={'on' if pipeline.stem_enabled else 'off'}"
                 f" contradicts unit:{ident.unit}"
             )
-        if vocab_join_max_len is not None and vocab_join_max_len < 2:
-            raise CatalogError("vocab_join_max_len must be >= 2")
         if "\t" in str(source) or "\n" in str(source):
             raise CatalogError("source path may not contain tabs or newlines")
         norm = ident.normalized()
@@ -294,23 +307,23 @@ class Catalog:
         if norm in entries:
             raise DuplicateEntryError(f"identifier {norm!r} already registered"
                                       f" (store {entries[norm].store_file})")
-        return entries
+        entry = CatalogEntry(
+            identifier=ident,
+            vocab_size=vocab_size,
+            pipeline=pipeline,
+            phrase_model_ref=None,
+            vocab_join_max_len=vocab_join_max_len,
+            store_file=store_filename(norm, {e.store_file for e in entries.values()}),
+            created_at=datetime.now(timezone.utc).isoformat(timespec="seconds"),
+            source_file=str(source),
+        )
+        return entries, entry
 
     def _register(self, ident, pipeline, source, vocab_join_max_len, model=None, built=None):
         """:meth:`register`, moving ``built`` (store file, record count) into place."""
-        norm = ident.normalized()
         with self._locked():
-            entries = self._check_new(ident, pipeline, source, vocab_join_max_len)
-            entry = CatalogEntry(
-                identifier=ident,
-                vocab_size=built[1] if built else 0,
-                pipeline=pipeline,
-                phrase_model_ref=None,
-                vocab_join_max_len=vocab_join_max_len,
-                store_file=store_filename(norm, {e.store_file for e in entries.values()}),
-                created_at=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-                source_file=str(source),
-            )
+            entries, entry = self._check_new(ident, pipeline, source, vocab_join_max_len,
+                                             built[1] if built else 0)
             if model is not None:
                 # the entry refuses a model with a vocabulary join before the file is written
                 entry = self._attach_model(entry, model)
@@ -321,7 +334,7 @@ class Catalog:
                         _write_atomic(list_path, content)
             if built:
                 os.replace(built[0], self.store_path(entry))
-            entries[norm] = entry
+            entries[entry.normalized] = entry
             self._write_manifest(entries)
         return entry
 

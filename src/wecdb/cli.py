@@ -25,7 +25,7 @@ from pathlib import Path
 from . import analyse
 from .db import Database
 from .errors import WecdbError
-from .identifier import parse_query
+from .identifier import parse_filter, parse_query
 from .pipeline import PreprocessCache
 from .retrieve import RetrievalResult, lookup_units
 
@@ -147,19 +147,9 @@ def cmd_import(args) -> int:
     return 0
 
 
-def _parse_filter(text: str) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for chunk in text.split(";"):
-        key, sep, value = chunk.strip().partition(":")
-        if not sep or not key or not value:
-            raise WecdbError(f"malformed filter pair {chunk!r}")
-        out[key.strip()] = value.strip()
-    return out
-
-
 def cmd_list(args) -> int:
     with _open_db(args) as db:
-        attr_filter = _parse_filter(args.filter) if args.filter else None
+        attr_filter = parse_filter(args.filter) if args.filter else None
         entries = db.catalog.list_entries(attr_filter)
     if args.json:
         doc = [

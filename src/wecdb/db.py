@@ -147,7 +147,8 @@ class Database:
 
     def open_store(self, entry: CatalogEntry) -> WecStore | EmptyStore:
         """The entry's read-only store, cached until its file changes; writes nothing.
-        A WEC registered but never imported has no store file and reads as empty."""
+        A WEC registered but never imported has no store file and reads as empty.
+        A store whose recorded vector width is not the entry's ``dims`` is refused."""
         path = self.catalog.store_path(entry)
         with self._stores_lock:
             cached = self._stores.get(entry.store_file)
@@ -160,13 +161,17 @@ class Database:
                 # a live handle holds its file open, so no new file can take
                 # its inode: another inode means the file was deleted and made again
                 if cached is not None and os.path.samestat(cached[0], st):
-                    return cached[1]
-                handle = WecStore(path, dims=entry.dims)
-                self._stores[entry.store_file] = (st, handle)
+                    handle, cached = cached[1], None
+                else:
+                    handle = WecStore(path)
+                    self._stores[entry.store_file] = (st, handle)
         if cached is not None:
             cached[1].close()
         if handle is None and entry.vocab_size:
             raise StoreError(f"store file {path} of {entry.normalized} is missing")
+        if handle is not None and handle.dims != entry.dims:
+            raise StoreError(f"store file {path} records {handle.dims}-d vectors,"
+                             f" but {entry.normalized} has dims:{entry.dims}")
         return EmptyStore(entry.dims) if handle is None else handle
 
     def get_vector(self, ident: WecIdentifier | str, word: str) -> np.ndarray | None:

@@ -13,7 +13,9 @@ over several (continuation) lines. Keys are lowercase ASCII identifiers.
 Values are taken verbatim (case-sensitive) and may not contain structural
 characters or whitespace. A brace set expands a spec into the Cartesian
 product of its values; with several brace sets the leftmost one varies
-slowest. ``&`` concatenates independent specs in the supplied order.
+slowest. ``&`` concatenates independent specs in the supplied order. A
+filter (:func:`parse_filter`) is one spec without brace sets that may leave
+out any key.
 
 Two identifiers are equal iff their normalized strings (keys sorted
 lexicographically) are byte-equal.
@@ -182,10 +184,26 @@ def parse_identifier(text: str) -> WecIdentifier:
         raise IdentifierError("'&' not allowed in an atomic identifier")
     if not text.strip():
         raise IdentifierError("empty identifier")
+    return WecIdentifier(_plain_pairs(text, "an atomic identifier"))
+
+
+def parse_filter(text: str) -> dict[str, str]:
+    """Parse a partial spec (``key:value`` pairs, no brace sets, any subset of
+    keys) into a filter for :meth:`WecIdentifier.matches`; keys and values
+    are checked as an identifier's are."""
+    pairs = _plain_pairs(text, "a filter")
+    for key, value in pairs:
+        _validate_key(key)
+        _validate_value(key, value)
+    return dict(pairs)
+
+
+def _plain_pairs(text: str, what: str) -> tuple[tuple[str, str], ...]:
+    """The (key, value) pairs of a spec that ``what`` names, refusing brace sets."""
     pairs = _parse_spec(text)
     if braced := [key for key, _, is_set in pairs if is_set]:
-        raise IdentifierError(f"brace set not allowed in an atomic identifier (key {braced[0]!r})")
-    return WecIdentifier(tuple((key, values[0]) for key, values, _ in pairs))
+        raise IdentifierError(f"brace set not allowed in {what} (key {braced[0]!r})")
+    return tuple((key, values[0]) for key, values, _ in pairs)
 
 
 def parse_query(text: str) -> WecQuery:

@@ -22,12 +22,15 @@ float32 matrix (the :class:`~wecdb.store.VectorRows` of its one
 matrix rows for every found token of every unit, in unit order, and each
 unit's start offset in it. A retrieved unit is a view of its span of that
 array; ``pairs``, ``words()``, ``vectors()`` and ``missing`` are built from
-the batch on first read, and units of one WEC share the one view of a word
-they have in common. Analysis gathers many units' rows via :meth:`_Batch.spans`
+the batch and the read's word list (``VectorRows.words``, in row order) on
+first read, and units of one WEC share the one view of a word they have in
+common. Analysis gathers many units' rows via :meth:`_Batch.spans`
 and reads no layout itself. A unit built by hand holds only its ``pairs``;
 analysis stacks those per width on each call and stores nothing on the unit.
 Each WEC read is one :func:`lookup_units` call, with the entry's own pipeline
 and join; ``heatmap --no-phrases`` passes a copy of the entry without a join.
+A call looks up the entry's phrase model once, so its units join by one
+model version, as they read one catalog version.
 """
 
 from __future__ import annotations
@@ -98,12 +101,13 @@ class _Batch:
     """Every unit of one store read against one WEC, column by column.
 
     Unit i's vectors are rows ``rows[starts[i]:starts[i + 1]]`` of
-    ``found.matrix``: one row per found token, in token order, or with
-    ``in_order=False`` one per distinct found token, in first-seen order.
-    ``bare`` makes each unit's ``pairs`` its vectors alone.
+    ``found.matrix``, and its words the same entries of ``found.words``: one
+    row per found token, in token order, or with ``in_order=False`` one per
+    distinct found token, in first-seen order. ``bare`` makes each unit's
+    ``pairs`` its vectors alone.
     """
 
-    __slots__ = ("found", "rows", "starts", "bare", "_vocab")
+    __slots__ = ("found", "rows", "starts", "bare")
 
     def __init__(
         self, found: VectorRows, token_lists: list[list[str]], in_order: bool, bare: bool
@@ -121,14 +125,10 @@ class _Batch:
             rows, unit_of = rows[first], unit_of[first]
         self.found, self.rows, self.bare = found, rows, bare
         self.starts = np.searchsorted(unit_of, np.arange(len(token_lists) + 1))
-        self._vocab: list[str] | None = None
 
     def words(self, position: int) -> list[str]:
-        if self._vocab is None:
-            self._vocab = list(self.found.index)  # the index lists words in row order
-        vocab = self._vocab
         start, end = self.starts[position : position + 2].tolist()
-        return [vocab[r] for r in self.rows[start:end].tolist()]
+        return list(map(self.found.words.__getitem__, self.rows[start:end].tolist()))
 
     def spans(self, positions: list[int]) -> tuple[np.ndarray, np.ndarray]:
         """Matrix rows of the units at ``positions``, concatenated, and each one's row count."""
@@ -200,7 +200,8 @@ def lookup_units(
     single store read.
 
     With ``raw=True`` each unit runs through the entry's pipeline and its
-    phrase model, if it has one; one ``get_many`` then covers every token of
+    phrase model, if it has one, looked up once for all units; one
+    ``get_many`` then covers every token of
     every unit plus, for the entry's vocabulary join, every candidate window,
     so the greedy join and the units' :class:`_Batch` both read that one
     mapping. ``bare=True`` gives units whose ``pairs`` are bare vectors.
@@ -215,7 +216,8 @@ def lookup_units(
         except PipelineError as exc:
             raise PipelineError(f"[{entry.normalized}] {exc}") from exc
         if entry.phrase_model_ref is not None:
-            token_lists = [db.join_phrases(entry, tokens) for tokens in token_lists]
+            apply = db._phrase_model(entry).apply  # one model version for every unit
+            token_lists = [apply(tokens) for tokens in token_lists]
     else:
         if any(isinstance(unit, str) for unit in inputs):
             raise WecdbError("raw=False expects each input unit to be a token list")

@@ -25,7 +25,9 @@ above, stamped by the import that creates the table. A store without the
 key is format 1, an earlier ``WITHOUT ROWID`` layout whose rows over about
 1,000 B (250-d and wider) spill into overflow pages; it is read as it is,
 since every statement here works on both layouts. An import writes
-format 2. Any other value is refused.
+format 2. Any other value is refused. The ``dims`` key records the vector
+width, the one source of a :class:`WecStore`'s width: a store that records
+none, or one that is not a positive integer, is refused when opened.
 
 SQLite is an implementation detail behind :class:`WecStore`; any engine
 providing a unique key, point lookup, atomic batch writes, and a single
@@ -72,9 +74,12 @@ _SELECT_MANY = (
     "SELECT v.word, v.vector FROM json_each(?) AS j CROSS JOIN vectors AS v ON v.word = j.value"
 )
 _HEADER_RE = re.compile(r"(\d+) (\d+)")
+_WIDTH_RE = re.compile("[1-9][0-9]*")
 _FORMAT = "2"
 # what a read of a damaged file raises; SQLite's message may quote its damaged schema
 _READ_ERRORS = (sqlite3.DatabaseError, UnicodeDecodeError)
+# json.dumps(..., ensure_ascii=False) would build a new encoder on every call
+_json_text = json.JSONEncoder(ensure_ascii=False).encode
 
 
 @dataclass
@@ -107,15 +112,17 @@ class VectorRows(Mapping):
     """Read-only ``word -> vector`` mapping over one float32 matrix.
 
     ``matrix`` is the read-only ``(len(self), dims)`` array of one
-    :meth:`WecStore.get_many` call and ``index`` maps each found word to its
-    row. A word's vector is a read-only view of its row, made on first
-    access and returned as the same object after that.
+    :meth:`WecStore.get_many` call, ``words`` lists the found words in row
+    order and ``index`` maps each one to its row. A word's vector is a
+    read-only view of its row, made on first access and returned as the
+    same object after that.
     """
 
-    __slots__ = ("matrix", "index", "_views")
+    __slots__ = ("matrix", "words", "index", "_views")
 
-    def __init__(self, matrix: np.ndarray, index: dict[str, int]):
+    def __init__(self, matrix: np.ndarray, words: list[str], index: dict[str, int]):
         self.matrix = matrix
+        self.words = words
         self.index = index
         self._views: dict[str, np.ndarray] = {}
 
@@ -139,12 +146,13 @@ class WecStore:
     """Single-file store of ``<word, float32 vector>`` records for one WEC.
 
     The file is opened read-only and must exist: only :func:`import_from_file`
-    makes store files. One instance may be shared between threads: every
-    thread gets its own SQLite connection (thread-local), so concurrent
-    readers never contend in Python.
+    makes store files. Its format and width (``dims``) come from the file's
+    ``meta`` table, read once when it opens. One instance may be shared
+    between threads: every thread gets its own SQLite connection
+    (thread-local), so concurrent readers never contend in Python.
     """
 
-    def __init__(self, path: str | Path, dims: int | None = None):
+    def __init__(self, path: str | Path):
         self.path = Path(path)
         # read-only URI: SQLite can neither create the file nor write to it
         self._uri = f"{self.path.absolute().as_uri()}?mode=ro"
@@ -152,21 +160,18 @@ class WecStore:
         self._all_conns: list[sqlite3.Connection] = []
         self._conns_lock = threading.Lock()
         try:
-            meta = dict(self._conn.execute("SELECT key, value FROM meta"))
-        except (sqlite3.Error, UnicodeDecodeError) as exc:
+            meta = dict(self._rows("SELECT key, value FROM meta"))
+            # a store without a format key predates the key: format 1, read as is
+            if (fmt := meta.get("format")) not in (None, "1", _FORMAT):
+                raise StoreError(f"{self.path} has store format {fmt!r};"
+                                 f" this wecdb reads formats 1 and {_FORMAT}")
+            if not isinstance(dims := meta.get("dims"), str) or not _WIDTH_RE.fullmatch(dims):
+                raise StoreError(f"{self.path} records {'no' if dims is None else 'a bad'}"
+                                 f" vector width (dims): {dims!r}")
+        except StoreError:
             self.close()
-            raise StoreError(f"{self.path} is not a readable vector store: {exc}") from exc
-        # a store without a format key predates the key: format 1, read as is
-        if (fmt := meta.get("format")) not in (None, "1", _FORMAT):
-            self.close()
-            raise StoreError(
-                f"{self.path} has store format {fmt!r}; this wecdb reads formats 1 and {_FORMAT}"
-            )
-        try:
-            self.dims = int(meta["dims"]) if "dims" in meta else dims
-        except (TypeError, ValueError):
-            self.close()
-            raise StoreError(f"{self.path} records a bad vector width {meta['dims']!r}") from None
+            raise
+        self.dims = int(dims)
 
     @property
     def _conn(self) -> sqlite3.Connection:
@@ -204,14 +209,12 @@ class WecStore:
         word, so a call makes one array, not one per word. A result that
         names a word twice or a word not asked for is refused as corrupt.
         """
-        if self.dims is None:
-            raise StoreError(f"{self.path} records no vector width (dims)")
         unique = dict.fromkeys(words)
-        text = json.dumps(list(unique), ensure_ascii=False)
+        text = _json_text(list(unique))
         held = []
         if "\\u0000" in text:  # a NUL, as JSON escapes it (or a word holding that text)
             held = [word for word in unique if "\0" in word]
-            text = json.dumps([word for word in unique if "\0" not in word], ensure_ascii=False)
+            text = _json_text([word for word in unique if "\0" not in word])
         rows = self._rows(_SELECT_MANY, (text,))
         for word in held:
             rows += [(word, blob) for (blob,) in self._rows(_SELECT_ONE, (word,))]
@@ -232,7 +235,7 @@ class WecStore:
                 f"{self.path}: vector of {word!r} is not {self.dims} float32 values"
             )
         matrix = np.frombuffer(data, dtype="<f4").reshape(len(blobs), self.dims)
-        return VectorRows(matrix, index)
+        return VectorRows(matrix, found, index)
 
     def contains(self, word: str) -> bool:
         return bool(self._rows("SELECT 1 FROM vectors WHERE word = ? LIMIT 1", (word,)))
@@ -271,7 +274,7 @@ class EmptyStore(VectorRows):
     __slots__ = ()
 
     def __init__(self, dims: int):
-        super().__init__(np.frombuffer(b"", dtype="<f4").reshape(0, dims), {})
+        super().__init__(np.frombuffer(b"", dtype="<f4").reshape(0, dims), [], {})
 
     def get_many(self, words: Iterable[str]) -> VectorRows:
         return self

@@ -310,6 +310,58 @@ def test_manifest_record_whose_stopword_list_is_missing_names_its_line(catalog, 
         catalog.list_entries()
 
 
+def _duplicate_first_record(lines):
+    """The first record twice, the copy naming a store of its own."""
+    cols = lines[2].split("\t")
+    return lines + ["\t".join(cols[:6] + ["copy.wec"] + cols[7:])]
+
+
+def _share_first_store(lines):
+    """The second record naming the first record's store file."""
+    cols = lines[3].split("\t")
+    return lines[:3] + ["\t".join(cols[:6] + [lines[2].split("\t")[6]] + cols[7:])]
+
+
+def _permute_first_identifier(lines):
+    cols = lines[2].split("\t")
+    cols[0] = ";".join(reversed(cols[0].split(";")))
+    return lines[:2] + ["\t".join(cols)] + lines[3:]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_permute_first_identifier,
+         r":3: identifier 'unit:token;fold:1;dims:100;.*' is not in its normalized form"),
+        (_duplicate_first_record, r":5: identifier 'algo:glove;.*;dims:100;.*' is on an earlier line"),
+        (_share_first_store, r":4: store '.*dims=100.*\.wec' belongs to an earlier record"),
+    ],
+)
+def test_manifest_record_that_contradicts_the_catalog_names_its_line(catalog, edit, message):
+    # a later line must not silently replace an earlier one, an identifier
+    # must be listed as it is looked up, and deleting one record must not
+    # unlink another record's store
+    _register(catalog, SEVEN[0])
+    _register(catalog, SEVEN[1])
+    manifest = catalog.root / "catalog.manifest"
+    lines = edit(manifest.read_text("utf-8").splitlines())
+    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(CatalogError, match=r"catalog\.manifest" + message):
+        catalog.list_entries()
+
+
+@pytest.mark.parametrize("length", ["0", "1"])
+def test_manifest_vocab_join_shorter_than_two_names_its_line(catalog, length):
+    _register(catalog, SEVEN[0], vocab_join_max_len=2)
+    _rewrite_manifest_line(catalog, lambda cols: "\t".join(cols[:5] + [f"vocab:{length}"] + cols[6:]))
+    with pytest.raises(
+        CatalogError, match=r"catalog\.manifest:3: algo:glove;.*: vocab_join_max_len must be >= 2"
+    ):
+        catalog.list_entries()
+    with pytest.raises(CatalogError, match="vocab_join_max_len must be >= 2"):
+        _register(catalog, SEVEN[1], vocab_join_max_len=int(length))
+
+
 def test_entry_dims_and_pipeline_hash_are_derived(catalog):
     entry = _register(catalog, SEVEN[0])
     fields = {f.name for f in dataclasses.fields(entry)}

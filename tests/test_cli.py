@@ -96,6 +96,27 @@ def test_list_filter(root, tmp_path, capsys):
     _import_toy(root, tmp_path)
     assert main(["--root", root, "list", "--filter", "algo:nope"]) == 0
     assert TOY not in capsys.readouterr().out
+    assert main(["--root", root, "list", "--filter", " dims:3 ; algo:glove "]) == 0
+    assert TOY in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("Dims:3", "invalid key 'Dims'"),
+        ("dims:{3,50}", "brace set not allowed in a filter (key 'dims')"),
+        ("dims:3;dims:3", "duplicate key 'dims'"),
+        ("algo", "malformed pair 'algo'"),
+        ("algo:a b", "whitespace in value for key 'algo'"),
+    ],
+)
+def test_list_filter_is_checked_as_an_identifier_is(root, tmp_path, capsys, spec, message):
+    _import_toy(root, tmp_path)
+    capsys.readouterr()
+    assert main(["--root", root, "list", "--filter", spec]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and message in captured.err
+    assert TOY not in captured.out
 
 
 def test_vectors_json_output(root, tmp_path, capsys):
@@ -193,6 +214,8 @@ def test_corrupt_manifest_number_is_an_error_not_a_crash(root, tmp_path, capsys)
         (lambda line: _column(line, 4, "tokenize(default"), "catalog.manifest:3: malformed stage"),
         (lambda line: _column(line, 4, "tokenize(nope)"), "catalog.manifest:3: unknown tokenize"),
         (lambda line: _column(line, 3, "0" * 16), "catalog.manifest:3: pipeline hash mismatch"),
+        (lambda line: _column(line, 5, "vocab:0"), f"catalog.manifest:3: {TOY}: vocab_join_max"),
+        (lambda line: _column(line, 5, "vocab:1"), f"catalog.manifest:3: {TOY}: vocab_join_max"),
     ],
 )
 def test_corrupt_manifest_file_is_an_error_not_a_crash(root, tmp_path, capsys, edit, message):

@@ -436,3 +436,28 @@ def test_retrained_phrase_model_replaces_the_cached_one(db, tmp_path):
     assert db.join_phrases(db.catalog.require(_MODEL), ["a", "b", "c"]) == ["a", "b_c"]
     res = db.get_vectors(_MODEL, None, inputs=["a b c"], raw=True)
     assert res.per_wec[0][1][0].tokens == ["a", "b_c"]
+
+
+def test_a_call_looks_up_each_phrase_model_once(db, tmp_path, monkeypatch):
+    # every unit of one call joins by one model version, however many units
+    write_wec_text(tmp_path / "v.txt", _EQ_VOCAB, dims=3)
+    other = "algo:eq;dataset:other;dims:3;fold:0;unit:token"
+    for ident in (_MODEL, other, _PLAIN):
+        db.import_from_file(tmp_path / "v.txt", ident)
+    for ident in (_MODEL, other):
+        db.train_phrases(["a b"] * 30 + ["c"] * 5, ident, threshold=1.0)
+    lookups = []
+    phrase_model = Database._phrase_model
+
+    def counted(self, entry):
+        lookups.append(entry.normalized)
+        return phrase_model(self, entry)
+
+    monkeypatch.setattr(Database, "_phrase_model", counted)
+    query = "algo:eq;dataset:{model,other,plain};dims:3;fold:0;unit:token"
+    for _ in range(2):
+        res = db.get_vectors(query, None, inputs=["a b c"] * 50, raw=True)
+        assert all(u.tokens == ["a_b", "c"] for _, units in res.per_wec[:2] for u in units)
+    assert lookups == [_MODEL, other] * 2
+    db.get_vectors(query, None, inputs=[["a", "b"]] * 50)
+    assert lookups == [_MODEL, other] * 2

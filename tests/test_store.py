@@ -1,8 +1,11 @@
+import os
 import random
+import re
 import sqlite3
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wecdb import (
     CatalogError,
@@ -305,6 +308,55 @@ def test_persisted_store_reopens(tmp_path):
         assert store.get("x").tolist() == [1.0, 2.0]
 
 
+def test_store_file_of_another_width_is_refused_naming_it(db, tmp_path):
+    # dims:2 is the width every read of the WEC returns; a store file that
+    # records 3-d rows is refused on open, whether a 2-d handle was cached or not
+    two, three = (f"algo:test;dataset:d;dims:{d};fold:0;unit:token" for d in (2, 3))
+    for ident, dims in ((two, 2), (three, 3)):
+        write_wec_text(tmp_path / f"{dims}.txt", ["a", "b"], dims=dims)
+        db.import_from_file(tmp_path / f"{dims}.txt", ident)
+    assert db.get_vector(two, "a").shape == (2,)  # caches the 2-d handle
+    path = db.catalog.store_path(db.catalog.require(two))
+    copy = tmp_path / "three.wec"
+    copy.write_bytes(db.catalog.store_path(db.catalog.require(three)).read_bytes())
+    os.replace(copy, path)
+    message = f"{re.escape(str(path))} records 3-d vectors, but {re.escape(two)} has dims:2"
+    with Database(db.root) as fresh:
+        for database in (db, fresh):
+            reads = [
+                lambda: database.get_vector(two, "a"),
+                lambda: database.get_vectors(two, None, inputs=[["a", "b"]]),
+                lambda: database.get_vectors_batch(two, ["a"]),
+                lambda: database.contains(two, "a"),
+            ]
+            for read in reads:
+                with pytest.raises(StoreError, match=message):
+                    read()
+            assert database.get_vector(three, "a").shape == (3,)
+
+
+@given(
+    dims=st.integers(1, 1100),
+    count=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+    fmt=st.sampled_from(["%.5f", "%.9g", "%.17g", "%.3e"]),
+)
+@settings(max_examples=30, deadline=None)
+def test_import_reads_back_bit_exact_at_any_width(tmp_path_factory, dims, count, seed, fmt):
+    tmp = tmp_path_factory.mktemp("width")
+    words = [f"w{i}" for i in range(count)]
+    expected = write_wec_text(tmp / "v.txt", words, dims, np.random.default_rng(seed), fmt)
+    ident = f"algo:test;dataset:d;dims:{dims};fold:0;unit:token"
+    with Database(tmp / "catalog", create_if_missing=True) as database:
+        assert database.import_from_file(tmp / "v.txt", ident).imported == count
+        for word in words:
+            assert database.get_vector(ident, word).tobytes() == expected[word].tobytes()
+        res = database.get_vectors(ident, None, inputs=[words + ["absent"]])
+        ((_, (unit,)),) = res
+        assert unit.words() == words and unit.missing == ["absent"]
+        assert [v.tobytes() for v in unit.vectors()] == [expected[w].tobytes() for w in words]
+
+
 def test_get_many_uses_fixed_sql_texts(tmp_path):
     # A fixed set of statements keeps SQLite's per-connection statement
     # cache small whatever the batch size.
@@ -359,11 +411,8 @@ def test_get_many_returns_rows_of_one_read_only_matrix(tmp_path):
                 store.get(bad)
     _write_store(tmp_path / "no-dims.wec", 3)
     _execute(tmp_path / "no-dims.wec", "DELETE FROM meta WHERE key = 'dims'")
-    with WecStore(tmp_path / "no-dims.wec") as store:
-        with pytest.raises(StoreError, match="no vector width"):
-            store.get_many(["a"])
-        with pytest.raises(StoreError, match="no vector width"):
-            store.get("a")
+    with pytest.raises(StoreError, match="no-dims.wec records no vector width"):
+        WecStore(tmp_path / "no-dims.wec")
 
 
 def test_get_many_is_one_statement_per_call(tmp_path):
@@ -457,7 +506,7 @@ def test_corrupt_store_reads_give_store_errors_or_asked_words(tmp_path):
         path = tmp_path / f"flip{case}.wec"
         path.write_bytes(flipped)
         try:
-            with WecStore(path, dims=4) as store:
+            with WecStore(path) as store:
                 got = store.get_many(asked)
                 assert got.keys() <= set(asked) and got.matrix.shape == (len(got), 4)
                 for word in asked:
@@ -532,7 +581,7 @@ def test_format_1_store_reads_bit_exact_and_keeps_its_format(tmp_path):
     vectors = {f"w{i:03d}": rng.standard_normal(300).astype("<f4") for i in range(40)}
     path = tmp_path / "old.wec"
     _write_format1_store(path, 300, [(w, v.tobytes()) for w, v in vectors.items()])
-    with WecStore(path, dims=300) as store:
+    with WecStore(path) as store:
         assert store.dims == 300
         for word, vec in vectors.items():
             assert store.get(word).tobytes() == vec.tobytes()
@@ -547,9 +596,11 @@ def test_format_1_store_reads_bit_exact_and_keeps_its_format(tmp_path):
 def test_store_with_an_unreadable_width_is_refused(tmp_path):
     path = tmp_path / "bad-dims.wec"
     _write_store(path, 2)
-    _execute(path, "UPDATE meta SET value = 'r' WHERE key = 'dims'")
-    with pytest.raises(StoreError, match="bad-dims.wec records a bad vector width"):
-        WecStore(path, dims=2)
+    # only a positive integer written as an import writes it; int() alone takes 0, -3, ' 2', '٢'
+    for width in ("r", "0", "-3", "2.0", " 2", "\u0662"):
+        _execute(path, "UPDATE meta SET value = ? WHERE key = 'dims'", [(width,)])
+        with pytest.raises(StoreError, match="bad-dims.wec records a bad vector width"):
+            WecStore(path)
 
 
 def test_unknown_store_format_is_refused(tmp_path):
@@ -557,5 +608,5 @@ def test_unknown_store_format_is_refused(tmp_path):
     _write_store(path, 2)
     _execute(path, "UPDATE meta SET value = '3' WHERE key = 'format'")
     with pytest.raises(StoreError, match="future.wec.*format '3'"):
-        WecStore(path, dims=5)
+        WecStore(path)
     assert _meta(path) == {"format": "3", "dims": "2"}  # refused before any write
