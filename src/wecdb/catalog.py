@@ -131,19 +131,15 @@ class Catalog:
         if ref == BUILTIN_STOPWORDS:
             return builtin_stopwords_text()
         if ref.startswith("list:"):
-            path = self.root / "lists" / f"{ref[5:]}.txt"
-            if not path.exists():
-                raise CatalogError(f"stopword list {ref!r} missing from catalog")
-            return path.read_text("utf-8")
+            return _read_text(self.root / "lists" / f"{ref[5:]}.txt",
+                              f"stopword list {ref!r} missing from catalog")
         raise CatalogError(f"unresolvable stopword list ref {ref!r}")
 
     def _load(self) -> dict[str, CatalogEntry]:
         entries: dict[str, CatalogEntry] = {}
         stores: set[str] = set()
-        try:
-            text = self._manifest.read_text("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CatalogError(f"{self._manifest} is not UTF-8 text: {exc}") from None
+        text = _read_text(self._manifest,
+                          f"no wecdb catalog at {self.root}: {MANIFEST_NAME} is missing")
         for lineno, raw in enumerate(text.splitlines(), start=1):
             if not raw or raw.startswith("#"):
                 continue
@@ -260,12 +256,11 @@ class Catalog:
         return out
 
     def store_path(self, entry: CatalogEntry) -> Path:
-        return self.root / "stores" / entry.store_file
+        return self.root.joinpath("stores", entry.store_file)  # one join: read on every lookup
 
-    def phrase_model_path(self, entry: CatalogEntry) -> Path | None:
-        if entry.phrase_model_ref is None:
-            return None
-        return self.root / "phrases" / entry.phrase_model_ref
+    def phrase_model_path(self, entry: CatalogEntry) -> Path:
+        """The model file of an entry that has a ``phrase_model_ref``."""
+        return self.root.joinpath("phrases", entry.phrase_model_ref)
 
     # -- mutations --------------------------------------------------------
 
@@ -366,7 +361,7 @@ class Catalog:
             self._write_manifest(entries)
         return entry
 
-    def delete(self, ident: WecIdentifier | str, force: bool = False) -> None:
+    def delete(self, ident: WecIdentifier | str, force: bool = False) -> CatalogEntry:
         """Remove an entry and its store file. Requires ``force=True``:
         identifiers are stable citations and should rarely disappear."""
         if not force:
@@ -384,6 +379,18 @@ class Catalog:
             refs = {e.phrase_model_ref for e in entries.values()}
             if entry.phrase_model_ref is not None and entry.phrase_model_ref not in refs:
                 self.phrase_model_path(entry).unlink(missing_ok=True)
+        return entry
+
+
+def _read_text(path: Path, missing: str) -> str:
+    """The UTF-8 text of a catalog file; :class:`CatalogError` with ``missing``
+    when there is no such file, or naming the file when it is not UTF-8."""
+    try:
+        return path.read_text("utf-8")
+    except FileNotFoundError:
+        raise CatalogError(missing) from None
+    except UnicodeDecodeError as exc:
+        raise CatalogError(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def _manifest_int(text: str, name: str, where: str) -> int:

@@ -7,7 +7,7 @@
     res = db.get_vectors("algo:glove;dataset:6b;dims:{50,100};fold:1;unit:token",
                          cache, inputs=["Theory of computation."], raw=True)
 
-Store handles are cached until their file is replaced or the database closes.
+Store handles and phrase models are kept until their file changes or the database closes.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 from . import phrases as phrases_mod
 from . import store as store_mod
 from .catalog import Catalog, CatalogEntry
-from .errors import StoreError, WecImportError
+from .errors import CatalogError, StoreError, WecImportError
 from .identifier import WecIdentifier, parse_identifier
 from .phrases import PhraseModel
 from .pipeline import PipelineDescriptor, PreprocessCache, pipeline_for_identifier, run_pipeline
@@ -35,14 +35,17 @@ def _as_identifier(ident: WecIdentifier | str) -> WecIdentifier:
     return ident if isinstance(ident, WecIdentifier) else parse_identifier(ident)
 
 
+def _close(kept: tuple | None) -> None:
+    if kept is not None and isinstance(kept[1], WecStore):  # phrase models hold no file
+        kept[1].close()
+
+
 class Database:
     def __init__(self, root: str | Path, create_if_missing: bool = False):
         self.catalog = Catalog(root, create_if_missing=create_if_missing)
-        self._stores: dict[str, tuple[os.stat_result, WecStore]] = {}
-        self._stores_lock = threading.Lock()
-        # model ref -> (path, (st_ino, st_mtime_ns, st_size) of the file loaded,
-        # model): a model file replaced by any Database or process loads again
-        self._phrase_models: dict[str, tuple[Path, tuple, PhraseModel]] = {}
+        # path -> (identity of the file read, store handle or phrase model; None if missing)
+        self._files: dict[str, tuple[tuple | None, WecStore | PhraseModel | None]] = {}
+        self._files_lock = threading.Lock()
 
     @property
     def root(self) -> Path:
@@ -120,7 +123,7 @@ class Database:
                 raise WecImportError(f"store {current.store_file} already contains records")
             return current
 
-        entry = without_records(self.catalog.require(_as_identifier(ident)))
+        entry = without_records(self.catalog.require(ident))
 
         def move_in(current: CatalogEntry) -> CatalogEntry:
             os.replace(tmp, self.catalog.store_path(without_records(current)))
@@ -145,28 +148,32 @@ class Database:
 
     # -- store access ------------------------------------------------------
 
+    def _kept(self, path: Path, load):
+        """``load(path)``, kept while the file's (device, inode, mtime, size) stays the same,
+        or None while it is missing; a store handle this replaces is closed.
+        An unchanged file is answered without the lock."""
+        key = str(path)
+        try:
+            st = os.stat(key)
+            identity = (st.st_dev, st.st_ino, st.st_mtime_ns, st.st_size)
+        except FileNotFoundError:
+            identity = None
+        kept = self._files.get(key)
+        if kept is None or kept[0] != identity:
+            with self._files_lock:
+                old = self._files.get(key)
+                if old is None or old[0] != identity:  # else another thread read it meanwhile
+                    self._files[key] = (identity, None if identity is None else load(path))
+                    _close(old)
+                kept = self._files[key]
+        return kept[1]
+
     def open_store(self, entry: CatalogEntry) -> WecStore | EmptyStore:
         """The entry's read-only store, cached until its file changes; writes nothing.
         A WEC registered but never imported has no store file and reads as empty.
         A store whose recorded vector width is not the entry's ``dims`` is refused."""
         path = self.catalog.store_path(entry)
-        with self._stores_lock:
-            cached = self._stores.get(entry.store_file)
-            try:
-                st = path.stat()
-            except FileNotFoundError:
-                handle = None
-                self._stores.pop(entry.store_file, None)
-            else:
-                # a live handle holds its file open, so no new file can take
-                # its inode: another inode means the file was deleted and made again
-                if cached is not None and os.path.samestat(cached[0], st):
-                    handle, cached = cached[1], None
-                else:
-                    handle = WecStore(path)
-                    self._stores[entry.store_file] = (st, handle)
-        if cached is not None:
-            cached[1].close()
+        handle = self._kept(path, WecStore)
         if handle is None and entry.vocab_size:
             raise StoreError(f"store file {path} of {entry.normalized} is missing")
         if handle is not None and handle.dims != entry.dims:
@@ -176,7 +183,7 @@ class Database:
 
     def get_vector(self, ident: WecIdentifier | str, word: str) -> np.ndarray | None:
         """Exact-match single lookup; absent words return None, never an error."""
-        entry = self.catalog.require(_as_identifier(ident))
+        entry = self.catalog.require(ident)
         return self.open_store(entry).get(word)
 
     def get_vectors_batch(
@@ -184,20 +191,20 @@ class Database:
     ) -> tuple[list[tuple[str, np.ndarray]], list[str]]:
         """(found pairs, missing words): one pair per distinct found word,
         missing in first-occurrence order."""
-        entry = self.catalog.require(_as_identifier(ident))
+        entry = self.catalog.require(ident)
         (unit,) = lookup_units(self, entry, [words], raw=False, cache=None, in_order=False)
         return unit.pairs, unit.missing
 
     def contains(self, ident: WecIdentifier | str, word: str) -> bool:
-        entry = self.catalog.require(_as_identifier(ident))
+        entry = self.catalog.require(ident)
         return self.open_store(entry).contains(word)
 
     def vocab_size(self, ident: WecIdentifier | str) -> int:
-        entry = self.catalog.require(_as_identifier(ident))
+        entry = self.catalog.require(ident)
         return self.open_store(entry).count()
 
     def iterate_vocab(self, ident: WecIdentifier | str):
-        entry = self.catalog.require(_as_identifier(ident))
+        entry = self.catalog.require(ident)
         return self.open_store(entry).iter_words()
 
     # -- preprocessing and phrases ------------------------------------------
@@ -215,14 +222,11 @@ class Database:
         return tokens
 
     def _phrase_model(self, entry: CatalogEntry) -> PhraseModel:
-        cached = self._phrase_models.get(entry.phrase_model_ref)
-        path = cached[0] if cached else self.catalog.phrase_model_path(entry)
-        st = path.stat()
-        identity = (st.st_ino, st.st_mtime_ns, st.st_size)
-        if cached is None or cached[1] != identity:
-            cached = (path, identity, PhraseModel.load(path))
-            self._phrase_models[entry.phrase_model_ref] = cached
-        return cached[2]
+        path = self.catalog.phrase_model_path(entry)
+        model = self._kept(path, PhraseModel.load)
+        if model is None:
+            raise CatalogError(f"phrase model file {path} of {entry.normalized} is missing")
+        return model
 
     def train_phrases(
         self,
@@ -235,7 +239,7 @@ class Database:
     ) -> PhraseModel:
         """Tokenize raw lines with the WEC's bound pipeline, train a phrase
         model and attach it to the WEC in place of any earlier join."""
-        entry = self.catalog.require(_as_identifier(ident))
+        entry = self.catalog.require(ident)
         corpus = (run_pipeline(entry.pipeline, line) for line in raw_lines)
         model = phrases_mod.train_phrase_model(
             corpus, discount=discount, threshold=threshold, passes=passes
@@ -244,15 +248,11 @@ class Database:
         return model
 
     def delete(self, ident: WecIdentifier | str, force: bool = False) -> None:
-        """Close any cached handle for the WEC, then drop it from the catalog."""
-        ident = _as_identifier(ident)
-        entry = self.catalog.lookup(ident)
-        if entry is not None:
-            with self._stores_lock:
-                cached = self._stores.pop(entry.store_file, None)
-            if cached is not None:
-                cached[1].close()
-        self.catalog.delete(ident, force=force)
+        """Drop the WEC from the catalog, then close any handle kept for its store."""
+        entry = self.catalog.delete(ident, force=force)
+        with self._files_lock:
+            kept = self._files.pop(str(self.catalog.store_path(entry)), None)
+        _close(kept)
 
     # -- retrieval -----------------------------------------------------------
 
@@ -270,10 +270,10 @@ class Database:
         )
 
     def close(self) -> None:
-        with self._stores_lock:
-            for _, handle in self._stores.values():
-                handle.close()
-            self._stores.clear()
+        with self._files_lock:
+            for kept in self._files.values():
+                _close(kept)
+            self._files.clear()
 
     def __enter__(self) -> "Database":
         return self

@@ -283,8 +283,11 @@ class EmptyStore(VectorRows):
 
 
 def parse_vector_text(fields: list[str]) -> bytes:
-    """Pinned float conversion: decimal text -> binary64 -> binary32, little-endian."""
-    return np.array(fields, dtype="<f8").astype("<f4").tobytes()
+    """Pinned float conversion: decimal text -> binary64 -> binary32, little-endian;
+    a value beyond binary32's range rounds to infinity of its sign, without a warning."""
+    values = np.array(fields, dtype="<f8")
+    with np.errstate(over="ignore"):
+        return values.astype("<f4").tobytes()
 
 
 def _detect_header(first_line: str, mode: str) -> tuple[int, int] | None:
@@ -400,9 +403,11 @@ def _parse_group(
             pass
         else:
             if values.shape == (len(group), dims):
+                with np.errstate(over="ignore"):  # beyond binary32: infinity, as in parse_vector_text
+                    rows = values.astype("<f4")
                 return [
                     (lineno, word, row.tobytes())
-                    for (lineno, _), word, row in zip(group, words, values.astype("<f4"))
+                    for (lineno, _), word, row in zip(group, words, rows)
                 ]
     return [_parse_line(lineno, line, dims, report, on_malformed) for lineno, line in group]
 

@@ -429,6 +429,8 @@ def test_pair_of_different_widths_is_rejected_by_builtin_metrics():
     for metric, _ in METRICS.values():
         with pytest.raises(AnalysisError, match="length mismatch"):
             pairwise_distances(res1, res2, metric=metric)
+        with pytest.raises(AnalysisError, match=r"length mismatch: \(2,\) vs \(3,\)"):
+            metric(_vec(1, 0), _vec(1, 0, 0))
 
 
 def test_user_metric_is_called_once_per_defined_pair_in_unit_order():

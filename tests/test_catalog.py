@@ -6,6 +6,7 @@ import pytest
 from wecdb import (
     Catalog,
     CatalogError,
+    Database,
     DuplicateEntryError,
     IdentifierError,
     PipelineError,
@@ -111,6 +112,13 @@ def test_pipeline_must_match_fold(catalog):
         catalog.register(ident, build_pipeline(case_fold=False))
 
 
+@pytest.mark.parametrize("source", ["a\tb.txt", "a\nb.txt"])
+def test_source_holding_a_tab_or_newline_is_refused(catalog, source):
+    with pytest.raises(CatalogError, match="source path may not contain tabs or newlines"):
+        _register(catalog, SEVEN[0], source=source)
+    assert catalog.list_entries() == []
+
+
 def test_pipeline_must_match_unit(catalog):
     ident = parse_identifier("algo:a;dataset:d;dims:2;fold:1;unit:stem")
     with pytest.raises(CatalogError, match="unit"):
@@ -148,8 +156,10 @@ def test_delete_requires_force(catalog, tmp_path):
     _register(catalog, SEVEN[0])
     with pytest.raises(CatalogError, match="force"):
         catalog.delete(SEVEN[0])
-    catalog.delete(SEVEN[0], force=True)
+    assert catalog.delete(SEVEN[0], force=True).normalized == SEVEN[0]
     assert catalog.lookup(SEVEN[0]) is None
+    with pytest.raises(UnknownWecError, match="no WEC registered"):
+        catalog.delete(SEVEN[0], force=True)
 
 
 def test_store_filename_encoding():
@@ -308,6 +318,27 @@ def test_manifest_record_whose_stopword_list_is_missing_names_its_line(catalog, 
         CatalogError, match=r"catalog\.manifest:3: stopword list 'list:\w+' missing from catalog"
     ):
         catalog.list_entries()
+
+
+def test_stopword_list_copy_that_is_not_utf8_is_refused_naming_it(catalog, tmp_path):
+    listfile = tmp_path / "my-stops.txt"
+    listfile.write_text("alpha\nbeta\n", encoding="utf-8")
+    ident = parse_identifier(SEVEN[0])
+    catalog.register(ident, pipeline_for_identifier(ident, stopwords=listfile))
+    (copy,) = (catalog.root / "lists").glob("*.txt")
+    copy.write_bytes(b"alpha\nb\xffta\n")
+    with pytest.raises(CatalogError, match=rf"catalog\.manifest:3: {re.escape(str(copy))}"
+                                           " is not UTF-8 text"):
+        catalog.list_entries()
+
+
+def test_manifest_deleted_after_open_is_refused_naming_it(tmp_path):
+    with Database(tmp_path / "cat", create_if_missing=True) as db:
+        db.register(SEVEN[0])
+        (db.root / "catalog.manifest").unlink()
+        for read in (lambda: db.get_vector(SEVEN[0], "a"), db.catalog.list_entries):
+            with pytest.raises(CatalogError, match=r"catalog\.manifest is missing"):
+                read()
 
 
 def _duplicate_first_record(lines):

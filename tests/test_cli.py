@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import os
 import re
@@ -133,6 +134,10 @@ def test_vectors_json_output(root, tmp_path, capsys):
     assert words == ["theory", "computation"]
     # document round-trips through json
     assert json.loads(json.dumps(doc)) == doc
+    # --input FILE reads one raw unit per line
+    (tmp_path / "units.txt").write_text("Theory of computation!\n", encoding="utf-8")
+    assert main(["--root", root, "vectors", TOY, "--input", str(tmp_path / "units.txt")]) == 0
+    assert json.loads(capsys.readouterr().out) == doc
 
 
 def test_vectors_pretokenized_words(root, tmp_path, capsys):
@@ -192,6 +197,33 @@ def test_malformed_phrase_model_is_an_error_not_a_crash(root, tmp_path, capsys, 
     assert err.startswith("error:") and f"{model.name}:{len(lines) + 1}:" in err
 
 
+def _trained_toy_model(root, tmp_path):
+    _import_toy(root, tmp_path)
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("petri net\n" * 30 + "net\n" * 5)
+    assert main(["--root", root, "train-phrases", str(corpus), TOY, "--threshold", "1"]) == 0
+    (model,) = (tmp_path / "catalog" / "phrases").glob("*.phr")
+    return model
+
+
+def test_phrase_model_that_is_not_utf8_is_an_error_not_a_crash(root, tmp_path, capsys):
+    model = _trained_toy_model(root, tmp_path)
+    model.write_bytes(model.read_bytes() + b"u caf\xe9 3\n")
+    capsys.readouterr()
+    assert main(["--root", root, "vectors", TOY, "--text", "petri net theory"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{model} is not UTF-8 text" in err
+
+
+def test_missing_phrase_model_is_an_error_naming_the_wec(root, tmp_path, capsys):
+    model = _trained_toy_model(root, tmp_path)
+    model.unlink()
+    capsys.readouterr()
+    assert main(["--root", root, "vectors", TOY, "--text", "petri net theory"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: phrase model file {model} of {TOY} is missing\n"
+
+
 def test_corrupt_manifest_number_is_an_error_not_a_crash(root, tmp_path, capsys):
     _import_toy(root, tmp_path)
     manifest = tmp_path / "catalog" / "catalog.manifest"
@@ -247,6 +279,19 @@ def test_manifest_whose_stopword_list_is_missing_is_an_error(root, tmp_path, cap
     assert err.startswith("error:") and "catalog.manifest:3: stopword list 'list:" in err
 
 
+def test_stopword_list_copy_that_is_not_utf8_is_an_error(root, tmp_path, capsys):
+    stops = tmp_path / "stops.txt"
+    stops.write_text("alpha\nbeta\n", encoding="utf-8")
+    _import_toy(root, tmp_path, "--stopword-list", str(stops))
+    (copy,) = (tmp_path / "catalog" / "lists").glob("*.txt")
+    copy.write_bytes(b"alpha\nb\xffta\n")
+    for command in (["list"], ["vectors", TOY, "--words", "theory"]):
+        capsys.readouterr()
+        assert main(["--root", root, *command]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"catalog.manifest:3: {copy} is not UTF-8" in err
+
+
 def test_sts_writes_ranking_per_wec(root, tmp_path, capsys):
     _import_toy(root, tmp_path)
     pairs = tmp_path / "pairs.tsv"
@@ -264,6 +309,15 @@ def test_sts_writes_ranking_per_wec(root, tmp_path, capsys):
     first = lines[0].split("\t")
     assert float(first[0]) == pytest.approx(0.0)
     assert (outdir / "run.info").exists()
+    # --stopwords FILE: run.info records the sorted set of its words by sha256
+    stops = tmp_path / "stops.txt"
+    stops.write_text("theory\nof\nthe\n", encoding="utf-8")
+    code = main(["--root", root, "sts", TOY, str(pairs), "--outdir", str(outdir),
+                 "--stopwords", str(stops)])
+    assert code == 0
+    digest = hashlib.sha256(b"of\nthe\ntheory").hexdigest()
+    info = (outdir / "run.info").read_text("utf-8").splitlines()
+    assert f"stopwords: {stops} sha256={digest}" in info
 
 
 def _open_files_under(directory):

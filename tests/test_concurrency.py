@@ -1,3 +1,4 @@
+import sys
 import threading
 
 import numpy as np
@@ -40,6 +41,34 @@ def test_concurrent_readers_on_one_store(db, tmp_path):
             assert len(found) == 50 and not missing
 
     _run_threads(worker)
+
+
+def test_threads_that_first_read_a_file_at_once_share_one_copy(tmp_path):
+    # none of them may replace, and close, the store handle another one uses
+    write_wec_text(tmp_path / "c.txt", ["a", "b", "a_b"], dims=4)
+    root = tmp_path / "catalog"
+    with Database(root, create_if_missing=True) as db:
+        db.import_from_file(tmp_path / "c.txt", IDENT)
+        db.train_phrases(["a b"] * 30 + ["b"] * 5, IDENT, threshold=1.0)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            with Database(root) as db:
+                entry = db.catalog.require(IDENT)
+                start = threading.Barrier(16)  # more threads than cores
+                seen = []
+
+                def worker(k):
+                    start.wait(timeout=30)
+                    seen.append((db.open_store(entry), db._phrase_model(entry)))
+
+                _run_threads(worker, n=16)
+                stores, models = zip(*seen)
+                assert len(set(map(id, stores))) == 1 and len(set(map(id, models))) == 1
+                assert stores[0].get("a_b") is not None
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_concurrent_pipeline_with_shared_cache():

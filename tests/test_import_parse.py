@@ -12,6 +12,7 @@ import warnings
 from contextlib import closing
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -235,3 +236,21 @@ def test_report_times_the_import_layers(tmp_path):
     assert report.imported == 10000
     assert min(report.parse_s, report.insert_s, report.sync_s) > 0
     assert report.parse_s + report.insert_s + report.sync_s <= report.elapsed
+
+
+@pytest.mark.parametrize("sep, per_line", [(" ", 0), ("  ", 1)], ids=["grouped", "per-line"])
+def test_values_beyond_binary32_import_as_infinity_without_warnings(tmp_path, monkeypatch,
+                                                                    sep, per_line):
+    # round to nearest: past binary32's largest finite value, 1e39 rounds to infinity
+    parsed = []
+    parse_line = store._parse_line
+    monkeypatch.setattr(store, "_parse_line",
+                        lambda *args: parsed.append(args) or parse_line(*args))
+    (tmp_path / "wec.txt").write_text(f"w{sep}1e39 -1e39\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        import_from_file(tmp_path / "wec.txt", tmp_path / "wec.db", 2)
+    assert len(parsed) == per_line
+    with closing(sqlite3.connect(tmp_path / "wec.db")) as conn:
+        (blob,) = conn.execute("SELECT vector FROM vectors WHERE word = 'w'").fetchone()
+    assert blob == np.array([np.inf, -np.inf], dtype="<f4").tobytes()

@@ -189,6 +189,19 @@ def test_expect_header_yes_requires_header(db, tmp_path):
     path.write_text("a 1 2 3 4\n")
     with pytest.raises(HeaderError):
         db.import_from_file(path, IDENT, expect_header="yes")
+    path.write_text("1 4\na 1 2 3 4\n")
+    assert db.import_from_file(path, IDENT, expect_header="yes").imported == 1
+    assert db.get_vector(IDENT, "a").tolist() == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("option", ["on_duplicate", "expect_header", "on_malformed"])
+def test_unknown_import_mode_is_refused_before_the_build(db, tmp_path, option):
+    path = tmp_path / "t.txt"
+    path.write_text("a 1 2 3 4\n")
+    with pytest.raises(ValueError, match=f"invalid {option} .*'maybe'"):
+        db.import_from_file(path, IDENT, **{option: "maybe"})
+    assert db.catalog.lookup(IDENT) is None
+    assert _store_files(db) == []
 
 
 def test_words_keep_any_non_whitespace_bytes(db, tmp_path):

@@ -2,9 +2,11 @@
 store file, catalog files are replaced atomically, and every Database sees a
 phrase model or a store file that another one replaced."""
 
+import re
+
 import pytest
 
-from wecdb import Database
+from wecdb import CatalogError, Database, WecdbError
 from wecdb.cli import main
 from wecdb.identifier import parse_identifier
 from wecdb.phrases import train_phrase_model
@@ -117,6 +119,27 @@ def test_second_database_sees_a_reimported_store(tmp_path):
         one.import_from_file(tmp_path / "new.txt", PLAIN)
         assert two.get_vector(PLAIN, "w").tolist() == [3, 4]
         assert two.get_vectors_batch(PLAIN, ["w"])[0][0][1].tolist() == [3, 4]
+
+
+def test_missing_phrase_model_is_a_catalog_error_naming_it_and_the_wec(colliding):
+    with Database(colliding) as db, Database(colliding) as fresh:
+        assert _tokens(db, PLAIN) == ["a_b", "c"]  # keeps the model
+        path = db.catalog.phrase_model_path(db.catalog.require(PLAIN))
+        path.unlink()
+        for database in (db, fresh):
+            with pytest.raises(CatalogError) as info:
+                _tokens(database, PLAIN)
+            assert str(info.value) == f"phrase model file {path} of {PLAIN} is missing"
+        assert _tokens(db, DOTTED) == ["a", "b_c"]
+
+
+def test_phrase_model_that_is_not_utf8_is_refused_naming_it(colliding):
+    with Database(colliding) as db:
+        path = db.catalog.phrase_model_path(db.catalog.require(PLAIN))
+        path.write_bytes(path.read_bytes() + b"u caf\xe9 3\n")
+        with pytest.raises(WecdbError, match=f"{re.escape(str(path))} is not UTF-8 text"):
+            _tokens(db, PLAIN)
+
 
 def test_retrain_leaves_no_temp_file(colliding):
     with Database(colliding) as db:
