@@ -382,15 +382,22 @@ class Catalog:
         return entry
 
 
+def read_text(path: str | Path, error: type[WecdbError] = WecdbError) -> str:
+    """The UTF-8 text of a file; ``error`` naming the file when it is not UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def _read_text(path: Path, missing: str) -> str:
     """The UTF-8 text of a catalog file; :class:`CatalogError` with ``missing``
     when there is no such file, or naming the file when it is not UTF-8."""
     try:
-        return path.read_text("utf-8")
+        return read_text(path, CatalogError)
     except FileNotFoundError:
         raise CatalogError(missing) from None
-    except UnicodeDecodeError as exc:
-        raise CatalogError(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def _manifest_int(text: str, name: str, where: str) -> int:

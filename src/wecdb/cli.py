@@ -23,6 +23,7 @@ import sys
 from pathlib import Path
 
 from . import analyse
+from .catalog import read_text
 from .db import Database
 from .errors import WecdbError
 from .identifier import parse_filter, parse_query
@@ -180,7 +181,7 @@ def cmd_vectors(args) -> int:
             inputs: list = [list(args.words)]
             raw = False
         elif args.input is not None:
-            inputs = Path(args.input).read_text("utf-8").splitlines()
+            inputs = read_text(args.input).splitlines()
             raw = True
         elif args.text:
             inputs = list(args.text)
@@ -201,7 +202,7 @@ def cmd_vectors(args) -> int:
 
 def cmd_train_phrases(args) -> int:
     with _open_db(args) as db:
-        lines = Path(args.corpus).read_text("utf-8").splitlines()
+        lines = read_text(args.corpus).splitlines()
         model = db.train_phrases(
             lines,
             args.identifier,
@@ -224,12 +225,12 @@ def _load_stopwords(spec: str) -> set[str]:
         from .pipeline import builtin_stopwords_text
 
         return set(builtin_stopwords_text().split())
-    return set(Path(spec).read_text("utf-8").split())
+    return set(read_text(spec).split())
 
 
 def cmd_sts(args) -> int:
     with _open_db(args) as db:
-        lines = Path(args.pairs).read_text("utf-8").splitlines()
+        lines = read_text(args.pairs).splitlines()
         if not lines:
             raise WecdbError(f"empty input file {args.pairs}")
         col1: list[str] = []

@@ -35,11 +35,6 @@ def _as_identifier(ident: WecIdentifier | str) -> WecIdentifier:
     return ident if isinstance(ident, WecIdentifier) else parse_identifier(ident)
 
 
-def _close(kept: tuple | None) -> None:
-    if kept is not None and isinstance(kept[1], WecStore):  # phrase models hold no file
-        kept[1].close()
-
-
 class Database:
     def __init__(self, root: str | Path, create_if_missing: bool = False):
         self.catalog = Catalog(root, create_if_missing=create_if_missing)
@@ -150,8 +145,9 @@ class Database:
 
     def _kept(self, path: Path, load):
         """``load(path)``, kept while the file's (device, inode, mtime, size) stays the same,
-        or None while it is missing; a store handle this replaces is closed.
-        An unchanged file is answered without the lock."""
+        or None while it is missing. An unchanged file is answered without the lock.
+        A store handle this replaces is dropped, not closed: a thread that still holds it
+        reads on from the file it opened, and it closes once nothing refers to it."""
         key = str(path)
         try:
             st = os.stat(key)
@@ -164,7 +160,6 @@ class Database:
                 old = self._files.get(key)
                 if old is None or old[0] != identity:  # else another thread read it meanwhile
                     self._files[key] = (identity, None if identity is None else load(path))
-                    _close(old)
                 kept = self._files[key]
         return kept[1]
 
@@ -248,11 +243,11 @@ class Database:
         return model
 
     def delete(self, ident: WecIdentifier | str, force: bool = False) -> None:
-        """Drop the WEC from the catalog, then close any handle kept for its store."""
+        """Drop the WEC from the catalog, then the handle kept for its store
+        (dropped, not closed, as in :meth:`_kept`)."""
         entry = self.catalog.delete(ident, force=force)
         with self._files_lock:
-            kept = self._files.pop(str(self.catalog.store_path(entry)), None)
-        _close(kept)
+            self._files.pop(str(self.catalog.store_path(entry)), None)
 
     # -- retrieval -----------------------------------------------------------
 
@@ -271,8 +266,9 @@ class Database:
 
     def close(self) -> None:
         with self._files_lock:
-            for kept in self._files.values():
-                _close(kept)
+            for _, kept in self._files.values():
+                if isinstance(kept, WecStore):  # phrase models hold no file
+                    kept.close()
             self._files.clear()
 
     def __enter__(self) -> "Database":

@@ -56,25 +56,29 @@ import re
 import sqlite3
 import threading
 import time
+import weakref
 from collections.abc import Iterable, Iterator, Mapping
-from contextlib import closing
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
-from .errors import DuplicateWordError, HeaderError, MalformedLineError, StoreError
+from .errors import DuplicateWordError, HeaderError, MalformedLineError, StoreError, WecImportError
 
 _BATCH_ROWS = 4096
 _GROUP_BYTES = 256 * 1024  # bytes of float64 values per numpy parse call; bounds import memory
 _SELECT_ONE = "SELECT vector FROM vectors WHERE word = ?"
+_SELECT_PAGE = "SELECT word FROM vectors WHERE word > ? ORDER BY word LIMIT ?"
 # CROSS JOIN keeps json_each outermost: one word-index probe per requested word
 _SELECT_MANY = (
     "SELECT v.word, v.vector FROM json_each(?) AS j CROSS JOIN vectors AS v ON v.word = j.value"
 )
 _HEADER_RE = re.compile(r"(\d+) (\d+)")
 _WIDTH_RE = re.compile("[1-9][0-9]*")
+_ESCAPED_BYTE_RE = re.compile("[\udc80-\udcff]")  # a byte that UTF-8 could not decode
 _FORMAT = "2"
 # what a read of a damaged file raises; SQLite's message may quote its damaged schema
 _READ_ERRORS = (sqlite3.DatabaseError, UnicodeDecodeError)
@@ -147,18 +151,25 @@ class WecStore:
 
     The file is opened read-only and must exist: only :func:`import_from_file`
     makes store files. Its format and width (``dims``) come from the file's
-    ``meta`` table, read once when it opens. One instance may be shared
-    between threads: every thread gets its own SQLite connection
-    (thread-local), so concurrent readers never contend in Python.
+    ``meta`` table, read once when it opens. A handle owns one SQLite
+    connection, opened with it, and any thread may read through it, one
+    statement at a time. The connection is closed by :meth:`close`, which
+    waits for a read in flight, or once nothing refers to the handle. Until
+    then it reads the file it opened, even after that file was replaced or
+    deleted.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        # read-only URI: SQLite can neither create the file nor write to it
-        self._uri = f"{self.path.absolute().as_uri()}?mode=ro"
-        self._local = threading.local()
-        self._all_conns: list[sqlite3.Connection] = []
-        self._conns_lock = threading.Lock()
+        self._lock = threading.Lock()
+        try:
+            # read-only URI: SQLite can neither create the file nor write to it;
+            # it opens the file here, so a file gone since the caller saw it fails here
+            self._conn = sqlite3.connect(f"{self.path.absolute().as_uri()}?mode=ro", uri=True,
+                                         check_same_thread=False)
+        except _READ_ERRORS as exc:
+            raise StoreError(f"{self.path} could not be read: {exc}") from exc
+        self._close = weakref.finalize(self, self._conn.close)
         try:
             meta = dict(self._rows("SELECT key, value FROM meta"))
             # a store without a format key predates the key: format 1, read as is
@@ -173,23 +184,12 @@ class WecStore:
             raise
         self.dims = int(dims)
 
-    @property
-    def _conn(self) -> sqlite3.Connection:
-        conn = getattr(self._local, "conn", None)
-        if conn is None:
-            # check_same_thread off only to allow close() from the owner;
-            # by construction each connection is used by a single thread.
-            conn = sqlite3.connect(self._uri, uri=True, check_same_thread=False)
-            self._local.conn = conn
-            with self._conns_lock:
-                self._all_conns.append(conn)
-        return conn
-
     def _rows(self, sql: str, params: tuple = ()) -> list:
         """Every row of one statement; a read SQLite cannot complete raises
         :class:`StoreError` naming the file."""
         try:
-            return self._conn.execute(sql, params).fetchall()
+            with self._lock:
+                return self._conn.execute(sql, params).fetchall()
         except _READ_ERRORS as exc:
             raise StoreError(f"{self.path} could not be read: {exc}") from exc
 
@@ -244,21 +244,18 @@ class WecStore:
         return self._rows("SELECT count(*) FROM vectors")[0][0]
 
     def iter_words(self) -> Iterator[str]:
-        # streams in batches, so it keeps its own try rather than fetchall() in _rows
-        try:
-            cursor = self._conn.execute("SELECT word FROM vectors ORDER BY word")
-            while rows := cursor.fetchmany(_BATCH_ROWS):
-                for (word,) in rows:
-                    yield word
-        except _READ_ERRORS as exc:
-            raise StoreError(f"{self.path} could not be read: {exc}") from exc
+        """Every word in order, read ``_BATCH_ROWS`` at a time after the last one read."""
+        last = ""  # below every word: an import never stores an empty one
+        while rows := self._rows(_SELECT_PAGE, (last, _BATCH_ROWS)):
+            # a page must end past the last, or a damaged word index could loop forever
+            if not isinstance(rows[-1][0], str) or rows[-1][0] <= last:
+                raise StoreError(f"{self.path} is corrupt: its word index is out of order")
+            yield from (word for (word,) in rows)
+            last = rows[-1][0]
 
     def close(self) -> None:
-        with self._conns_lock:
-            for conn in self._all_conns:
-                conn.close()
-            self._all_conns.clear()
-        self._local = threading.local()
+        with self._lock:
+            self._close()
 
     def __enter__(self) -> "WecStore":
         return self
@@ -332,7 +329,7 @@ def import_from_file(
     started = time.perf_counter()
     open(dest, "x").close()  # refuses a taken path; SQLite takes an empty file as a new store
     conn = sqlite3.connect(dest, isolation_level=None)
-    with closing(conn), open(path, "r", encoding="utf-8") as fh:
+    with closing(conn), _utf8_text(path) as fh:
         conn.executescript(
             "PRAGMA journal_mode=MEMORY; PRAGMA synchronous=OFF; BEGIN;"
             " CREATE TABLE vectors (word TEXT PRIMARY KEY NOT NULL, vector BLOB NOT NULL);"
@@ -373,6 +370,23 @@ def import_from_file(
     report.elapsed = time.perf_counter() - started
     report.bytes_store = os.path.getsize(dest)
     return report
+
+
+@contextmanager
+def _utf8_text(path: str | Path) -> Iterator[TextIO]:
+    """``path`` open as UTF-8 text; a byte that is not UTF-8, read in the block,
+    raises :class:`WecImportError` naming the file and the byte's line."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            # read again, lines numbered as above, each bad byte as one escape character
+            with open(path, encoding="utf-8", errors="surrogateescape") as again:
+                for lineno, line in enumerate(again, start=1):
+                    if bad := _ESCAPED_BYTE_RE.search(line):
+                        raise WecImportError(f"{path}: line {lineno} is not UTF-8 text"
+                                             f" (byte {ord(bad[0]) - 0xDC00:#04x})") from None
+            raise
 
 
 def _parse_group(

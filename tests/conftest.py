@@ -1,3 +1,4 @@
+import os
 import sqlite3
 from contextlib import closing
 
@@ -38,6 +39,21 @@ def write_wec_text(path, words, dims, rng=None, fmt="%.5f", header=None):
         expected[word] = np.array(fields, dtype="<f8").astype("<f4")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return expected
+
+
+def open_files_under(directory):
+    """Paths under ``directory`` that this process holds open, one per descriptor
+    (listed through ``/proc/self/fd``)."""
+    prefix = os.path.realpath(directory) + os.sep
+    targets = []
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            target = os.readlink(f"/proc/self/fd/{fd}")
+        except OSError:
+            continue
+        if target.startswith(prefix):
+            targets.append(target)
+    return targets
 
 
 @pytest.fixture

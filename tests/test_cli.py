@@ -10,7 +10,7 @@ import pytest
 
 from wecdb.cli import main
 
-from conftest import write_wec_text
+from conftest import open_files_under, write_wec_text
 
 TOY = "algo:glove;dataset:toy;dims:3;fold:1;unit:token"
 
@@ -292,6 +292,39 @@ def test_stopword_list_copy_that_is_not_utf8_is_an_error(root, tmp_path, capsys)
         assert err.startswith("error:") and f"catalog.manifest:3: {copy} is not UTF-8" in err
 
 
+def test_import_of_text_that_is_not_utf8_is_an_error_naming_the_line(root, tmp_path, capsys):
+    # the bad byte lies well past the first block a text file decodes at once
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"".join(b"w%d 0.1 0.2 0.3\n" % i for i in range(2000)) + b"caf\xe9 1 2 3\n")
+    assert main(["--root", root, "import", str(path), TOY, "--create"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{path}: line 2001 is not UTF-8 text (byte 0xe9)" in err
+    assert os.listdir(os.path.join(root, "stores")) == []
+    assert main(["--root", root, "list", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == []
+
+
+@pytest.mark.parametrize("read", ["vectors --input", "sts pairs", "sts --stopwords",
+                                  "train-phrases corpus"])
+def test_input_file_that_is_not_utf8_is_an_error_naming_it(root, tmp_path, capsys, read):
+    _import_toy(root, tmp_path)
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"petri net\tcaf\xe9\n")
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("petri net\ttheory\n")
+    out = str(tmp_path / "out")
+    argv = {
+        "vectors --input": ["vectors", TOY, "--input", str(bad)],
+        "sts pairs": ["sts", TOY, str(bad), "--outdir", out],
+        "sts --stopwords": ["sts", TOY, str(pairs), "--outdir", out, "--stopwords", str(bad)],
+        "train-phrases corpus": ["train-phrases", str(bad), TOY],
+    }[read]
+    capsys.readouterr()
+    assert main(["--root", root, *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{bad} is not UTF-8 text" in err
+
+
 def test_sts_writes_ranking_per_wec(root, tmp_path, capsys):
     _import_toy(root, tmp_path)
     pairs = tmp_path / "pairs.tsv"
@@ -320,19 +353,6 @@ def test_sts_writes_ranking_per_wec(root, tmp_path, capsys):
     assert f"stopwords: {stops} sha256={digest}" in info
 
 
-def _open_files_under(directory):
-    prefix = os.path.realpath(directory) + os.sep
-    targets = []
-    for fd in os.listdir("/proc/self/fd"):
-        try:
-            target = os.readlink(f"/proc/self/fd/{fd}")
-        except OSError:
-            continue
-        if target.startswith(prefix):
-            targets.append(target)
-    return targets
-
-
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open files via /proc")
 def test_sts_closes_its_store_files(root, tmp_path, capsys):
     # A sqlite3 connection refers back to itself through its statement
@@ -347,7 +367,7 @@ def test_sts_closes_its_store_files(root, tmp_path, capsys):
     try:
         for _ in range(2):
             assert main(argv) == 0
-            assert _open_files_under(os.path.join(root, "stores")) == []
+            assert open_files_under(os.path.join(root, "stores")) == []
     finally:
         gc.enable()
 

@@ -1,11 +1,17 @@
+import os
+import subprocess
 import sys
+import textwrap
 import threading
+from pathlib import Path
 
 import numpy as np
+import pytest
 
+import wecdb
 from wecdb import Database, PreprocessCache, WecImportError, build_pipeline, run_pipeline
 
-from conftest import write_wec_text
+from conftest import open_files_under, write_wec_text
 
 IDENT = "algo:t;dataset:conc;dims:4;fold:1;unit:token"
 
@@ -169,3 +175,113 @@ def test_concurrent_imports_into_one_wec_let_exactly_one_succeed(tmp_path):
         assert db.catalog.require(ident).vocab_size == db.vocab_size(ident) == 300
         assert db.get_vector(ident, "t7").tobytes() == texts[winner]["t7"].tobytes()
     db.close()
+
+
+_REPLACE_WHILE_READING = textwrap.dedent(
+    """
+    import sys, threading
+    from collections import Counter
+    import numpy as np
+    from wecdb import Database, StoreError, UnknownWecError
+
+    root, text, ident = sys.argv[1:4]
+    expected = {}
+    with open(text, encoding="utf-8") as fh:
+        for line in fh:
+            word, *fields = line.split()
+            expected[word] = np.array(fields, dtype="<f8").astype("<f4").tobytes()
+    words = sorted(expected)
+    one, two = Database(root), Database(root)
+    store_file = str(one.catalog.store_path(one.catalog.require(ident)))
+    stop = threading.Event()
+    reads, bad = [0, 0], Counter()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside reads too
+
+    def reader(k):
+        while not stop.is_set():
+            try:
+                found, missing = one.get_vectors_batch(ident, words)
+            except UnknownWecError:
+                continue  # between a delete and the import that follows it
+            except Exception as exc:
+                # a read that saw the manifest before a delete unlinked the file
+                gone = isinstance(exc, StoreError) and store_file in str(exc)
+                if not gone or "closed" in str(exc):
+                    bad[f"{type(exc).__name__}: {exc}"] += 1
+                continue
+            if missing or any(vec.tobytes() != expected[w] for w, vec in found):
+                bad["wrong or missing vectors"] += 1
+            reads[k] += 1
+
+    threads = [threading.Thread(target=reader, args=(k,)) for k in range(2)]
+    for t in threads:
+        t.start()
+    for i in range(200):
+        # the readers' own Database drops the handle on delete, or on its next read
+        writer = (one, two)[i % 2]
+        writer.delete(ident, force=True)
+        writer.import_from_file(text, ident)
+    stop.set()
+    for t in threads:
+        t.join()
+    one.close()
+    two.close()
+    print("reads", reads, "bad", bad)
+    sys.exit(1 if bad or 0 in reads else 0)
+    """
+)
+
+
+def test_reads_while_a_store_is_deleted_and_imported_again_neither_crash_nor_fail(tmp_path):
+    # A crash ends the child, not pytest; its stderr carries faulthandler's stacks.
+    ident = "algo:t;dataset:swap;dims:50;fold:1;unit:token"
+    write_wec_text(tmp_path / "c.txt", [f"cw{i}" for i in range(100)], dims=50)
+    root = tmp_path / "catalog"
+    with Database(root, create_if_missing=True) as db:
+        db.import_from_file(tmp_path / "c.txt", ident)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(wecdb.__file__).parents[1]), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run(
+        [sys.executable, "-X", "faulthandler", "-c", _REPLACE_WHILE_READING,
+         str(root), str(tmp_path / "c.txt"), ident],
+        capture_output=True, text=True, timeout=300, env=env,
+    )
+    assert proc.returncode == 0, f"exit {proc.returncode}: {proc.stdout}\n{proc.stderr}"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open files via /proc")
+def test_short_lived_reader_threads_share_one_open_store_file(db, tmp_path):
+    expected = write_wec_text(tmp_path / "c.txt", ["a", "b"], dims=4)
+    db.import_from_file(tmp_path / "c.txt", IDENT)
+    before = len(open_files_under(db.root))
+    for _ in range(100):
+        thread = threading.Thread(target=db.get_vector, args=(IDENT, "a"))
+        thread.start()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+    assert len(open_files_under(db.root)) <= before + 1
+    assert db.get_vector(IDENT, "a").tobytes() == expected["a"].tobytes()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open files via /proc")
+def test_a_replaced_store_handle_reads_on_from_the_file_it_opened(tmp_path):
+    words = [f"w{i}" for i in range(50)]
+    old = write_wec_text(tmp_path / "old.txt", words, dims=4, rng=np.random.default_rng(1))
+    new = write_wec_text(tmp_path / "new.txt", words, dims=4, rng=np.random.default_rng(2))
+    root = tmp_path / "catalog"
+    with Database(root, create_if_missing=True) as other:
+        other.import_from_file(tmp_path / "old.txt", IDENT)
+    db = Database(root)
+    before = open_files_under(root)
+    handle = db.open_store(db.catalog.require(IDENT))
+    with Database(root) as other:
+        other.delete(IDENT, force=True)
+        other.import_from_file(tmp_path / "new.txt", IDENT)
+    assert db.get_vector(IDENT, "w0").tobytes() == new["w0"].tobytes()  # replaces the handle
+    assert db.open_store(db.catalog.require(IDENT)) is not handle
+    for word in words:
+        assert handle.get(word).tobytes() == old[word].tobytes()
+    assert handle.count() == len(words) and list(handle.iter_words()) == sorted(words)
+    del handle  # the last reference: its file closes
+    db.close()
+    assert open_files_under(root) == before
