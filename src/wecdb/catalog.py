@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .errors import CatalogError, DuplicateEntryError, UnknownWecError, WecdbError
+from .errors import CatalogError, DuplicateEntryError, UnknownWecError, WecdbError, read_text
 from .identifier import WecIdentifier, parse_identifier
 from .phrases import PhraseModel
 from .pipeline import (
@@ -380,15 +380,6 @@ class Catalog:
             if entry.phrase_model_ref is not None and entry.phrase_model_ref not in refs:
                 self.phrase_model_path(entry).unlink(missing_ok=True)
         return entry
-
-
-def read_text(path: str | Path, error: type[WecdbError] = WecdbError) -> str:
-    """The UTF-8 text of a file; ``error`` naming the file when it is not UTF-8."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except UnicodeDecodeError as exc:
-        raise error(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def _read_text(path: Path, missing: str) -> str:

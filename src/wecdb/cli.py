@@ -23,9 +23,8 @@ import sys
 from pathlib import Path
 
 from . import analyse
-from .catalog import read_text
 from .db import Database
-from .errors import WecdbError
+from .errors import WecdbError, read_text
 from .identifier import parse_filter, parse_query
 from .pipeline import PreprocessCache
 from .retrieve import RetrievalResult, lookup_units

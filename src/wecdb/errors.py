@@ -1,10 +1,14 @@
-"""Exception hierarchy.
+"""Exception hierarchy, and the one UTF-8 file reader that raises into it.
 
 Everything raised on purpose by this package derives from :class:`WecdbError`,
 so callers (and the CLI) can catch one type. Parsing and validation problems
 are ``ValueError`` subclasses as well, which keeps them idiomatic for library
 users who never import this module.
 """
+
+from __future__ import annotations
+
+from pathlib import Path
 
 
 class WecdbError(Exception):
@@ -75,3 +79,12 @@ class AnalysisError(WecdbError):
 
 class UndefinedDistanceError(AnalysisError):
     """Distance is undefined for the given vectors (e.g. zero norm)."""
+
+
+def read_text(path: str | Path, error: type[WecdbError] = WecdbError) -> str:
+    """The UTF-8 text of a file; ``error`` naming the file when it is not UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not UTF-8 text: {exc}") from None

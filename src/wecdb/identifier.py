@@ -23,6 +23,7 @@ lexicographically) are byte-equal.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -173,12 +174,16 @@ def _parse_spec(spec_text: str) -> list[tuple[str, list[str], bool]]:
     return pairs
 
 
+@functools.lru_cache(maxsize=1024)
 def parse_identifier(text: str) -> WecIdentifier:
     """Parse one atomic identifier string (no brace sets, no ``&``).
 
     Attribute order in ``text`` is irrelevant; user-defined keys beyond the
     five system keys are preserved. Raises :class:`IdentifierError` naming
-    the offending key on any violation.
+    the offending key on any violation. The result is a pure function of
+    ``text``, so the last 1,024 distinct strings keep theirs (a
+    :class:`WecIdentifier` is immutable); a string that fails is parsed, and
+    fails, on every call.
     """
     if "&" in text:
         raise IdentifierError("'&' not allowed in an atomic identifier")

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from .errors import EmptyCorpusError, WecdbError
+from .errors import EmptyCorpusError, WecdbError, read_text
 
 DEFAULT_DISCOUNT = 0.0
 DEFAULT_THRESHOLD = 10.0
@@ -105,10 +105,7 @@ class PhraseModel:
     def load(cls, path: str | Path) -> "PhraseModel":
         uq = urllib.parse.unquote
         model = cls()
-        try:
-            text = Path(path).read_text("utf-8")
-        except UnicodeDecodeError as exc:
-            raise WecdbError(f"{path} is not UTF-8 text: {exc}") from None
+        text = read_text(path)
         for lineno, line in enumerate(text.split("\n"), start=1):
             if not line or line.startswith("#"):
                 continue

@@ -62,7 +62,7 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 from . import porter
-from .errors import ExternalStageError, PipelineError
+from .errors import ExternalStageError, PipelineError, read_text
 
 BUILTIN_STOPWORDS = "builtin:en"
 
@@ -267,7 +267,7 @@ def build_pipeline(
     if stopwords == "en" or stopwords == BUILTIN_STOPWORDS:
         ref, text = BUILTIN_STOPWORDS, builtin_stopwords_text()
     elif stopwords is not None:
-        text = Path(stopwords).read_text("utf-8")
+        text = read_text(stopwords, PipelineError)
         ref = content_ref(text)
     stages.append(Stage("stopword_filter", (ref,)))
     stages.append(Stage("strip_special", ("default" if strip_special else "off",)))
@@ -291,10 +291,20 @@ def parse_pipeline(text: str, resolver: Callable[[str], str]) -> PipelineDescrip
     """Inverse of :meth:`PipelineDescriptor.serialize`.
 
     ``resolver`` maps a stopword-list ref to its content text (the catalog
-    resolves ``list:*`` refs against its own directory).
+    resolves ``list:*`` refs against its own directory); it is called on
+    every call, so a changed list gives a new descriptor and hash. The stage
+    parse and the descriptor build are pure functions of the text and of
+    the resolved contents, and each keeps its last results.
     """
+    stages, refs = _parse_stages(text)
+    return _descriptor(stages, tuple(sorted((ref, resolver(ref)) for ref in refs)))
+
+
+@functools.lru_cache(maxsize=1024)
+def _parse_stages(text: str) -> tuple[tuple[Stage, ...], tuple[str, ...]]:
+    """The stages of a serialized pipeline and its distinct stopword-list refs."""
     stages: list[Stage] = []
-    resources_map: dict[str, str] = {}
+    refs: dict[str, None] = {}
     for part in text.split(" | "):
         part = part.strip()
         if not part.endswith(")") or "(" not in part:
@@ -304,9 +314,13 @@ def parse_pipeline(text: str, resolver: Callable[[str], str]) -> PipelineDescrip
             urllib.parse.unquote(p) for p in rest[:-1].split(",")
         ) if rest[:-1] else ()
         if name == "stopword_filter" and params and params[0] != "off":
-            resources_map[params[0]] = resolver(params[0])
+            refs[params[0]] = None
         stages.append(Stage(name, params))
-    return PipelineDescriptor(tuple(stages), tuple(sorted(resources_map.items())))
+    return tuple(stages), tuple(refs)
+
+
+# each descriptor holds the full text of its stopword lists, so fewer are kept
+_descriptor = functools.lru_cache(maxsize=128)(PipelineDescriptor)
 
 
 class PreprocessCache:

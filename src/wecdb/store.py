@@ -329,7 +329,7 @@ def import_from_file(
     started = time.perf_counter()
     open(dest, "x").close()  # refuses a taken path; SQLite takes an empty file as a new store
     conn = sqlite3.connect(dest, isolation_level=None)
-    with closing(conn), _utf8_text(path) as fh:
+    with closing(conn), _utf8_text(path, on_malformed) as fh:
         conn.executescript(
             "PRAGMA journal_mode=MEMORY; PRAGMA synchronous=OFF; BEGIN;"
             " CREATE TABLE vectors (word TEXT PRIMARY KEY NOT NULL, vector BLOB NOT NULL);"
@@ -373,9 +373,15 @@ def import_from_file(
 
 
 @contextmanager
-def _utf8_text(path: str | Path) -> Iterator[TextIO]:
+def _utf8_text(path: str | Path, on_malformed: str) -> Iterator[TextIO]:
     """``path`` open as UTF-8 text; a byte that is not UTF-8, read in the block,
-    raises :class:`WecImportError` naming the file and the byte's line."""
+    raises :class:`WecImportError` naming the file and the byte's line. Under
+    ``skip`` each such byte reads as one escape character instead, which
+    :func:`_parse_group` refuses with its line."""
+    if on_malformed == "skip":
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            yield fh
+        return
     with open(path, encoding="utf-8") as fh:
         try:
             yield fh
@@ -383,10 +389,16 @@ def _utf8_text(path: str | Path) -> Iterator[TextIO]:
             # read again, lines numbered as above, each bad byte as one escape character
             with open(path, encoding="utf-8", errors="surrogateescape") as again:
                 for lineno, line in enumerate(again, start=1):
-                    if bad := _ESCAPED_BYTE_RE.search(line):
-                        raise WecImportError(f"{path}: line {lineno} is not UTF-8 text"
-                                             f" (byte {ord(bad[0]) - 0xDC00:#04x})") from None
+                    if reason := _not_utf8(line):
+                        raise WecImportError(f"{path}: line {lineno} is {reason}") from None
             raise
+
+
+def _not_utf8(line: str) -> str | None:
+    """The reason a line read with ``surrogateescape`` is refused, naming its
+    first byte that is not UTF-8; None when it has none."""
+    bad = _ESCAPED_BYTE_RE.search(line)
+    return bad and f"not UTF-8 text (byte {ord(bad[0]) - 0xDC00:#04x})"
 
 
 def _parse_group(
@@ -405,7 +417,15 @@ def _parse_group(
     :func:`_parse_line`: the accepted set, the malformed-line reports and the
     first error raised are those of a line-by-line parse. Both paths round
     each value to the nearest binary64 and then to the nearest binary32.
+    Under ``skip``, a group that holds a byte that is not UTF-8 is parsed
+    line by line, and each line with such a byte is refused before its parse.
     """
+    if on_malformed == "skip" and _ESCAPED_BYTE_RE.search("".join(line for _, line in group)):
+        return [
+            _malformed(lineno, reason, report, on_malformed) if (reason := _not_utf8(line))
+            else _parse_line(lineno, line, dims, report, on_malformed)
+            for lineno, line in group
+        ]
     parts = [line.partition(" ") for _, line in group]
     words = [word for word, _, _ in parts]
     rests = [rest.rstrip() for _, _, rest in parts]

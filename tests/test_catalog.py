@@ -14,6 +14,7 @@ from wecdb import (
     parse_identifier,
     train_phrase_model,
 )
+from wecdb import pipeline as pipeline_mod
 from wecdb.catalog import store_filename
 from wecdb.pipeline import build_pipeline, pipeline_for_identifier, run_pipeline
 
@@ -409,3 +410,47 @@ def test_rewritten_stopword_list_fails_the_pipeline_hash_check(catalog, tmp_path
     copy.write_text("alpha\ngamma\n", encoding="utf-8")
     with pytest.raises(CatalogError, match="pipeline hash mismatch"):
         catalog.require(SEVEN[0])
+
+
+def test_repeated_lookups_build_each_distinct_pipeline_at_most_once(catalog, monkeypatch):
+    for text in SEVEN:  # two distinct pipelines: folded and not
+        _register(catalog, text)
+    built = []
+    build_steps = pipeline_mod._build_steps
+    monkeypatch.setattr(pipeline_mod, "_build_steps",
+                        lambda *args: built.append(args) or build_steps(*args))
+    with Database(catalog.root) as db:
+        for i in range(100):
+            assert db.get_vector(SEVEN[i % 7], "theory") is None
+    assert len(built) <= 2
+
+
+def test_rewritten_stopword_list_fails_the_hash_check_after_a_good_read(catalog, tmp_path):
+    listfile = tmp_path / "my-stops.txt"
+    listfile.write_text("alpha\nbeta\n", encoding="utf-8")
+    ident = parse_identifier(SEVEN[0])
+    entry = catalog.register(ident, pipeline_for_identifier(ident, stopwords=listfile))
+    assert catalog.require(SEVEN[0]) == entry
+    (copy,) = (catalog.root / "lists").glob("*.txt")
+    copy.write_text("alpha\ngamma\n", encoding="utf-8")
+    with pytest.raises(CatalogError, match="pipeline hash mismatch"):
+        catalog.require(SEVEN[0])
+    copy.write_text("alpha\nbeta\n", encoding="utf-8")
+    assert catalog.require(SEVEN[0]) == entry
+
+
+@pytest.mark.parametrize(
+    "column, value, message",
+    [
+        (0, "algo:a b", "whitespace in value for key 'algo'"),
+        (4, "tokenize(default", "malformed stage 'tokenize(default'"),
+    ],
+)
+def test_manifest_record_that_fails_to_parse_fails_every_read(catalog, column, value, message):
+    _register(catalog, SEVEN[0])
+    _rewrite_manifest_line(
+        catalog, lambda cols: "\t".join(cols[:column] + [value] + cols[column + 1 :])
+    )
+    for _ in range(3):
+        with pytest.raises(CatalogError, match=rf"catalog\.manifest:3: {re.escape(message)}"):
+            catalog.list_entries()

@@ -304,10 +304,19 @@ def test_import_of_text_that_is_not_utf8_is_an_error_naming_the_line(root, tmp_p
     assert json.loads(capsys.readouterr().out) == []
 
 
+@pytest.mark.parametrize("line", [b"caf\xe9 1 2 3\n", b"cafe 1 2\xe9 3\n"])
+def test_lenient_import_skips_a_line_that_is_not_utf8(root, tmp_path, capsys, line):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"tea 0.1 0.2 0.3\n" + line)
+    assert main(["--root", root, "import", str(path), TOY, "--create", "--lenient"]) == 0
+    out = capsys.readouterr().out
+    assert "imported: 1\n" in out and "malformed lines: 1\n" in out
+
+
 @pytest.mark.parametrize("read", ["vectors --input", "sts pairs", "sts --stopwords",
-                                  "train-phrases corpus"])
+                                  "train-phrases corpus", "import --stopword-list"])
 def test_input_file_that_is_not_utf8_is_an_error_naming_it(root, tmp_path, capsys, read):
-    _import_toy(root, tmp_path)
+    toy = _import_toy(root, tmp_path)
     bad = tmp_path / "latin1.txt"
     bad.write_bytes(b"petri net\tcaf\xe9\n")
     pairs = tmp_path / "pairs.tsv"
@@ -318,6 +327,8 @@ def test_input_file_that_is_not_utf8_is_an_error_naming_it(root, tmp_path, capsy
         "sts pairs": ["sts", TOY, str(bad), "--outdir", out],
         "sts --stopwords": ["sts", TOY, str(pairs), "--outdir", out, "--stopwords", str(bad)],
         "train-phrases corpus": ["train-phrases", str(bad), TOY],
+        "import --stopword-list": ["import", str(toy), TOY.replace("toy", "toy2"),
+                                   "--stopword-list", str(bad)],
     }[read]
     capsys.readouterr()
     assert main(["--root", root, *argv]) == 1

@@ -157,6 +157,16 @@ def test_lenient_mode_records_malformed_lines(db, tmp_path):
     assert report.imported + report.skipped_duplicates + len(report.malformed_lines) == 5
 
 
+@pytest.mark.parametrize("line", [b"caf\xe9 1 2 3 4\n", b"cafe 1 2\xe9 3 4\n"])
+def test_lenient_mode_skips_a_line_that_is_not_utf8(db, tmp_path, line):
+    path = tmp_path / "t.txt"
+    path.write_bytes(b"tea 1 2 3 4\n" + line)
+    report = db.import_from_file(path, IDENT, on_malformed="skip")
+    assert report.imported == 1
+    assert report.malformed_lines == [(2, "not UTF-8 text (byte 0xe9)")]
+    assert db.get_vector(IDENT, "tea").tolist() == [1, 2, 3, 4]
+
+
 def test_header_autodetected_and_validated(db, tmp_path):
     path = tmp_path / "t.txt"
     path.write_text("2 4\na 1 2 3 4\nb 5 6 7 8\n")
