@@ -37,7 +37,9 @@ from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .errors import CatalogError, DuplicateEntryError, UnknownWecError, WecdbError, read_text
+from .errors import (
+    CatalogError, DuplicateEntryError, UnknownWecError, WecdbError, read_text, text_lines,
+)
 from .identifier import WecIdentifier, parse_identifier
 from .phrases import PhraseModel
 from .pipeline import (
@@ -140,7 +142,7 @@ class Catalog:
         stores: set[str] = set()
         text = _read_text(self._manifest,
                           f"no wecdb catalog at {self.root}: {MANIFEST_NAME} is missing")
-        for lineno, raw in enumerate(text.splitlines(), start=1):
+        for lineno, raw in enumerate(text_lines(text), start=1):
             if not raw or raw.startswith("#"):
                 continue
             where = f"{self._manifest}:{lineno}"
@@ -295,8 +297,9 @@ class Catalog:
                 f"pipeline stem={'on' if pipeline.stem_enabled else 'off'}"
                 f" contradicts unit:{ident.unit}"
             )
-        if "\t" in str(source) or "\n" in str(source):
-            raise CatalogError("source path may not contain tabs or newlines")
+        # a manifest read with universal newlines ends a line at "\r" too
+        if any(c in str(source) for c in "\t\n\r"):
+            raise CatalogError("source path may not contain tabs or newlines (\\t, \\n or \\r)")
         norm = ident.normalized()
         entries = self._load()
         if norm in entries:

@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import analyse
 from .db import Database
-from .errors import WecdbError, read_text
+from .errors import WecdbError, read_text, text_lines
 from .identifier import parse_filter, parse_query
 from .pipeline import PreprocessCache
 from .retrieve import RetrievalResult, lookup_units
@@ -180,7 +180,7 @@ def cmd_vectors(args) -> int:
             inputs: list = [list(args.words)]
             raw = False
         elif args.input is not None:
-            inputs = read_text(args.input).splitlines()
+            inputs = text_lines(read_text(args.input))
             raw = True
         elif args.text:
             inputs = list(args.text)
@@ -201,7 +201,7 @@ def cmd_vectors(args) -> int:
 
 def cmd_train_phrases(args) -> int:
     with _open_db(args) as db:
-        lines = read_text(args.corpus).splitlines()
+        lines = text_lines(read_text(args.corpus))
         model = db.train_phrases(
             lines,
             args.identifier,
@@ -229,7 +229,7 @@ def _load_stopwords(spec: str) -> set[str]:
 
 def cmd_sts(args) -> int:
     with _open_db(args) as db:
-        lines = read_text(args.pairs).splitlines()
+        lines = text_lines(read_text(args.pairs))
         if not lines:
             raise WecdbError(f"empty input file {args.pairs}")
         col1: list[str] = []

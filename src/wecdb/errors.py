@@ -1,4 +1,5 @@
-"""Exception hierarchy, and the one UTF-8 file reader that raises into it.
+"""Exception hierarchy, the one UTF-8 file reader that raises into it, and
+the one line splitter for the text it reads.
 
 Everything raised on purpose by this package derives from :class:`WecdbError`,
 so callers (and the CLI) can catch one type. Parsing and validation problems
@@ -88,3 +89,12 @@ def read_text(path: str | Path, error: type[WecdbError] = WecdbError) -> str:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise error(f"{path} is not UTF-8 text: {exc}") from None
+
+
+def text_lines(text: str) -> list[str]:
+    """The lines of text read with universal newlines: split at ``\\n`` alone,
+    never at the other characters :meth:`str.splitlines` ends a line at
+    (``\\x0b``, ``\\x0c``, ``\\x1c``-``\\x1e``, ``\\x85``, U+2028, U+2029),
+    and without the empty piece after a final newline."""
+    lines = text.split("\n")
+    return lines[:-1] if lines[-1] == "" else lines

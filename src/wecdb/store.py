@@ -40,12 +40,17 @@ decimal floats. An optional first line of exactly two integers is treated
 as a ``count dims`` header (word2vec text convention). Floats are parsed
 to the nearest binary64 and then rounded to the nearest binary32
 (round-half-even); re-retrieval is bit-exact against that conversion.
-Data lines are parsed in groups by numpy's C text reader (``np.loadtxt``),
-which also takes the trailing space the word2vec and fastText tools write
-at the end of each line, with the per-line parse (``line.split()`` and
+The file is read once, as UTF-8 that escapes each byte that is not UTF-8;
+a line that holds such a byte is malformed. Data lines are parsed in
+groups by numpy's C text reader (``np.loadtxt``), which also takes the
+trailing space the word2vec and fastText tools write at the end of each
+line, with the per-line parse (``line.split()`` and
 :func:`parse_vector_text`) as the fallback for any group the reader
 refuses or would read otherwise; the accepted set, the malformed-line
-reports and the error raised are those of the per-line parse.
+reports and the error raised are those of the per-line parse. Each batch
+of ``_BATCH_ROWS`` data lines is parsed in line order and then inserted,
+so faults are met in line order, a malformed line before a repeated word
+of its batch.
 """
 
 from __future__ import annotations
@@ -58,11 +63,10 @@ import threading
 import time
 import weakref
 from collections.abc import Iterable, Iterator, Mapping
-from contextlib import closing, contextmanager
+from contextlib import closing
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from pathlib import Path
-from typing import TextIO
 
 import numpy as np
 
@@ -314,7 +318,8 @@ def import_from_file(
     rest. ``expect_header``: ``auto`` treats a first line of exactly two
     integers as a ``count dims`` header; ``yes`` requires one; ``no`` takes
     every line as data. ``on_malformed``: ``fail`` aborts on the first bad
-    line; ``skip`` records (line, reason) in the report and continues.
+    line, one that is not UTF-8 included; ``skip`` records (line, reason) in
+    the report and continues.
 
     No one reads ``dest`` until it is whole, so it is built without a journal
     on disk and synced once; a failed build may leave it for the caller.
@@ -329,7 +334,8 @@ def import_from_file(
     started = time.perf_counter()
     open(dest, "x").close()  # refuses a taken path; SQLite takes an empty file as a new store
     conn = sqlite3.connect(dest, isolation_level=None)
-    with closing(conn), _utf8_text(path, on_malformed) as fh:
+    # a byte that is not UTF-8 reads as one escape character, refused with its line
+    with closing(conn), open(path, encoding="utf-8", errors="surrogateescape") as fh:
         conn.executescript(
             "PRAGMA journal_mode=MEMORY; PRAGMA synchronous=OFF; BEGIN;"
             " CREATE TABLE vectors (word TEXT PRIMARY KEY NOT NULL, vector BLOB NOT NULL);"
@@ -352,7 +358,7 @@ def import_from_file(
             start = time.perf_counter()
             group = list(islice(lines, min(group_rows, _BATCH_ROWS - len(pending))))
             if group:
-                pending += _parse_group(group, dims, report, on_malformed)
+                pending += _parse_group(path, group, dims, report, on_malformed)
             report.parse_s += time.perf_counter() - start
             if len(pending) == _BATCH_ROWS or not group:
                 start = time.perf_counter()
@@ -372,28 +378,6 @@ def import_from_file(
     return report
 
 
-@contextmanager
-def _utf8_text(path: str | Path, on_malformed: str) -> Iterator[TextIO]:
-    """``path`` open as UTF-8 text; a byte that is not UTF-8, read in the block,
-    raises :class:`WecImportError` naming the file and the byte's line. Under
-    ``skip`` each such byte reads as one escape character instead, which
-    :func:`_parse_group` refuses with its line."""
-    if on_malformed == "skip":
-        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-            yield fh
-        return
-    with open(path, encoding="utf-8") as fh:
-        try:
-            yield fh
-        except UnicodeDecodeError:
-            # read again, lines numbered as above, each bad byte as one escape character
-            with open(path, encoding="utf-8", errors="surrogateescape") as again:
-                for lineno, line in enumerate(again, start=1):
-                    if reason := _not_utf8(line):
-                        raise WecImportError(f"{path}: line {lineno} is {reason}") from None
-            raise
-
-
 def _not_utf8(line: str) -> str | None:
     """The reason a line read with ``surrogateescape`` is refused, naming its
     first byte that is not UTF-8; None when it has none."""
@@ -402,7 +386,8 @@ def _not_utf8(line: str) -> str | None:
 
 
 def _parse_group(
-    group: list[tuple[int, str]], dims: int, report: ImportReport, on_malformed: str
+    path: str | Path, group: list[tuple[int, str]], dims: int, report: ImportReport,
+    on_malformed: str,
 ) -> list[tuple[int, str, bytes] | None]:
     """Parse ``(lineno, line)`` data lines with one numpy call, else line by line.
 
@@ -410,27 +395,24 @@ def _parse_group(
     space, without its trailing whitespace, which ``line.split()`` drops too
     (the word2vec and fastText tools end every line with a space). Its
     result is used only when every word is what ``line.split()`` gives
-    (non-empty, no whitespace), no line is blank after the word, and it holds
-    one row of ``dims`` values per line. The reader refuses some text that
-    :func:`_parse_line` accepts (``1_0``, non-ASCII digits, runs of spaces,
-    tabs), so any other outcome parses the whole group with
-    :func:`_parse_line`: the accepted set, the malformed-line reports and the
+    (non-empty, no whitespace, no byte that is not UTF-8), no line is blank
+    after the word, and it holds one row of ``dims`` values per line. The
+    reader refuses some text that :func:`_parse_line` accepts (``1_0``,
+    non-ASCII digits, runs of spaces, tabs), and any value that holds a byte
+    that is not UTF-8, so any other outcome parses the whole group line by
+    line, in line order: a line with such a byte (escaped by the import's
+    decode of ``path``) is refused, and every other line goes to
+    :func:`_parse_line`. The accepted set, the malformed-line reports and the
     first error raised are those of a line-by-line parse. Both paths round
     each value to the nearest binary64 and then to the nearest binary32.
-    Under ``skip``, a group that holds a byte that is not UTF-8 is parsed
-    line by line, and each line with such a byte is refused before its parse.
     """
-    if on_malformed == "skip" and _ESCAPED_BYTE_RE.search("".join(line for _, line in group)):
-        return [
-            _malformed(lineno, reason, report, on_malformed) if (reason := _not_utf8(line))
-            else _parse_line(lineno, line, dims, report, on_malformed)
-            for lineno, line in group
-        ]
     parts = [line.partition(" ") for _, line in group]
     words = [word for word, _, _ in parts]
     rests = [rest.rstrip() for _, _, rest in parts]
+    joined = " ".join(words)
     # the reader skips blank lines, and warns on a group of nothing else
-    if " ".join(words).split() == words and "" not in rests:
+    if (joined.split() == words and "" not in rests
+            and (joined.isascii() or not _ESCAPED_BYTE_RE.search(joined))):
         try:
             values = np.loadtxt(rests, dtype="<f8", delimiter=" ", comments=None, ndmin=2)
         except ValueError:
@@ -443,7 +425,13 @@ def _parse_group(
                     (lineno, word, row.tobytes())
                     for (lineno, _), word, row in zip(group, words, rows)
                 ]
-    return [_parse_line(lineno, line, dims, report, on_malformed) for lineno, line in group]
+    return [
+        _malformed(lineno, reason, report, on_malformed,
+                   WecImportError(f"{path}: line {lineno} is {reason}"))
+        if (reason := _not_utf8(line))
+        else _parse_line(lineno, line, dims, report, on_malformed)
+        for lineno, line in group
+    ]
 
 
 def _parse_line(
@@ -464,9 +452,12 @@ def _parse_line(
     return (lineno, fields[0], blob)
 
 
-def _malformed(lineno: int, reason: str, report: ImportReport, on_malformed: str) -> None:
+def _malformed(lineno: int, reason: str, report: ImportReport, on_malformed: str,
+               error: WecImportError | None = None) -> None:
+    """Raise ``error`` (by default :class:`MalformedLineError`) under ``fail``;
+    record the line and its reason under ``skip``."""
     if on_malformed == "fail":
-        raise MalformedLineError(lineno, reason)
+        raise error or MalformedLineError(lineno, reason)
     report.malformed_lines.append((lineno, reason))
     return None
 

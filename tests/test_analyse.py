@@ -269,6 +269,14 @@ def test_ranking_through_a_store_matches_a_row_loop_bytewise(db, tmp_path, dims,
 
 
 
+def test_ranking_iterates_per_wec_as_the_readme_loop_does():
+    res1 = _result("w", [_unit([("a", (1, 0))], raw="a")])
+    res2 = _result("w", [_unit([("b", (0, 1))], raw="b")])
+    ranking = pairwise_distances(res1, res2)
+    got = [(ident, distance, s1, s2) for ident, rows in ranking for distance, s1, s2 in rows]
+    assert got == [("w", 1.0, "a", "b")]
+
+
 def test_hand_built_unit_ranks_by_its_current_vectors():
     # Nothing is kept on a hand-built unit between calls: a vector changed
     # in place, or a pair replaced, shows in the next ranking.

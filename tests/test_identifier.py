@@ -81,6 +81,18 @@ def test_grid_expansion_follows_supplied_value_order():
     assert len(query) == 4
 
 
+def test_query_iterates_over_its_expansion():
+    query = parse_query("algo:g;dataset:d;dims:{1,2};fold:0;unit:token")
+    assert list(query) == list(query.expanded)
+    assert [ident.dims for ident in query] == [1, 2]
+
+
+def test_identifier_prints_as_its_normalized_form():
+    ident = parse_identifier("unit:token;fold:0;dims:300;dataset:googlenews;algo:w2v")
+    assert str(ident) == ident.normalized() == GOOGLENEWS
+    assert f"{ident}" == GOOGLENEWS
+
+
 def test_ampersand_concatenates_in_supplied_order():
     query = parse_query(
         "algo:x;dataset:d;dims:1;fold:0;unit:token&algo:x;dataset:e;dims:1;fold:0;unit:token"
