@@ -419,14 +419,13 @@ _CELL = 28
 _GUTTER = 110
 
 
-def _svg_escape(text: str) -> str:
-    return (
-        text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-        .replace('"', "&quot;")
-    )
+_QUOTE = {'"': "&quot;"}  # escape() replaces &, < and >; a label's '"' is replaced too
 
 
 def _export_svg(matrix, row_labels, col_labels, path) -> None:
+    # imported here: it imports urllib.request and ssl, ~7 MiB that only an SVG needs
+    from xml.sax.saxutils import escape
+
     n_rows, n_cols = matrix.shape
     lo = float(matrix.min())
     hi = float(matrix.max())
@@ -453,13 +452,13 @@ def _export_svg(matrix, row_labels, col_labels, path) -> None:
         y = _GUTTER + i * _CELL + _CELL * 0.65
         parts.append(
             f'<text x="{_GUTTER - 6}" y="{y:.1f}" text-anchor="end">'
-            f"{_svg_escape(label)}</text>"
+            f"{escape(label, _QUOTE)}</text>"
         )
     for j, label in enumerate(col_labels):
         x = _GUTTER + j * _CELL + _CELL * 0.65
         parts.append(
             f'<text x="{x:.1f}" y="{_GUTTER - 6}" text-anchor="start"'
-            f' transform="rotate(-60 {x:.1f} {_GUTTER - 6})">{_svg_escape(label)}</text>'
+            f' transform="rotate(-60 {x:.1f} {_GUTTER - 6})">{escape(label, _QUOTE)}</text>'
         )
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts), encoding="utf-8")

@@ -40,7 +40,7 @@ from pathlib import Path
 from .errors import (
     CatalogError, DuplicateEntryError, UnknownWecError, WecdbError, read_text, text_lines,
 )
-from .identifier import WecIdentifier, parse_identifier
+from .identifier import WecIdentifier, as_identifier, parse_identifier
 from .phrases import PhraseModel
 from .pipeline import (
     BUILTIN_STOPWORDS,
@@ -230,7 +230,7 @@ class Catalog:
 
     def lookup(self, ident: WecIdentifier | str) -> CatalogEntry | None:
         """Entry for the identifier, or None. Not-found is not an error."""
-        norm = _normalize_arg(ident)
+        norm = as_identifier(ident).normalized()
         return self._load().get(norm)
 
     def require(self, ident: WecIdentifier | str) -> CatalogEntry:
@@ -240,12 +240,9 @@ class Catalog:
     def require_all(self, idents) -> list[CatalogEntry]:
         """The entry of each identifier, in order, all from one read of the
         manifest; raises :class:`UnknownWecError` for the first unregistered one."""
-        norms = [_normalize_arg(ident) for ident in idents]
+        norms = [as_identifier(ident).normalized() for ident in idents]
         entries = self._load()
-        for norm in norms:
-            if norm not in entries:
-                raise UnknownWecError(f"no WEC registered as {norm!r}")
-        return [entries[norm] for norm in norms]
+        return [_registered(entries, norm) for norm in norms]
 
     def list_entries(self, attr_filter: dict[str, str] | None = None) -> list[CatalogEntry]:
         """Entries whose identifier contains every filter pair, by normalized string."""
@@ -355,12 +352,10 @@ class Catalog:
     ) -> CatalogEntry:
         """Rewrite a registered entry as ``change(entry)``, under the lock;
         ``change`` may write the entry's own files before the manifest is."""
-        norm = _normalize_arg(ident)
+        norm = as_identifier(ident).normalized()
         with self._locked():
             entries = self._load()
-            if norm not in entries:
-                raise UnknownWecError(f"no WEC registered as {norm!r}")
-            entry = entries[norm] = change(entries[norm])
+            entry = entries[norm] = change(_registered(entries, norm))
             self._write_manifest(entries)
         return entry
 
@@ -369,12 +364,11 @@ class Catalog:
         identifiers are stable citations and should rarely disappear."""
         if not force:
             raise CatalogError("deletion requires force=True")
-        norm = _normalize_arg(ident)
+        norm = as_identifier(ident).normalized()
         with self._locked():
             entries = self._load()
-            entry = entries.pop(norm, None)
-            if entry is None:
-                raise UnknownWecError(f"no WEC registered as {norm!r}")
+            entry = _registered(entries, norm)
+            del entries[norm]
             self._write_manifest(entries)
             self.store_path(entry).unlink(missing_ok=True)
             # manifests written before models were named by store file may
@@ -407,10 +401,12 @@ def _plain_name(text: str, name: str, where: str) -> str:
     return text
 
 
-def _normalize_arg(ident: WecIdentifier | str) -> str:
-    if isinstance(ident, WecIdentifier):
-        return ident.normalized()
-    return parse_identifier(ident).normalized()
+def _registered(entries: dict[str, CatalogEntry], norm: str) -> CatalogEntry:
+    """The entry registered as ``norm``; :class:`UnknownWecError` when there is none."""
+    try:
+        return entries[norm]
+    except KeyError:
+        raise UnknownWecError(f"no WEC registered as {norm!r}") from None
 
 
 def _write_atomic(path: Path, content: str | Callable[[Path], object]) -> None:

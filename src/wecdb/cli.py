@@ -30,15 +30,16 @@ from .pipeline import PreprocessCache
 from .retrieve import RetrievalResult, lookup_units
 
 
-def _root_from(args) -> str:
+def _open_db(args, create: bool = False) -> Database:
     root = args.root or os.environ.get("WECDB_ROOT")
     if not root:
         raise WecdbError("no catalog root: pass --root or set WECDB_ROOT")
-    return root
+    return Database(root, create_if_missing=create)
 
 
-def _open_db(args, create: bool = False) -> Database:
-    return Database(_root_from(args), create_if_missing=create)
+def _input_text(path: str) -> str:
+    """The UTF-8 text of a user's input file, without a leading byte-order mark."""
+    return read_text(path).removeprefix("\ufeff")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -180,7 +181,7 @@ def cmd_vectors(args) -> int:
             inputs: list = [list(args.words)]
             raw = False
         elif args.input is not None:
-            inputs = text_lines(read_text(args.input))
+            inputs = text_lines(_input_text(args.input))
             raw = True
         elif args.text:
             inputs = list(args.text)
@@ -201,7 +202,7 @@ def cmd_vectors(args) -> int:
 
 def cmd_train_phrases(args) -> int:
     with _open_db(args) as db:
-        lines = text_lines(read_text(args.corpus))
+        lines = text_lines(_input_text(args.corpus))
         model = db.train_phrases(
             lines,
             args.identifier,
@@ -224,12 +225,12 @@ def _load_stopwords(spec: str) -> set[str]:
         from .pipeline import builtin_stopwords_text
 
         return set(builtin_stopwords_text().split())
-    return set(read_text(spec).split())
+    return set(_input_text(spec).split())
 
 
 def cmd_sts(args) -> int:
     with _open_db(args) as db:
-        lines = text_lines(read_text(args.pairs))
+        lines = text_lines(_input_text(args.pairs))
         if not lines:
             raise WecdbError(f"empty input file {args.pairs}")
         col1: list[str] = []
@@ -302,10 +303,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except WecdbError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (WecdbError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -23,16 +23,26 @@ import numpy as np
 from . import phrases as phrases_mod
 from . import store as store_mod
 from .catalog import Catalog, CatalogEntry
-from .errors import CatalogError, StoreError, WecImportError
-from .identifier import WecIdentifier, parse_identifier
+from .errors import CatalogError, PipelineError, StoreError, WecImportError
+from .identifier import WecIdentifier, as_identifier
 from .phrases import PhraseModel
 from .pipeline import PipelineDescriptor, PreprocessCache, pipeline_for_identifier, run_pipeline
 from .retrieve import RetrievalResult, get_vectors as _get_vectors, lookup_units
 from .store import EmptyStore, ImportReport, WecStore
 
 
-def _as_identifier(ident: WecIdentifier | str) -> WecIdentifier:
-    return ident if isinstance(ident, WecIdentifier) else parse_identifier(ident)
+def _registration(
+    ident: WecIdentifier | str, pipeline: PipelineDescriptor | None, pipeline_options: dict
+) -> tuple[WecIdentifier, PipelineDescriptor]:
+    """The identifier to register and its pipeline: ``pipeline``, or the one its
+    metadata implies with ``pipeline_options``. Options given with a pipeline are refused."""
+    ident = as_identifier(ident)
+    if pipeline is None:
+        return ident, pipeline_for_identifier(ident, **pipeline_options)
+    if pipeline_options:
+        raise PipelineError(f"pipeline options ({', '.join(sorted(pipeline_options))})"
+                            " cannot be given with pipeline=, which they would not change")
+    return ident, pipeline
 
 
 class Database:
@@ -59,9 +69,7 @@ class Database:
         **pipeline_options,
     ) -> CatalogEntry:
         """Register a WEC; builds the metadata-implied pipeline when none given."""
-        ident = _as_identifier(ident)
-        if pipeline is None:
-            pipeline = pipeline_for_identifier(ident, **pipeline_options)
+        ident, pipeline = _registration(ident, pipeline, pipeline_options)
         return self.catalog.register(
             ident,
             pipeline,
@@ -90,9 +98,7 @@ class Database:
         The store is built in a private file that the registering catalog
         write moves into place, so a failed or killed import leaves no entry.
         """
-        ident = _as_identifier(ident)
-        if pipeline is None:
-            pipeline = pipeline_for_identifier(ident, **pipeline_options)
+        ident, pipeline = _registration(ident, pipeline, pipeline_options)
         self.catalog._check_new(ident, pipeline, path, vocab_join_max_len)
         with self._build(path, ident.dims, on_duplicate, expect_header,
                          on_malformed) as (tmp, report):
@@ -176,10 +182,13 @@ class Database:
                              f" but {entry.normalized} has dims:{entry.dims}")
         return EmptyStore(entry.dims) if handle is None else handle
 
+    def _store_of(self, ident: WecIdentifier | str) -> WecStore | EmptyStore:
+        """The store of one registered WEC, as :meth:`open_store` gives it."""
+        return self.open_store(self.catalog.require(ident))
+
     def get_vector(self, ident: WecIdentifier | str, word: str) -> np.ndarray | None:
         """Exact-match single lookup; absent words return None, never an error."""
-        entry = self.catalog.require(ident)
-        return self.open_store(entry).get(word)
+        return self._store_of(ident).get(word)
 
     def get_vectors_batch(
         self, ident: WecIdentifier | str, words: list[str]
@@ -191,16 +200,13 @@ class Database:
         return unit.pairs, unit.missing
 
     def contains(self, ident: WecIdentifier | str, word: str) -> bool:
-        entry = self.catalog.require(ident)
-        return self.open_store(entry).contains(word)
+        return self._store_of(ident).contains(word)
 
     def vocab_size(self, ident: WecIdentifier | str) -> int:
-        entry = self.catalog.require(ident)
-        return self.open_store(entry).count()
+        return self._store_of(ident).count()
 
     def iterate_vocab(self, ident: WecIdentifier | str):
-        entry = self.catalog.require(ident)
-        return self.open_store(entry).iter_words()
+        return self._store_of(ident).iter_words()
 
     # -- preprocessing and phrases ------------------------------------------
 

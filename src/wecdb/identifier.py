@@ -124,9 +124,8 @@ class WecIdentifier:
 
 @dataclass(frozen=True)
 class WecQuery:
-    """A parsed grid query: raw per-WEC specs plus their expansion."""
+    """A parsed grid query: the atomic identifiers it expands to, in order."""
 
-    specs: tuple[str, ...]
     expanded: tuple[WecIdentifier, ...]
 
     def __len__(self) -> int:
@@ -192,6 +191,11 @@ def parse_identifier(text: str) -> WecIdentifier:
     return WecIdentifier(_plain_pairs(text, "an atomic identifier"))
 
 
+def as_identifier(ident: WecIdentifier | str) -> WecIdentifier:
+    """``ident`` itself, or the identifier the string ``ident`` parses to."""
+    return ident if isinstance(ident, WecIdentifier) else parse_identifier(ident)
+
+
 def parse_filter(text: str) -> dict[str, str]:
     """Parse a partial spec (``key:value`` pairs, no brace sets, any subset of
     keys) into a filter for :meth:`WecIdentifier.matches`; keys and values
@@ -233,4 +237,4 @@ def parse_query(text: str) -> WecQuery:
                 raise IdentifierError(f"duplicate expanded identifier {norm!r}")
             seen.add(norm)
             expanded.append(ident)
-    return WecQuery(tuple(specs), tuple(expanded))
+    return WecQuery(tuple(expanded))

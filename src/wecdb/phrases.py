@@ -35,6 +35,7 @@ DEFAULT_DISCOUNT = 0.0
 DEFAULT_THRESHOLD = 10.0
 DEFAULT_PASSES = 1
 DEFAULT_VOCAB_MAX_LEN = 4
+DELIMITER = "_"  # what joins the tokens of a phrase, in both kinds of join
 
 
 @dataclass
@@ -47,7 +48,6 @@ class PhraseModel:
     discount: float = DEFAULT_DISCOUNT
     threshold: float = DEFAULT_THRESHOLD
     passes: int = DEFAULT_PASSES
-    delimiter: str = "_"
 
     def score(self, a: str, b: str) -> float | None:
         """Joining score for the adjacent pair, or None if unseen in training."""
@@ -67,7 +67,7 @@ class PhraseModel:
             if i + 1 < len(tokens):
                 score = self.score(tokens[i], tokens[i + 1])
                 if score is not None and score >= self.threshold:
-                    out.append(tokens[i] + self.delimiter + tokens[i + 1])
+                    out.append(tokens[i] + DELIMITER + tokens[i + 1])
                     i += 2
                     continue
             out.append(tokens[i])
@@ -91,7 +91,7 @@ class PhraseModel:
         q = lambda s: urllib.parse.quote(s, safe="")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("# phrase model v1\n")
-            fh.write(f"delimiter {q(self.delimiter)}\n")
+            fh.write(f"delimiter {q(DELIMITER)}\n")
             fh.write(f"discount {self.discount!r}\n")
             fh.write(f"threshold {self.threshold!r}\n")
             fh.write(f"passes {self.passes}\n")
@@ -112,7 +112,9 @@ class PhraseModel:
             fields = line.split(" ")
             try:
                 if fields[0] == "delimiter":
-                    model.delimiter = uq(fields[1])
+                    if (delimiter := uq(fields[1])) != DELIMITER:
+                        raise WecdbError(f"{path}:{lineno}: phrase delimiter {delimiter!r}"
+                                         f" is not {DELIMITER!r}, the only one wecdb joins by")
                 elif fields[0] == "discount":
                     model.discount = float(fields[1])
                 elif fields[0] == "threshold":
@@ -182,7 +184,7 @@ def apply_phrases_vocab(
     while i < n:
         joined = None
         for width in range(min(max_len, n - i), 1, -1):
-            candidate = "_".join(toks[i : i + width])
+            candidate = DELIMITER.join(toks[i : i + width])
             if contains(candidate):
                 joined = (candidate, width)
                 break
@@ -205,4 +207,4 @@ def vocab_windows(tokens: list[str], max_len: int = DEFAULT_VOCAB_MAX_LEN) -> It
     n = len(tokens)
     for i in range(n - 1):
         for width in range(2, min(max_len, n - i) + 1):
-            yield "_".join(tokens[i : i + width])
+            yield DELIMITER.join(tokens[i : i + width])

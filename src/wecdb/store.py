@@ -34,9 +34,10 @@ providing a unique key, point lookup, atomic batch writes, and a single
 file would do. Only :func:`import_from_file` makes a store file; a
 :class:`WecStore` opens one read-only, so no read creates or changes a file.
 
-Text format accepted by :func:`import_from_file`: UTF-8, one record per
-line, fields separated by single spaces, word first, then exactly ``dims``
-decimal floats. An optional first line of exactly two integers is treated
+Text format accepted by :func:`import_from_file`: UTF-8, after one
+byte-order mark if the file starts with one; one record per line, fields
+separated by single spaces, word first, then exactly ``dims`` decimal
+floats. An optional first line of exactly two integers is treated
 as a ``count dims`` header (word2vec text convention). Floats are parsed
 to the nearest binary64 and then rounded to the nearest binary32
 (round-half-even); re-retrieval is bit-exact against that conversion.
@@ -242,7 +243,8 @@ class WecStore:
         return VectorRows(matrix, found, index)
 
     def contains(self, word: str) -> bool:
-        return bool(self._rows("SELECT 1 FROM vectors WHERE word = ? LIMIT 1", (word,)))
+        """Whether ``word`` is stored: a one-word :meth:`get_many`, with its checks."""
+        return word in self.get_many((word,))
 
     def count(self) -> int:
         return self._rows("SELECT count(*) FROM vectors")[0][0]
@@ -316,10 +318,10 @@ def import_from_file(
     ``on_duplicate``: ``reject`` fails on the first repeated word, naming it
     and its line; ``keep_first`` keeps the first occurrence and counts the
     rest. ``expect_header``: ``auto`` treats a first line of exactly two
-    integers as a ``count dims`` header; ``yes`` requires one; ``no`` takes
-    every line as data. ``on_malformed``: ``fail`` aborts on the first bad
-    line, one that is not UTF-8 included; ``skip`` records (line, reason) in
-    the report and continues.
+    integers as a ``count dims`` header; ``yes`` requires one, so an empty
+    file is refused; ``no`` takes every line as data. ``on_malformed``:
+    ``fail`` aborts on the first bad line, one that is not UTF-8 included;
+    ``skip`` records (line, reason) in the report and continues.
 
     No one reads ``dest`` until it is whole, so it is built without a journal
     on disk and synced once; a failed build may leave it for the caller.
@@ -334,8 +336,9 @@ def import_from_file(
     started = time.perf_counter()
     open(dest, "x").close()  # refuses a taken path; SQLite takes an empty file as a new store
     conn = sqlite3.connect(dest, isolation_level=None)
-    # a byte that is not UTF-8 reads as one escape character, refused with its line
-    with closing(conn), open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    # a leading byte-order mark is dropped; a byte that is not UTF-8 reads as
+    # one escape character, refused with its line
+    with closing(conn), open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
         conn.executescript(
             "PRAGMA journal_mode=MEMORY; PRAGMA synchronous=OFF; BEGIN;"
             " CREATE TABLE vectors (word TEXT PRIMARY KEY NOT NULL, vector BLOB NOT NULL);"
@@ -344,12 +347,11 @@ def import_from_file(
         )
         lines = enumerate(fh, start=1)
         first = next(lines, None)
-        if first is not None:
-            header = _detect_header(first[1], expect_header)
-            if header is None:
-                lines = chain([first], lines)
-            elif header[1] != dims:
-                raise HeaderError(f"header declares dims {header[1]}, catalog dims is {dims}")
+        header = _detect_header("" if first is None else first[1], expect_header)
+        if header is None:
+            lines = chain([first] if first else [], lines)
+        elif header[1] != dims:
+            raise HeaderError(f"header declares dims {header[1]}, catalog dims is {dims}")
         # a group never crosses a batch boundary, so rows are inserted after
         # exactly every _BATCH_ROWS data lines, as in a line-by-line loop
         group_rows = max(1, _GROUP_BYTES // (8 * dims))

@@ -735,5 +735,25 @@ def test_export_rejects_label_shape_mismatch(tmp_path):
         export_heatmap(np.eye(2), ["only-one"], ["a", "b"], tmp_path / "x.csv")
 
 
+@pytest.mark.parametrize(
+    "matrix, fmt, message",
+    [
+        (np.zeros(2), "csv", "must be two-dimensional"),
+        (np.eye(2), "png", "unknown heatmap format 'png'"),
+    ],
+)
+def test_export_rejects_a_bad_matrix_or_format(tmp_path, matrix, fmt, message):
+    with pytest.raises(AnalysisError, match=message):
+        export_heatmap(matrix, ["a", "b"], ["a", "b"], tmp_path / "x", format=fmt)
+    assert not (tmp_path / "x").exists()
+
+
+def test_svg_labels_are_escaped(tmp_path):
+    path = tmp_path / "h.svg"
+    export_heatmap(np.eye(1), ['a<b&"c">'], ["d'e"], path, format="svg")
+    svg = path.read_text("utf-8")
+    assert ">a&lt;b&amp;&quot;c&quot;&gt;</text>" in svg and ">d'e</text>" in svg
+
+
 def test_euclidean_metric():
     assert euclidean_distance(_vec(0, 0), _vec(3, 4)) == pytest.approx(5.0)

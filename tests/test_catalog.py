@@ -295,6 +295,8 @@ def test_manifest_file_names_must_be_plain(catalog, column, value):
         (4, "tokenize(default", "malformed stage 'tokenize(default'", PipelineError),
         (4, "tokenize(nope)", "unknown tokenize rule set", PipelineError),
         (3, "0" * 16, "pipeline hash mismatch for 'algo:glove;", None),
+        (4, "tokenize(default) | stopword_filter(elsewhere)",
+         "unresolvable stopword list ref 'elsewhere'", None),
     ],
 )
 def test_manifest_record_that_fails_to_parse_names_its_line(catalog, column, value, message,

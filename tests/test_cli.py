@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from wecdb import PhraseModel
 from wecdb.cli import main
 
 from conftest import open_files_under, write_wec_text
@@ -334,6 +335,49 @@ def test_input_file_that_is_not_utf8_is_an_error_naming_it(root, tmp_path, capsy
     assert main(["--root", root, *argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"{bad} is not UTF-8 text" in err
+
+
+def test_sts_pairs_file_with_a_byte_order_mark(root, tmp_path, capsys):
+    _import_toy(root, tmp_path)
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_bytes("\ufefftheory\ttheory\n".encode("utf-8"))
+    outdir = tmp_path / "out"
+    assert main(["--root", root, "sts", TOY, str(pairs), "--outdir", str(outdir)]) == 0
+    (ranking,) = outdir.glob("*.ranking.tsv")
+    assert ranking.read_text("utf-8") == "0.000000\ttheory\ttheory\n"
+
+
+def test_input_files_with_a_byte_order_mark(root, tmp_path, capsys):
+    _import_toy(root, tmp_path)
+    text = tmp_path / "input.txt"
+    text.write_bytes("\ufefftheory net\n".encode("utf-8"))
+    capsys.readouterr()
+    assert main(["--root", root, "vectors", TOY, "--input", str(text)]) == 0
+    (unit,) = json.loads(capsys.readouterr().out)["results"][0]["units"]
+    assert unit["raw"] == "theory net" and unit["missing"] == []
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("theory\tnet\n", encoding="utf-8")
+    stops = tmp_path / "stops.txt"
+    stops.write_bytes("\ufefftheory\nnet\n".encode("utf-8"))
+    outdir = tmp_path / "out"
+    assert main(["--root", root, "sts", TOY, str(pairs), "--outdir", str(outdir),
+                 "--stopwords", str(stops)]) == 0
+    digest = hashlib.sha256(b"net\ntheory").hexdigest()
+    assert f"stopwords: {stops} sha256={digest}" in (outdir / "run.info").read_text("utf-8")
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_bytes("\ufeffpetri net\npetri net\n".encode("utf-8"))
+    assert main(["--root", root, "train-phrases", str(corpus), TOY]) == 0
+    (model,) = (tmp_path / "catalog" / "phrases").glob("*.phr")
+    assert PhraseModel.load(model).unigram_counts == {"petri": 2, "net": 2}
+
+
+def test_missing_input_file_is_an_error_not_a_crash(root, tmp_path, capsys):
+    _import_toy(root, tmp_path)
+    missing = tmp_path / "absent.tsv"
+    capsys.readouterr()
+    assert main(["--root", root, "sts", TOY, str(missing), "--outdir", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "No such file" in err and str(missing) in err
 
 
 def test_sts_writes_ranking_per_wec(root, tmp_path, capsys):

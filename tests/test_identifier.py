@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wecdb import IdentifierError, parse_identifier, parse_query
-from wecdb.identifier import WecIdentifier
+from wecdb.identifier import WecIdentifier, parse_filter
 
 GOOGLENEWS = "algo:w2v;dataset:googlenews;dims:300;fold:0;unit:token"
 
@@ -51,6 +51,18 @@ def test_missing_system_key_is_an_error():
 def test_identifier_rejections(text, fragment):
     with pytest.raises(IdentifierError, match=fragment):
         parse_identifier(text)
+
+
+def test_identifier_built_from_attributes_refuses_a_repeated_key():
+    system = (("dataset", "d"), ("dims", "1"), ("fold", "0"), ("unit", "token"))
+    with pytest.raises(IdentifierError, match="duplicate key in identifier attributes"):
+        WecIdentifier((("algo", "a"), ("algo", "b")) + system)
+
+
+@pytest.mark.parametrize("text", ["", "  "])
+def test_empty_filter_is_refused(text):
+    with pytest.raises(IdentifierError, match="empty spec"):
+        parse_filter(text)
 
 
 def test_normalize_sorts_keys_lexicographically():

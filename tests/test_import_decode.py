@@ -3,7 +3,8 @@
 An import decodes its text once, escaping each byte that is not UTF-8, and
 refuses a line that holds one in line and batch order with every other
 fault: under ``fail`` the first fault in that order is raised, under
-``skip`` every fault is listed in that order.
+``skip`` every fault is listed in that order. One byte-order mark at the
+start of the file is not text; an empty file has no header line.
 """
 
 import pytest
@@ -66,3 +67,43 @@ def test_utf8_words_stay_on_the_grouped_parse(tmp_path, monkeypatch):
     path.write_text("".join(f"café{i} {i} 0.5\n" for i in range(100)), encoding="utf-8")
     report = import_from_file(path, tmp_path / "wec.db", 2)
     assert report.imported == 100 and calls == []
+
+
+def test_byte_order_mark_is_not_part_of_the_first_word(db, tmp_path):
+    path = _write(tmp_path / "wec.txt", [b"\xef\xbb\xbfcat 1 2", b"dog 3 4"])
+    ident = "algo:a;dataset:bom;dims:2;fold:0;unit:token"
+    report = db.import_from_file(path, ident)
+    assert report.imported == 2 and report.bytes_text == path.stat().st_size
+    assert db.get_vector(ident, "cat").tolist() == [1.0, 2.0]
+    assert list(db.iterate_vocab(ident)) == ["cat", "dog"]
+
+
+@pytest.mark.parametrize("expect_header", ["auto", "yes"])
+def test_byte_order_mark_before_a_header_keeps_it_a_header(tmp_path, expect_header):
+    path = _write(tmp_path / "wec.txt", [b"\xef\xbb\xbf2 2", b"cat 1 2", b"dog 3 4"])
+    report = import_from_file(path, tmp_path / "wec.db", 2, expect_header=expect_header)
+    assert report.imported == 2 and report.malformed_lines == []
+
+
+def test_only_one_byte_order_mark_is_dropped(tmp_path):
+    path = _write(tmp_path / "wec.txt", [b"\xef\xbb\xbf\xef\xbb\xbfcat 1 2"])
+    import_from_file(path, tmp_path / "wec.db", 2)
+    with store.WecStore(tmp_path / "wec.db") as built:
+        assert list(built.iter_words()) == ["\ufeffcat"]
+
+
+@pytest.mark.parametrize("on_malformed", ["fail", "skip"])
+def test_empty_file_under_header_yes_is_a_header_error(tmp_path, on_malformed):
+    path = _write(tmp_path / "wec.txt", [])
+    with pytest.raises(HeaderError, match="expected a 'count dims' header line, got ''"):
+        import_from_file(path, tmp_path / "wec.db", 2, expect_header="yes",
+                         on_malformed=on_malformed)
+
+
+def test_empty_file_under_header_yes_registers_nothing(db, tmp_path):
+    path = _write(tmp_path / "wec.txt", [])
+    ident = "algo:a;dataset:empty;dims:2;fold:0;unit:token"
+    with pytest.raises(HeaderError):
+        db.import_from_file(path, ident, expect_header="yes")
+    assert db.catalog.lookup(ident) is None
+    assert db.import_from_file(path, ident).imported == 0  # auto: no header is needed

@@ -357,6 +357,31 @@ def test_an_exited_external_stage_leaves_no_open_pipes():
     assert runner.proc is None
     assert second.stdin.closed and second.stdout.closed
 
+
+def test_a_stage_that_closes_its_input_fails_the_next_request():
+    import os
+    import signal
+
+    from wecdb.errors import ExternalStageError
+
+    # closes its input before it answers, then stays alive without reading
+    script = (
+        "import os, sys, time\n"
+        "sys.stdin.readline()\n"
+        "os.close(0)\n"
+        "sys.stdout.write('ok\\n'); sys.stdout.flush()\n"
+        "time.sleep(60)\n"
+    )
+    runner = _ExternalProcess(f"exec {sys.executable} -c {shlex.quote(script)}")
+    assert runner.process_line("one") == ["ok"]
+    try:
+        with pytest.raises(ExternalStageError, match="failed: .*Broken pipe"):
+            runner.process_line("two")
+    finally:
+        os.killpg(runner.proc.pid, signal.SIGKILL)
+        runner.close()
+
+
 def test_external_content_hash_follows_script(tmp_path):
     script = tmp_path / "tok.py"
     script.write_text("print('x')\n")
