@@ -7,8 +7,9 @@ The catalog root directory is self-describing and copyable:
     <root>/phrases/*.phr        trained phrase models
     <root>/lists/<sha16>.txt    user stopword lists, named by content hash
 
-Manifest format (stable; ``# wecdb catalog v1`` header): one line per WEC
-with tab-separated columns
+Manifest format (stable; its first line is the ``# wecdb catalog v1``
+header, and a manifest with any other first line is refused): one line per
+WEC with tab-separated columns
 
     identifier  dims  vocab_size  pipeline_hash  pipeline  phrases  store  created_at  source
 
@@ -138,56 +139,63 @@ class Catalog:
         raise CatalogError(f"unresolvable stopword list ref {ref!r}")
 
     def _load(self) -> dict[str, CatalogEntry]:
-        entries: dict[str, CatalogEntry] = {}
-        stores: set[str] = set()
         text = _read_text(self._manifest,
                           f"no wecdb catalog at {self.root}: {MANIFEST_NAME} is missing")
-        for lineno, raw in enumerate(text_lines(text), start=1):
-            if not raw or raw.startswith("#"):
+        lines = text_lines(text)
+        if not lines or lines[0] != MANIFEST_HEADER:
+            raise CatalogError(f"{self._manifest}: first line {lines[0] if lines else ''!r}"
+                               f" is not the header {MANIFEST_HEADER!r}")
+        entries: dict[str, CatalogEntry] = {}
+        stores: set[str] = set()
+        resolve = self._resolve_list
+        for lineno, raw in enumerate(lines):
+            if not raw or raw[0] == "#":
                 continue
-            where = f"{self._manifest}:{lineno}"
-            cols = raw.split("\t")
-            if len(cols) != 9:
-                raise CatalogError(f"{where}: corrupt manifest line: {raw!r}")
-            model_ref, vocab_len = None, None
-            if cols[5].startswith("model:"):
-                model_ref = _plain_name(cols[5][6:], "phrase model", where)
-            elif cols[5].startswith("vocab:"):
-                vocab_len = _manifest_int(cols[5][6:], "vocab join length", where)
-            elif cols[5] != "-":
-                raise CatalogError(f"{where}: corrupt phrases field {cols[5]!r}")
-            vocab_size = _manifest_int(cols[2], "vocab_size", where)
-            store = _plain_name(cols[6], "store", where)
             # IdentifierError, PipelineError, or CatalogError for a missing
-            # stopword list or a rule of the entry's own
+            # stopword list, a rule of the entry's own or a check below: each
+            # gets the line's place here, and only when one is raised
             try:
+                cols = raw.split("\t")
+                if len(cols) != 9:
+                    raise CatalogError(f"corrupt manifest line: {raw!r}")
+                (norm, dims, vocab_size, pipeline_hash, pipeline, phrases, store, created_at,
+                 source) = cols
+                model_ref = vocab_len = None
+                if phrases.startswith("model:"):
+                    model_ref = _plain_name(phrases[6:], "phrase model")
+                elif phrases.startswith("vocab:"):
+                    vocab_len = _manifest_int(phrases[6:], "vocab join length")
+                elif phrases != "-":
+                    raise CatalogError(f"corrupt phrases field {phrases!r}")
+                vocab_size = _manifest_int(vocab_size, "vocab_size")
+                _plain_name(store, "store")
                 entry = CatalogEntry(
-                    identifier=parse_identifier(cols[0]),
+                    identifier=parse_identifier(norm),
                     vocab_size=vocab_size,
-                    pipeline=parse_pipeline(cols[4], self._resolve_list),
+                    pipeline=parse_pipeline(pipeline, resolve),
                     phrase_model_ref=model_ref,
                     vocab_join_max_len=vocab_len,
                     store_file=store,
-                    created_at=cols[7],
-                    source_file=cols[8],
+                    created_at=created_at,
+                    source_file=source,
                 )
+                if entry.normalized != norm:
+                    raise CatalogError(f"identifier {norm!r} is not in its normalized"
+                                       f" form {entry.normalized!r}")
+                if norm in entries:
+                    raise CatalogError(f"identifier {norm!r} is on an earlier line too")
+                if store in stores:
+                    raise CatalogError(f"store {store!r} belongs to an earlier record")
+                if dims != str(entry.dims):
+                    raise CatalogError(f"dims {dims!r} contradicts dims:{entry.dims}")
+                if entry.pipeline_hash != pipeline_hash:
+                    raise CatalogError(
+                        f"pipeline hash mismatch for {norm!r}: manifest has {pipeline_hash},"
+                        f" recomputed {entry.pipeline_hash}"
+                    )
             except WecdbError as exc:
-                raise CatalogError(f"{where}: {exc}") from exc
-            if entry.normalized != cols[0]:
-                raise CatalogError(f"{where}: identifier {cols[0]!r} is not in its normalized"
-                                   f" form {entry.normalized!r}")
-            if cols[0] in entries:
-                raise CatalogError(f"{where}: identifier {cols[0]!r} is on an earlier line too")
-            if store in stores:
-                raise CatalogError(f"{where}: store {store!r} belongs to an earlier record")
-            if cols[1] != str(entry.dims):
-                raise CatalogError(f"{where}: dims {cols[1]!r} contradicts dims:{entry.dims}")
-            if entry.pipeline_hash != cols[3]:
-                raise CatalogError(
-                    f"{where}: pipeline hash mismatch for {cols[0]!r}: manifest has {cols[3]},"
-                    f" recomputed {entry.pipeline_hash}"
-                )
-            entries[cols[0]] = entry
+                raise CatalogError(f"{self._manifest}:{lineno + 1}: {exc}") from exc
+            entries[norm] = entry
             stores.add(store)
         return entries
 
@@ -388,16 +396,16 @@ def _read_text(path: Path, missing: str) -> str:
         raise CatalogError(missing) from None
 
 
-def _manifest_int(text: str, name: str, where: str) -> int:
-    if not re.fullmatch(r"[0-9]+", text):
-        raise CatalogError(f"{where}: {name} {text!r} is not a non-negative integer")
+def _manifest_int(text: str, name: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise CatalogError(f"{name} {text!r} is not a non-negative integer")
     return int(text)
 
 
-def _plain_name(text: str, name: str, where: str) -> str:
+def _plain_name(text: str, name: str) -> str:
     """``text`` if it names a file in its directory, not a path elsewhere."""
     if text in ("", ".", "..") or "/" in text or "\0" in text:
-        raise CatalogError(f"{where}: {name} {text!r} is not a plain file name")
+        raise CatalogError(f"{name} {text!r} is not a plain file name")
     return text
 
 

@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import analyse
 from .db import Database
-from .errors import WecdbError, read_text, text_lines
+from .errors import WecdbError, read_input_text, text_lines
 from .identifier import parse_filter, parse_query
 from .pipeline import PreprocessCache
 from .retrieve import RetrievalResult, lookup_units
@@ -35,11 +35,6 @@ def _open_db(args, create: bool = False) -> Database:
     if not root:
         raise WecdbError("no catalog root: pass --root or set WECDB_ROOT")
     return Database(root, create_if_missing=create)
-
-
-def _input_text(path: str) -> str:
-    """The UTF-8 text of a user's input file, without a leading byte-order mark."""
-    return read_text(path).removeprefix("\ufeff")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -181,7 +176,7 @@ def cmd_vectors(args) -> int:
             inputs: list = [list(args.words)]
             raw = False
         elif args.input is not None:
-            inputs = text_lines(_input_text(args.input))
+            inputs = text_lines(read_input_text(args.input))
             raw = True
         elif args.text:
             inputs = list(args.text)
@@ -202,7 +197,7 @@ def cmd_vectors(args) -> int:
 
 def cmd_train_phrases(args) -> int:
     with _open_db(args) as db:
-        lines = text_lines(_input_text(args.corpus))
+        lines = text_lines(read_input_text(args.corpus))
         model = db.train_phrases(
             lines,
             args.identifier,
@@ -225,12 +220,12 @@ def _load_stopwords(spec: str) -> set[str]:
         from .pipeline import builtin_stopwords_text
 
         return set(builtin_stopwords_text().split())
-    return set(_input_text(spec).split())
+    return set(read_input_text(spec).split())
 
 
 def cmd_sts(args) -> int:
     with _open_db(args) as db:
-        lines = text_lines(_input_text(args.pairs))
+        lines = text_lines(read_input_text(args.pairs))
         if not lines:
             raise WecdbError(f"empty input file {args.pairs}")
         col1: list[str] = []

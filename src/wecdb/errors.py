@@ -1,5 +1,5 @@
-"""Exception hierarchy, the one UTF-8 file reader that raises into it, and
-the one line splitter for the text it reads.
+"""Exception hierarchy, the one UTF-8 file reader that raises into it (and
+its form for user input files), and the one line splitter for the text it reads.
 
 Everything raised on purpose by this package derives from :class:`WecdbError`,
 so callers (and the CLI) can catch one type. Parsing and validation problems
@@ -89,6 +89,12 @@ def read_text(path: str | Path, error: type[WecdbError] = WecdbError) -> str:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise error(f"{path} is not UTF-8 text: {exc}") from None
+
+
+def read_input_text(path: str | Path, error: type[WecdbError] = WecdbError) -> str:
+    """:func:`read_text` of a file a user hands in, without one leading
+    byte-order mark; files that wecdb writes itself are read byte for byte."""
+    return read_text(path, error).removeprefix("\ufeff")
 
 
 def text_lines(text: str) -> list[str]:

@@ -60,7 +60,10 @@ class WecIdentifier:
     """Validated, order-independent attribute map naming one WEC.
 
     ``attributes`` is stored sorted by key, so structural equality and
-    hashing coincide with normalized-string equality.
+    hashing coincide with normalized-string equality. The normalized string
+    and the integer width are worked out once, at construction, and kept as
+    plain attributes, not fields: equality, hashing and ``repr`` see only
+    ``attributes``.
     """
 
     attributes: tuple[tuple[str, str], ...]
@@ -81,6 +84,9 @@ class WecIdentifier:
             raise IdentifierError(f"invalid 'dims' value {dims!r}: not a positive integer")
         if attrs["fold"] not in ("0", "1"):
             raise IdentifierError(f"invalid 'fold' value {attrs['fold']!r}: must be 0 or 1")
+        object.__setattr__(self, "_normalized",
+                           ";".join(f"{k}:{v}" for k, v in self.attributes))
+        object.__setattr__(self, "_dims", int(dims))
 
     @classmethod
     def from_attributes(cls, attributes: dict[str, str]) -> "WecIdentifier":
@@ -100,7 +106,7 @@ class WecIdentifier:
 
     @property
     def dims(self) -> int:
-        return int(self["dims"])
+        return self._dims
 
     @property
     def fold(self) -> int:
@@ -112,14 +118,14 @@ class WecIdentifier:
 
     def normalized(self) -> str:
         """Normalized string form: ``key:value`` pairs joined by ``;``, keys sorted."""
-        return ";".join(f"{k}:{v}" for k, v in self.attributes)
+        return self._normalized
 
     def matches(self, partial: dict[str, str]) -> bool:
         """True when this identifier contains every ``key:value`` of ``partial``."""
         return all(self.get(k) == v for k, v in partial.items())
 
     def __str__(self) -> str:
-        return self.normalized()
+        return self._normalized
 
 
 @dataclass(frozen=True)

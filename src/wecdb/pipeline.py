@@ -62,7 +62,7 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 from . import porter
-from .errors import ExternalStageError, PipelineError, read_text
+from .errors import ExternalStageError, PipelineError, read_input_text
 
 BUILTIN_STOPWORDS = "builtin:en"
 
@@ -248,10 +248,10 @@ def build_pipeline(
     """Assemble a descriptor from simple options.
 
     ``stopwords`` is ``None`` (off), ``"en"`` (bundled list), or a path to a
-    UTF-8 file with one token per line; the file's content is captured into
-    the descriptor immediately. ``external`` is ``(command, script_path)``;
-    when ``script_path`` is given its bytes are hashed, otherwise the command
-    string itself is. An external command replaces the tokenize stage.
+    UTF-8 file with one token per line; the file's content, without a
+    leading byte-order mark, is captured into the descriptor immediately.
+    ``external`` is ``(command, script_path)``; when ``script_path`` is given
+    its bytes are hashed, otherwise the command string itself is. An external command replaces the tokenize stage.
     """
     stages: list[Stage] = []
     if external is not None:
@@ -267,7 +267,7 @@ def build_pipeline(
     if stopwords == "en" or stopwords == BUILTIN_STOPWORDS:
         ref, text = BUILTIN_STOPWORDS, builtin_stopwords_text()
     elif stopwords is not None:
-        text = read_text(stopwords, PipelineError)
+        text = read_input_text(stopwords, PipelineError)
         ref = content_ref(text)
     stages.append(Stage("stopword_filter", (ref,)))
     stages.append(Stage("strip_special", ("default" if strip_special else "off",)))
@@ -296,8 +296,9 @@ def parse_pipeline(text: str, resolver: Callable[[str], str]) -> PipelineDescrip
     parse and the descriptor build are pure functions of the text and of
     the resolved contents, and each keeps its last results.
     """
-    stages, refs = _parse_stages(text)
-    return _descriptor(stages, tuple(sorted((ref, resolver(ref)) for ref in refs)))
+    refs = _parse_stages(text)[1]
+    resources = tuple(sorted((ref, resolver(ref)) for ref in refs)) if refs else ()
+    return _descriptor(text, resources)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -319,8 +320,12 @@ def _parse_stages(text: str) -> tuple[tuple[Stage, ...], tuple[str, ...]]:
     return tuple(stages), tuple(refs)
 
 
-# each descriptor holds the full text of its stopword lists, so fewer are kept
-_descriptor = functools.lru_cache(maxsize=128)(PipelineDescriptor)
+# each descriptor holds the full text of its stopword lists, so fewer are
+# kept; the key is strings only, whose hashes Python caches, so a hit on
+# every manifest read costs no per-stage dataclass hashing
+@functools.lru_cache(maxsize=128)
+def _descriptor(text: str, resources: tuple[tuple[str, str], ...]) -> PipelineDescriptor:
+    return PipelineDescriptor(_parse_stages(text)[0], resources)
 
 
 class PreprocessCache:

@@ -16,7 +16,14 @@ from wecdb import (
 )
 from wecdb import pipeline as pipeline_mod
 from wecdb.catalog import store_filename
-from wecdb.pipeline import build_pipeline, pipeline_for_identifier, run_pipeline
+from wecdb.pipeline import (
+    PipelineDescriptor,
+    Stage,
+    build_pipeline,
+    content_ref,
+    pipeline_for_identifier,
+    run_pipeline,
+)
 
 # the seven collections of the sentence-similarity setup
 SEVEN = (
@@ -233,14 +240,15 @@ def _rewrite_manifest_line(catalog, edit):
 def test_manifest_line_with_wrong_column_count_is_refused(catalog):
     _register(catalog, SEVEN[0])
     _rewrite_manifest_line(catalog, lambda cols: "\t".join(cols[:8]))
-    with pytest.raises(CatalogError, match="corrupt manifest line"):
+    with pytest.raises(CatalogError, match=r"catalog\.manifest:3: corrupt manifest line"):
         catalog.require(SEVEN[0])
 
 
 def test_manifest_phrases_field_must_be_known(catalog):
     _register(catalog, SEVEN[0])
     _rewrite_manifest_line(catalog, lambda cols: "\t".join(cols[:5] + ["phrase:x"] + cols[6:]))
-    with pytest.raises(CatalogError, match="corrupt phrases field 'phrase:x'"):
+    with pytest.raises(CatalogError,
+                       match=r"catalog\.manifest:3: corrupt phrases field 'phrase:x'"):
         catalog.require(SEVEN[0])
 
 
@@ -261,6 +269,26 @@ def test_manifest_with_a_bad_number_is_refused_naming_the_line(catalog, column, 
         catalog, lambda cols: "\t".join(cols[:column] + [value] + cols[column + 1 :])
     )
     with pytest.raises(CatalogError, match=f"catalog.manifest:3: {message}"):
+        catalog.require(SEVEN[0])
+
+
+@pytest.mark.parametrize(
+    "edit, found",
+    [
+        (lambda lines: ["# wecdb catalog v2"] + lines[1:], "'# wecdb catalog v2'"),
+        (lambda lines: lines[1:], r"'# identifier\\tdims\\t.*'"),
+    ],
+)
+def test_manifest_without_the_v1_header_is_refused_naming_it(catalog, edit, found):
+    # a later format, or a file that is no manifest, must not be read as v1
+    _register(catalog, SEVEN[0])
+    manifest = catalog.root / "catalog.manifest"
+    lines = edit(manifest.read_text("utf-8").splitlines())
+    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(
+        CatalogError,
+        match=rf"catalog\.manifest: first line {found} is not the header '# wecdb catalog v1'",
+    ):
         catalog.require(SEVEN[0])
 
 
@@ -412,6 +440,18 @@ def test_rewritten_stopword_list_fails_the_pipeline_hash_check(catalog, tmp_path
     copy.write_text("alpha\ngamma\n", encoding="utf-8")
     with pytest.raises(CatalogError, match="pipeline hash mismatch"):
         catalog.require(SEVEN[0])
+
+
+def test_stopword_list_recorded_with_a_byte_order_mark_passes_its_hash_check(catalog):
+    # a captured list keeps no mark, but a catalog may hold a copy recorded with one
+    text = "\ufeffalpha\nbeta\n"
+    ref = content_ref(text)
+    ident = parse_identifier(SEVEN[0])
+    stages = tuple(Stage("stopword_filter", (ref,)) if stage.name == "stopword_filter" else stage
+                   for stage in pipeline_for_identifier(ident).stages)
+    entry = catalog.register(ident, PipelineDescriptor(stages, ((ref, text),)))
+    assert (catalog.root / "lists" / f"{ref[5:]}.txt").read_bytes().startswith(b"\xef\xbb\xbf")
+    assert catalog.require(SEVEN[0]) == entry
 
 
 def test_repeated_lookups_build_each_distinct_pipeline_at_most_once(catalog, monkeypatch):

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import pickle
 import random
 
 import pytest
@@ -177,6 +179,12 @@ def identifiers(draw):
 @given(identifiers())
 def test_round_trip_parse_normalize(ident):
     assert parse_identifier(ident.normalized()) == ident
+    assert ident.normalized() == ";".join(f"{k}:{v}" for k, v in sorted(ident.attributes))
+    assert ident.dims == int(ident["dims"])
+    # the stored forms are not fields, and travel with a pickled copy
+    assert [f.name for f in dataclasses.fields(ident)] == ["attributes"]
+    copy = pickle.loads(pickle.dumps(ident))
+    assert (copy, copy.normalized(), copy.dims) == (ident, ident.normalized(), ident.dims)
 
 
 @settings(max_examples=80, deadline=None)

@@ -85,6 +85,16 @@ def test_stopword_filter_user_file(tmp_path):
     assert run_pipeline(p, "foo keep bar") == ["keep"]
 
 
+def test_stopword_file_with_a_byte_order_mark(tmp_path):
+    marked, plain = tmp_path / "marked.txt", tmp_path / "plain.txt"
+    marked.write_bytes(b"\xef\xbb\xbfthe\nof\n")
+    plain.write_bytes(b"the\nof\n")
+    p = build_pipeline(stopwords=marked)
+    assert run_pipeline(p, "the theory of nets") == ["theory", "nets"]
+    assert p.resources == ((content_ref("the\nof\n"), "the\nof\n"),)
+    assert p.hash == build_pipeline(stopwords=plain).hash
+
+
 def test_strip_special_drops_pure_punctuation_tokens():
     p = build_pipeline(strip_special=True)
     assert run_pipeline(p, "nets, nets!") == ["nets", "nets"]
