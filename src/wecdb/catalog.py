@@ -120,13 +120,20 @@ class Catalog:
     def __init__(self, root: str | Path, create_if_missing: bool = False):
         self.root = Path(root)
         self._manifest = self.root / MANIFEST_NAME
+        self._mutex = threading.Lock()
+        # (manifest text, ((list ref, list text), ...), entries) of the last
+        # successful parse, which is a pure function of those texts
+        self._parsed: tuple | None = None
         if not self._manifest.exists():
             if not create_if_missing:
                 raise CatalogError(f"no wecdb catalog at {self.root}: {MANIFEST_NAME} is missing")
             for sub in ("stores", "phrases", "lists"):
                 (self.root / sub).mkdir(parents=True, exist_ok=True)
-            self._write_manifest({})
-        self._mutex = threading.Lock()
+            with self._locked():
+                # another process may have made the catalog, and registered
+                # into it, since the check above
+                if not self._manifest.exists():
+                    self._write_manifest({})
 
     # -- persistence ------------------------------------------------------
 
@@ -139,15 +146,28 @@ class Catalog:
         raise CatalogError(f"unresolvable stopword list ref {ref!r}")
 
     def _load(self) -> dict[str, CatalogEntry]:
+        """The registered entries, in a dict the caller may change.
+
+        The manifest and every stopword list it names are read on every
+        call; the records are parsed and checked again only when one of
+        those texts differs from the last successful parse.
+        """
         text = _read_text(self._manifest,
                           f"no wecdb catalog at {self.root}: {MANIFEST_NAME} is missing")
+        resolve = self._resolve_list
+        parsed = self._parsed
+        if parsed is not None and parsed[0] == text:
+            try:
+                if all(resolve(ref) == list_text for ref, list_text in parsed[1]):
+                    return dict(parsed[2])
+            except CatalogError:
+                pass  # a list that cannot be read: the full parse names its line
         lines = text_lines(text)
         if not lines or lines[0] != MANIFEST_HEADER:
             raise CatalogError(f"{self._manifest}: first line {lines[0] if lines else ''!r}"
                                f" is not the header {MANIFEST_HEADER!r}")
         entries: dict[str, CatalogEntry] = {}
         stores: set[str] = set()
-        resolve = self._resolve_list
         for lineno, raw in enumerate(lines):
             if not raw or raw[0] == "#":
                 continue
@@ -197,7 +217,9 @@ class Catalog:
                 raise CatalogError(f"{self._manifest}:{lineno + 1}: {exc}") from exc
             entries[norm] = entry
             stores.add(store)
-        return entries
+        lists = {pair for entry in entries.values() for pair in entry.pipeline.resources}
+        self._parsed = (text, tuple(lists), entries)
+        return dict(entries)
 
     def _write_manifest(self, entries: dict[str, CatalogEntry]) -> None:
         lines = [MANIFEST_HEADER]

@@ -176,6 +176,9 @@ class WecStore:
             raise StoreError(f"{self.path} could not be read: {exc}") from exc
         self._close = weakref.finalize(self, self._conn.close)
         try:
+            # 1 MiB of SQLite's own page cache, half its default: the OS page
+            # cache holds the store's pages too and serves every read
+            self._rows("PRAGMA cache_size = -1024")
             meta = dict(self._rows("SELECT key, value FROM meta"))
             # a store without a format key predates the key: format 1, read as is
             if (fmt := meta.get("format")) not in (None, "1", _FORMAT):

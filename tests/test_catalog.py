@@ -1,5 +1,6 @@
 import dataclasses
 import re
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,7 @@ from wecdb import (
     parse_identifier,
     train_phrase_model,
 )
+from wecdb import catalog as catalog_mod
 from wecdb import pipeline as pipeline_mod
 from wecdb.catalog import store_filename
 from wecdb.pipeline import (
@@ -496,3 +498,95 @@ def test_manifest_record_that_fails_to_parse_fails_every_read(catalog, column, v
     for _ in range(3):
         with pytest.raises(CatalogError, match=rf"catalog\.manifest:3: {re.escape(message)}"):
             catalog.list_entries()
+
+
+def test_reads_of_an_unchanged_catalog_parse_each_record_once(catalog, monkeypatch):
+    for text in SEVEN:
+        _register(catalog, text)
+    parsed = []
+    parse = catalog_mod.parse_pipeline
+    monkeypatch.setattr(catalog_mod, "parse_pipeline",
+                        lambda *args: parsed.append(args) or parse(*args))
+    first = catalog.require(SEVEN[3])
+    assert catalog.require(SEVEN[3]) == first
+    assert len(parsed) == len(SEVEN)
+
+
+def test_a_registration_through_another_database_shows_on_the_next_read(tmp_path):
+    with Database(tmp_path / "cat", create_if_missing=True) as first:
+        first.register(SEVEN[0])
+        assert [e.normalized for e in first.catalog.list_entries()] == [SEVEN[0]]
+        with Database(tmp_path / "cat") as second:
+            second.register(SEVEN[1])
+        assert first.catalog.require(SEVEN[1]).normalized == SEVEN[1]
+        assert len(first.catalog.list_entries()) == 2
+
+
+def test_changing_the_entries_a_read_returned_leaves_the_next_read_whole(catalog):
+    for text in SEVEN[:3]:
+        _register(catalog, text)
+    for _ in range(3):  # the first read parses, the later ones do not
+        entries = catalog._load()
+        assert entries == Catalog(catalog.root)._load()
+        entries.clear()
+
+
+def test_manifest_rewritten_with_the_same_bytes_reads_the_same_entries(catalog):
+    for text in SEVEN[:3]:
+        _register(catalog, text)
+    before = catalog.list_entries()
+    manifest = catalog.root / "catalog.manifest"
+    inode = manifest.stat().st_ino
+    catalog_mod._write_atomic(manifest, manifest.read_text("utf-8"))
+    assert manifest.stat().st_ino != inode
+    assert catalog.list_entries() == before
+
+
+@pytest.mark.parametrize("read_first", [True, False])
+def test_manifest_that_failed_to_parse_is_read_again_once_mended(catalog, read_first):
+    _register(catalog, SEVEN[0])
+    manifest = catalog.root / "catalog.manifest"
+    good = manifest.read_text("utf-8")
+    if read_first:
+        assert catalog.require(SEVEN[0]).normalized == SEVEN[0]
+    _rewrite_manifest_line(catalog, lambda cols: "\t".join(cols[:8]))
+    with pytest.raises(CatalogError, match=r"catalog\.manifest:3: corrupt manifest line"):
+        catalog.require(SEVEN[0])
+    manifest.write_text(good, encoding="utf-8")
+    assert catalog.require(SEVEN[0]) == Catalog(catalog.root).require(SEVEN[0])
+
+
+def test_create_if_missing_keeps_a_catalog_made_since_its_check(tmp_path, monkeypatch):
+    root = tmp_path / "cat"
+    _register(Catalog(root, create_if_missing=True), SEVEN[0])
+    manifest = root / "catalog.manifest"
+    # another process makes the catalog and registers into it between this
+    # process's check and its write: the check answers False once
+    answers = [False]
+    exists = Path.exists
+    monkeypatch.setattr(Path, "exists", lambda path: answers.pop()
+                        if path == manifest and answers else exists(path))
+    catalog = Catalog(root, create_if_missing=True)
+    assert answers == []
+    assert [e.normalized for e in catalog.list_entries()] == [SEVEN[0]]
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (lambda copy: copy.unlink(), r"stopword list 'list:\w+' missing from catalog"),
+        (lambda copy: copy.write_bytes(b"alpha\nb\xffta\n"), r"\S+\.txt is not UTF-8 text"),
+    ],
+    ids=["missing", "not-utf8"],
+)
+def test_stopword_list_copy_damaged_after_a_good_read_names_its_line(catalog, tmp_path, damage,
+                                                                    message):
+    listfile = tmp_path / "my-stops.txt"
+    listfile.write_text("alpha\nbeta\n", encoding="utf-8")
+    ident = parse_identifier(SEVEN[0])
+    entry = catalog.register(ident, pipeline_for_identifier(ident, stopwords=listfile))
+    assert catalog.require(SEVEN[0]) == entry
+    (copy,) = (catalog.root / "lists").glob("*.txt")
+    damage(copy)
+    with pytest.raises(CatalogError, match=rf"catalog\.manifest:3: {message}"):
+        catalog.require(SEVEN[0])

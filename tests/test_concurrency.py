@@ -3,6 +3,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -131,6 +132,35 @@ def test_cross_process_registration_locking(tmp_path):
         assert proc.wait() == 0
     db = Database(root)
     assert len(db.catalog.list_entries()) == 20
+
+
+def test_processes_creating_one_catalog_at_once_keep_both_registrations(tmp_path):
+    # each process opens the fresh root with create_if_missing=True; neither
+    # may write its empty manifest over one the other has registered into
+    root, go = tmp_path / "cat", tmp_path / "go"
+    script = textwrap.dedent(
+        """
+        import os, sys, time
+        from wecdb import Database
+        open(sys.argv[2] + sys.argv[3], "w").close()  # imported: ready to race
+        while not os.path.exists(sys.argv[2]):
+            time.sleep(0.001)
+        Database(sys.argv[1], create_if_missing=True).register(
+            f"algo:p{sys.argv[3]};dataset:d;dims:2;fold:0;unit:token")
+        """
+    )
+    procs = [
+        subprocess.Popen([sys.executable, "-c", script, str(root), str(go), str(k)])
+        for k in range(2)
+    ]
+    deadline = time.monotonic() + 60
+    while not all(Path(f"{go}{k}").exists() for k in range(2)) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    go.touch()
+    for proc in procs:
+        assert proc.wait(timeout=60) == 0
+    with Database(root) as db:
+        assert [e.identifier["algo"] for e in db.catalog.list_entries()] == ["p0", "p1"]
 
 
 def test_parallel_imports_of_different_wecs(tmp_path):

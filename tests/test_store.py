@@ -589,6 +589,13 @@ def _table_sql(path):
         conn.close()
 
 
+def test_store_handle_keeps_a_1_mib_page_cache(tmp_path):
+    path = tmp_path / "cache.wec"
+    _write_store(path, 2)
+    with WecStore(path) as store:
+        assert store._rows("PRAGMA cache_size") == [(-1024,)]
+
+
 def test_new_store_is_format_2_rowid_table(tmp_path):
     path = tmp_path / "new.wec"
     _write_store(path, 3)
