@@ -14,18 +14,17 @@ metrics run as one array pass per WEC: all sentence means of a WEC in one
 position-by-position sum, then one row-wise kernel call over all its pairs,
 with the same bytes as the per-pair functions. Retrieved sentences are
 summed straight from the read-only float32 matrix their WEC's store read
-returned: the rows of all units of one read are gathered from the row
-array of their batch in one step. The vectors of all hand-built units of
-one width are stacked into one matrix for each call (nothing is stored on
-the units) and go through the same sum. The means form one float32 matrix
-per width, and each side of the pairs is taken from it with one float64
-conversion. A user-supplied callable is called once per pair. Pairs whose
-sentence vector is undefined, or for which the metric returns a non-finite
-value or raises :class:`UndefinedDistanceError`, are reported in
-``undefined_pairs`` instead of being ranked with a fabricated distance. A
-NaN or infinite component makes every built-in undefined: the cosine
-metrics raise (as they do on a zero norm), euclidean distance returns NaN
-or inf.
+returned, the rows of all units of one read handed over in one step by
+:func:`~wecdb.retrieve._unit_groups`, which also stacks the vectors of all
+hand-built units of one width into one matrix for each call (nothing is
+stored on the units). The means form one float32 matrix per width, and each
+side of the pairs is taken from it with one float64 conversion. A
+user-supplied callable is called once per pair. Pairs whose sentence vector
+is undefined, or for which the metric returns a non-finite value or raises
+:class:`UndefinedDistanceError`, are reported in ``undefined_pairs``
+instead of being ranked with a fabricated distance. A NaN or infinite
+component makes every built-in undefined: the cosine metrics raise (as they
+do on a zero norm), euclidean distance returns NaN or inf.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import AnalysisError, UndefinedDistanceError
-from .retrieve import RetrievalResult, UnitResult, _Batch
+from .retrieve import RetrievalResult, UnitResult, _unit_groups
 
 Metric = Callable[[np.ndarray, np.ndarray], float]
 
@@ -89,43 +88,13 @@ def _unit_means(
     """Sentence vector of every unit, by width: ``(width, means)``.
 
     Unit i's vector is row i of the float32 matrix ``means[width[i]]``;
-    ``width[i]`` is -1 where the vector is undefined. Retrieved units are
-    grouped by the batch of their store read, and each group's rows come
-    from one :meth:`~wecdb.retrieve._Batch.spans` call. Hand-built units are
-    grouped by width, their pairs stacked for this call only (a vector
-    changed between calls is read anew). Each group takes the stopword mask
+    ``width[i]`` is -1 where the vector is undefined. Each group of units
+    that :func:`~wecdb.retrieve._unit_groups` yields takes the stopword mask
     once per row of its matrix and goes to one :func:`_row_means`.
     """
-    batches: dict[int, tuple[_Batch, list[int], list[int]]] = {}
-    by_width: dict[int, tuple[list[int], list[tuple[str, np.ndarray]], list[int]]] = {}
-    for i, unit in enumerate(units):
-        batch = unit._batch
-        if batch is not None:
-            _, members, positions = batches.setdefault(id(batch), (batch, [], []))
-            members.append(i)
-            positions.append(unit._position)
-            continue
-        pairs = unit.pairs
-        if not pairs:
-            continue
-        width = len(pairs[0][1])
-        for word, vec in pairs:
-            if len(vec) != width:
-                raise AnalysisError(f"mixed vector lengths: {width} vs {len(vec)} for {word!r}")
-        members, stacked, lengths = by_width.setdefault(width, ([], [], []))
-        members.append(i)
-        stacked += pairs
-        lengths.append(len(pairs))
-    groups = []
-    for batch, members, positions in batches.values():
-        groups.append((members, batch.found.matrix, batch.found.words, *batch.spans(positions)))
-    for members, stacked, lengths in by_width.values():
-        matrix = np.array([vec for _, vec in stacked])
-        words = [word for word, _ in stacked]
-        groups.append((members, matrix, words, np.arange(len(stacked)), lengths))
     width = np.full(len(units), -1, dtype=np.intp)
     means: dict[int, np.ndarray] = {}
-    for members, matrix, words, rows, lengths in groups:
+    for members, matrix, words, rows, lengths in _unit_groups(units):
         unit_of = np.repeat(np.arange(len(members)), lengths)
         if stopset:
             stop = np.fromiter((w in stopset for w in words), dtype=bool, count=len(words))
@@ -377,8 +346,9 @@ def export_heatmap(
     """Write a labelled heatmap as CSV (6-decimal cells) or SVG.
 
     The SVG contains exactly rows x cols ``<rect>`` cells, filled on a
-    linear grayscale over [min, max] of the matrix with black at the
-    maximum (all black when min == max).
+    linear grayscale over [min, max] of the finite cells with black at the
+    maximum (all black when min == max). A NaN or infinite cell is red, and
+    its ``<title>`` reads ``nan``, ``inf`` or ``-inf``.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2:
@@ -427,8 +397,8 @@ def _export_svg(matrix, row_labels, col_labels, path) -> None:
     from xml.sax.saxutils import escape
 
     n_rows, n_cols = matrix.shape
-    lo = float(matrix.min())
-    hi = float(matrix.max())
+    finite = np.isfinite(matrix)
+    lo, hi = (float(matrix[finite].min()), float(matrix[finite].max())) if finite.any() else (0, 0)
     span = hi - lo
     width = _GUTTER + n_cols * _CELL + 10
     height = _GUTTER + n_rows * _CELL + 10
@@ -439,13 +409,16 @@ def _export_svg(matrix, row_labels, col_labels, path) -> None:
     ]
     for i in range(n_rows):
         for j in range(n_cols):
-            t = 1.0 if span == 0.0 else (matrix[i, j] - lo) / span
-            shade = round(255 * (1.0 - t))
+            if finite[i, j]:
+                t = 1.0 if span == 0.0 else (matrix[i, j] - lo) / span
+                shade = round(255 * (1.0 - t))
+                fill = f"rgb({shade},{shade},{shade})"
+            else:
+                fill = "rgb(255,0,0)"  # not a gray, so no finite cell has it
             x = _GUTTER + j * _CELL
             y = _GUTTER + i * _CELL
             parts.append(
-                f'<rect x="{x}" y="{y}" width="{_CELL}" height="{_CELL}"'
-                f' fill="rgb({shade},{shade},{shade})">'
+                f'<rect x="{x}" y="{y}" width="{_CELL}" height="{_CELL}" fill="{fill}">'
                 f"<title>{matrix[i, j]:.6f}</title></rect>"
             )
     for i, label in enumerate(row_labels):

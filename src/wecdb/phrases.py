@@ -113,25 +113,35 @@ class PhraseModel:
             try:
                 if fields[0] == "delimiter":
                     if (delimiter := uq(fields[1])) != DELIMITER:
-                        raise WecdbError(f"{path}:{lineno}: phrase delimiter {delimiter!r}"
+                        raise WecdbError(f"phrase delimiter {delimiter!r}"
                                          f" is not {DELIMITER!r}, the only one wecdb joins by")
                 elif fields[0] == "discount":
-                    model.discount = float(fields[1])
+                    model.discount = _at_least("discount", float(fields[1]), 0)
                 elif fields[0] == "threshold":
-                    model.threshold = float(fields[1])
+                    model.threshold = _at_least("threshold", float(fields[1]), 0)
                 elif fields[0] == "passes":
-                    model.passes = int(fields[1])
+                    model.passes = _at_least("passes", int(fields[1]), 1)
                 elif fields[0] == "tokens":
-                    model.corpus_token_count = int(fields[1])
+                    model.corpus_token_count = _at_least("tokens", int(fields[1]), 0)
                 elif fields[0] == "u":
-                    model.unigram_counts[uq(fields[1])] = int(fields[2])
+                    model.unigram_counts[uq(fields[1])] = _at_least("count", int(fields[2]), 1)
                 elif fields[0] == "b":
-                    model.bigram_counts[(uq(fields[1]), uq(fields[2]))] = int(fields[3])
+                    pair = (uq(fields[1]), uq(fields[2]))
+                    model.bigram_counts[pair] = _at_least("count", int(fields[3]), 1)
                 else:
-                    raise WecdbError(f"{path}:{lineno}: unknown record {fields[0]!r}")
+                    raise WecdbError(f"unknown record {fields[0]!r}")
             except (IndexError, ValueError) as exc:
                 raise WecdbError(f"{path}:{lineno}: malformed record {line!r}") from exc
+            except WecdbError as exc:
+                raise WecdbError(f"{path}:{lineno}: {exc}") from None
         return model
+
+
+def _at_least(name: str, value, least: int):
+    """``value``, or :class:`WecdbError` when it is below ``least`` or NaN."""
+    if not value >= least:
+        raise WecdbError(f"{name} must be >= {least}")
+    return value
 
 
 def train_phrase_model(
@@ -143,14 +153,13 @@ def train_phrase_model(
     """Count unigrams and adjacent bigrams over a tokenized corpus.
 
     The corpus is materialized (multi-pass training re-reads it). Raises
-    :class:`EmptyCorpusError` when it contains no tokens at all.
+    :class:`EmptyCorpusError` when it contains no tokens at all, and
+    :class:`WecdbError` for a NaN or negative ``discount`` or ``threshold``
+    or a ``passes`` below 1, which :meth:`PhraseModel.load` refuses too.
     """
-    if discount < 0:
-        raise WecdbError("discount must be >= 0")
-    if threshold < 0:
-        raise WecdbError("threshold must be >= 0")
-    if passes < 1:
-        raise WecdbError("passes must be >= 1")
+    _at_least("discount", discount, 0)
+    _at_least("threshold", threshold, 0)
+    _at_least("passes", passes, 1)
     sentences = [list(s) for s in corpus]
     if not any(sentences):
         raise EmptyCorpusError("phrase training corpus contains no tokens")

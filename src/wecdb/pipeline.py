@@ -291,19 +291,10 @@ def parse_pipeline(text: str, resolver: Callable[[str], str]) -> PipelineDescrip
     """Inverse of :meth:`PipelineDescriptor.serialize`.
 
     ``resolver`` maps a stopword-list ref to its content text (the catalog
-    resolves ``list:*`` refs against its own directory); it is called on
-    every call, so a changed list gives a new descriptor and hash. The stage
-    parse and the descriptor build are pure functions of the text and of
-    the resolved contents, and each keeps its last results.
+    resolves ``list:*`` refs against its own directory); it is called once
+    per distinct ref on every call, so a changed list gives a new descriptor
+    and hash.
     """
-    refs = _parse_stages(text)[1]
-    resources = tuple(sorted((ref, resolver(ref)) for ref in refs)) if refs else ()
-    return _descriptor(text, resources)
-
-
-@functools.lru_cache(maxsize=1024)
-def _parse_stages(text: str) -> tuple[tuple[Stage, ...], tuple[str, ...]]:
-    """The stages of a serialized pipeline and its distinct stopword-list refs."""
     stages: list[Stage] = []
     refs: dict[str, None] = {}
     for part in text.split(" | "):
@@ -317,15 +308,7 @@ def _parse_stages(text: str) -> tuple[tuple[Stage, ...], tuple[str, ...]]:
         if name == "stopword_filter" and params and params[0] != "off":
             refs[params[0]] = None
         stages.append(Stage(name, params))
-    return tuple(stages), tuple(refs)
-
-
-# each descriptor holds the full text of its stopword lists, so fewer are
-# kept; the key is strings only, whose hashes Python caches, so a hit on
-# every manifest read costs no per-stage dataclass hashing
-@functools.lru_cache(maxsize=128)
-def _descriptor(text: str, resources: tuple[tuple[str, str], ...]) -> PipelineDescriptor:
-    return PipelineDescriptor(_parse_stages(text)[0], resources)
+    return PipelineDescriptor(tuple(stages), tuple(sorted((ref, resolver(ref)) for ref in refs)))
 
 
 class PreprocessCache:

@@ -137,15 +137,9 @@ _STEP4_RULES = [
 ]
 
 
-def _step2(word: str) -> str:
-    rule = _longest_rule(word, _STEP2_RULES)
-    if rule and _measure(word[: len(word) - len(rule[0])]) > 0:
-        return word[: len(word) - len(rule[0])] + rule[1]
-    return word
-
-
-def _step3(word: str) -> str:
-    rule = _longest_rule(word, _STEP3_RULES)
+def _replace_suffix(word: str, rules: list[tuple[str, str]]) -> str:
+    """Steps 2 and 3: the longest matching suffix is replaced when its stem has m > 0."""
+    rule = _longest_rule(word, rules)
     if rule and _measure(word[: len(word) - len(rule[0])]) > 0:
         return word[: len(word) - len(rule[0])] + rule[1]
     return word
@@ -178,7 +172,8 @@ def _step5b(word: str) -> str:
     return word
 
 
-_STEPS = (_step1a, _step1b, _step1c, _step2, _step3, _step4, _step5a, _step5b)
+_STEPS = (_step1a, _step1b, _step1c, functools.partial(_replace_suffix, rules=_STEP2_RULES),
+          functools.partial(_replace_suffix, rules=_STEP3_RULES), _step4, _step5a, _step5b)
 
 
 @functools.lru_cache(maxsize=_STEM_MEMO_SIZE)

@@ -24,9 +24,10 @@ unit's start offset in it. A retrieved unit is a view of its span of that
 array; ``pairs``, ``words()``, ``vectors()`` and ``missing`` are built from
 the batch and the read's word list (``VectorRows.words``, in row order) on
 first read, and units of one WEC share the one view of a word they have in
-common. Analysis gathers many units' rows via :meth:`_Batch.spans`
+common. Analysis takes units' rows, grouped, from :func:`_unit_groups`
 and reads no layout itself. A unit built by hand holds only its ``pairs``;
-analysis stacks those per width on each call and stores nothing on the unit.
+``_unit_groups`` stacks those per width on each call and stores nothing on
+the unit.
 Each WEC read is one :func:`lookup_units` call, with the entry's own pipeline
 and join; ``heatmap --no-phrases`` passes a copy of the entry without a join.
 A call looks up the entry's phrase model once, so its units join by one
@@ -42,7 +43,7 @@ import numpy as np
 
 from . import phrases
 from .catalog import CatalogEntry
-from .errors import PipelineError, WecdbError
+from .errors import AnalysisError, PipelineError, WecdbError
 from .identifier import WecQuery, parse_query
 from .pipeline import PreprocessCache, run_pipeline
 from .store import VectorRows
@@ -130,13 +131,47 @@ class _Batch:
         start, end = self.starts[position : position + 2].tolist()
         return list(map(self.found.words.__getitem__, self.rows[start:end].tolist()))
 
-    def spans(self, positions: list[int]) -> tuple[np.ndarray, np.ndarray]:
-        """Matrix rows of the units at ``positions``, concatenated, and each one's row count."""
-        starts = self.starts[positions]
-        lengths = self.starts[np.add(positions, 1)] - starts
+
+def _unit_groups(units: Sequence[UnitResult]):
+    """Yield ``(members, matrix, words, rows, lengths)`` for each group of ``units``.
+
+    ``members`` are the positions in ``units`` of the group's units, in
+    order; unit ``members[k]`` has the next ``lengths[k]`` entries of
+    ``rows``, which index ``matrix`` and ``words``. Retrieved units are
+    grouped by the :class:`_Batch` of their store read, whose rows are
+    gathered in one step. Hand-built units are grouped by width, their pairs
+    stacked for this call only (a vector changed between calls is read
+    anew); one with vectors of two lengths raises :class:`AnalysisError`.
+    """
+    batches: dict[int, tuple[_Batch, list[int], list[int]]] = {}
+    by_width: dict[int, tuple[list[int], list[tuple[str, np.ndarray]], list[int]]] = {}
+    for i, unit in enumerate(units):
+        batch = unit._batch
+        if batch is not None:
+            _, members, positions = batches.setdefault(id(batch), (batch, [], []))
+            members.append(i)
+            positions.append(unit._position)
+            continue
+        pairs = unit.pairs
+        if not pairs:
+            continue
+        width = len(pairs[0][1])
+        for word, vec in pairs:
+            if len(vec) != width:
+                raise AnalysisError(f"mixed vector lengths: {width} vs {len(vec)} for {word!r}")
+        members, stacked, lengths = by_width.setdefault(width, ([], [], []))
+        members.append(i)
+        stacked += pairs
+        lengths.append(len(pairs))
+    for batch, members, positions in batches.values():
+        starts = batch.starts[positions]
+        lengths = batch.starts[np.add(positions, 1)] - starts
         offset = starts - np.cumsum(lengths) + lengths  # a unit's start in rows minus in gather
         gather = np.repeat(offset, lengths) + np.arange(lengths.sum())
-        return self.rows[gather], lengths
+        yield members, batch.found.matrix, batch.found.words, batch.rows[gather], lengths
+    for members, stacked, lengths in by_width.values():
+        matrix = np.array([vec for _, vec in stacked])
+        yield members, matrix, [word for word, _ in stacked], np.arange(len(stacked)), lengths
 
 
 @dataclass

@@ -289,11 +289,15 @@ class EmptyStore(VectorRows):
 
 
 def parse_vector_text(fields: list[str]) -> bytes:
-    """Pinned float conversion: decimal text -> binary64 -> binary32, little-endian;
-    a value beyond binary32's range rounds to infinity of its sign, without a warning."""
-    values = np.array(fields, dtype="<f8")
+    """Pinned float conversion: decimal text -> binary64 -> binary32, little-endian."""
+    return _to_binary32(np.array(fields, dtype="<f8")).tobytes()
+
+
+def _to_binary32(values: np.ndarray) -> np.ndarray:
+    """Little-endian binary32 of binary64 ``values``, each rounded to nearest; a value
+    beyond binary32's range rounds to infinity of its sign, without a warning."""
     with np.errstate(over="ignore"):
-        return values.astype("<f4").tobytes()
+        return values.astype("<f4")
 
 
 def _detect_header(first_line: str, mode: str) -> tuple[int, int] | None:
@@ -424,11 +428,9 @@ def _parse_group(
             pass
         else:
             if values.shape == (len(group), dims):
-                with np.errstate(over="ignore"):  # beyond binary32: infinity, as in parse_vector_text
-                    rows = values.astype("<f4")
                 return [
                     (lineno, word, row.tobytes())
-                    for (lineno, _), word, row in zip(group, words, rows)
+                    for (lineno, _), word, row in zip(group, words, _to_binary32(values))
                 ]
     return [
         _malformed(lineno, reason, report, on_malformed,

@@ -1,6 +1,7 @@
 import csv
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -728,6 +729,20 @@ def test_svg_grayscale_black_at_max(tmp_path):
     svg = path.read_text()
     assert 'fill="rgb(0,0,0)"' in svg  # max
     assert 'fill="rgb(255,255,255)"' in svg  # min
+
+
+RED, WHITE, BLACK = "rgb(255,0,0)", "rgb(255,255,255)", "rgb(0,0,0)"
+
+
+@pytest.mark.parametrize("cells, fills, titles", [
+    ([np.nan, -np.inf, 1.0, 3.0], [RED, RED, WHITE, BLACK], ["nan", "-inf", "1.000000", "3.000000"]),
+    ([np.nan, -np.inf, np.inf, np.nan], [RED] * 4, ["nan", "-inf", "inf", "nan"]),
+])
+def test_svg_grayscale_spans_the_finite_cells_and_marks_the_rest(tmp_path, cells, fills, titles):
+    path = tmp_path / "h.svg"
+    export_heatmap(np.array(cells).reshape(2, 2), ["a", "b"], ["c", "d"], path, format="svg")
+    found = re.findall(r'fill="(rgb\([^)]*\))"><title>([^<]*)</title>', path.read_text())
+    assert found == list(zip(fills, titles))
 
 
 def test_export_rejects_label_shape_mismatch(tmp_path):

@@ -469,6 +469,18 @@ def test_heatmap_svg_format(root, tmp_path):
     assert svg.count("<rect ") == 4
 
 
+def test_heatmap_svg_with_an_infinite_cell(root, tmp_path):
+    ident = "algo:a;dataset:d;dims:2;fold:0;unit:token"
+    (tmp_path / "w.txt").write_text("theory 0.1 0.2\nnet 0.3 0.4\nbig 1e39 1\n")  # 1e39 is inf
+    assert main(["--root", root, "import", str(tmp_path / "w.txt"), ident, "--create"]) == 0
+    outdir = tmp_path / "hm"
+    assert main(["--root", root, "heatmap", ident, "theory big", "net", "--outdir", str(outdir),
+                 "--format", "svg", "--metric", "euclidean"]) == 0
+    svg = next(outdir.glob("*.svg")).read_text()
+    assert re.findall(r'fill="(rgb\([^)]*\))"><title>([^<]*)</title>', svg) == [
+        ("rgb(0,0,0)", "0.282843"), ("rgb(255,0,0)", "inf")]
+
+
 def test_heatmap_reads_the_manifest_once(root, tmp_path, monkeypatch):
     from wecdb.catalog import Catalog
 

@@ -108,3 +108,34 @@ def test_phrase_model_record_of_unknown_kind_is_refused_naming_its_line(tmp_path
     with pytest.raises(WecdbError, match=rf":{lineno}: unknown record 't'"):
         PhraseModel.load(path)
 
+
+
+@pytest.mark.parametrize("name", ["discount", "threshold"])
+def test_nan_phrase_parameter_is_refused(name):
+    with pytest.raises(WecdbError, match=f"{name} must be >= 0"):
+        train_phrase_model([["a"]], **{name: float("nan")})
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ("passes -2", "passes must be >= 1"),
+        ("passes 0", "passes must be >= 1"),
+        ("discount -5.0", "discount must be >= 0"),
+        ("threshold nan", "threshold must be >= 0"),
+        ("tokens -7", "tokens must be >= 0"),
+        ("u petri -1", "count must be >= 1"),
+        ("b petri net 0", "count must be >= 1"),
+    ],
+)
+def test_phrase_model_record_out_of_range_is_refused_naming_its_line(tmp_path, record, message):
+    path = _model_file(tmp_path)
+    path.write_text(path.read_text("utf-8") + record + "\n", encoding="utf-8")
+    lineno = len(path.read_text("utf-8").splitlines())
+    with pytest.raises(WecdbError, match=rf"{re.escape(str(path))}:{lineno}: {message}"):
+        PhraseModel.load(path)
+
+
+def test_empty_phrase_model_loads(tmp_path):
+    PhraseModel().save(tmp_path / "empty.phr")
+    assert PhraseModel.load(tmp_path / "empty.phr") == PhraseModel()
