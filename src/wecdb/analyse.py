@@ -399,6 +399,8 @@ def _export_svg(matrix, row_labels, col_labels, path) -> None:
     n_rows, n_cols = matrix.shape
     finite = np.isfinite(matrix)
     lo, hi = (float(matrix[finite].min()), float(matrix[finite].max())) if finite.any() else (0, 0)
+    # halved before subtracting, so a range wider than float64's stays finite
+    lo, hi = lo / 2, hi / 2
     span = hi - lo
     width = _GUTTER + n_cols * _CELL + 10
     height = _GUTTER + n_rows * _CELL + 10
@@ -410,7 +412,7 @@ def _export_svg(matrix, row_labels, col_labels, path) -> None:
     for i in range(n_rows):
         for j in range(n_cols):
             if finite[i, j]:
-                t = 1.0 if span == 0.0 else (matrix[i, j] - lo) / span
+                t = 1.0 if span == 0.0 else (matrix[i, j] / 2 - lo) / span
                 shade = round(255 * (1.0 - t))
                 fill = f"rgb({shade},{shade},{shade})"
             else:

@@ -9,9 +9,10 @@ Two mechanisms, matching how phrase-aware WECs come into existence:
 
   reaches ``threshold``, where ``N`` is the number of tokens counted.
   The scan is left-to-right and non-overlapping: after a join it resumes
-  after the joined token, and it repeats ``passes`` times, so ``passes``
-  scans can build phrases of up to ``passes + 1`` words. Pairs never seen
-  in training never join, whatever the threshold.
+  after the joined token, and it repeats up to ``passes`` times, so
+  ``passes`` scans can build phrases of up to ``passes + 1`` words. A scan
+  that joins nothing ends the repeats: the next would see the same tokens.
+  Pairs never seen in training never join, whatever the threshold.
 
 * :func:`apply_phrases_vocab` -- greedy longest-match against a WEC
   vocabulary, for collections that ship with phrase tokens but without the
@@ -77,7 +78,10 @@ class PhraseModel:
     def apply(self, tokens: Iterable[str]) -> list[str]:
         result = list(tokens)
         for _ in range(self.passes):
-            result = self._scan_once(result)
+            joined = self._scan_once(result)
+            if len(joined) == len(result):  # nothing joined, so no later pass can join
+                break
+            result = joined
         return result
 
     def _count_sentence(self, tokens: list[str]) -> None:

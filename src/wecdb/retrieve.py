@@ -28,10 +28,20 @@ common. Analysis takes units' rows, grouped, from :func:`_unit_groups`
 and reads no layout itself. A unit built by hand holds only its ``pairs``;
 ``_unit_groups`` stacks those per width on each call and stores nothing on
 the unit.
-Each WEC read is one :func:`lookup_units` call, with the entry's own pipeline
-and join; ``heatmap --no-phrases`` passes a copy of the entry without a join.
+Each WEC read is one :class:`_Read`, with the entry's own pipeline and
+join: :func:`lookup_units` makes one and reads it at once, and
+``heatmap --no-phrases`` passes it a copy of the entry without a join.
 A call looks up the entry's phrase model once, so its units join by one
 model version, as they read one catalog version.
+
+A :func:`get_vectors` call over two or more WECs opens one helper thread
+for the call (:func:`_lookup_overlapped`). WEC k's store statement runs
+there, with the GIL released inside SQLite, while this thread preprocesses
+WEC k+1 and builds WEC k-1's units. Only the statement runs on the helper:
+pipelines, phrase models, store opens and each read's ``get_many``, which
+waits for its statement and decodes it, run on the calling thread, so
+errors are raised there in expansion order, and a tracer that wraps those
+functions sees every call on one thread. A one-WEC call starts no thread.
 """
 
 from __future__ import annotations
@@ -241,34 +251,98 @@ def lookup_units(
     so the greedy join and the units' :class:`_Batch` both read that one
     mapping. ``bare=True`` gives units whose ``pairs`` are bare vectors.
     """
-    store = db.open_store(entry)
-    if raw:
-        if not all(isinstance(unit, str) for unit in inputs):
-            raise WecdbError("raw=True expects each input unit to be a string")
-        texts = inputs
-        try:
-            token_lists = [run_pipeline(entry.pipeline, unit, cache) for unit in inputs]
-        except PipelineError as exc:
-            raise PipelineError(f"[{entry.normalized}] {exc}") from exc
-        if entry.phrase_model_ref is not None:
-            apply = db._phrase_model(entry).apply  # one model version for every unit
-            token_lists = [apply(tokens) for tokens in token_lists]
-    else:
-        if any(isinstance(unit, str) for unit in inputs):
-            raise WecdbError("raw=False expects each input unit to be a token list")
-        texts = [""] * len(inputs)
-        token_lists = [list(unit) for unit in inputs]
-    max_len = entry.vocab_join_max_len if raw else None
-    wanted = [token for tokens in token_lists for token in tokens]
-    if max_len is not None:
-        wanted += [w for tokens in token_lists for w in phrases.vocab_windows(tokens, max_len)]
-    found = store.get_many(wanted)
-    if max_len is not None:
-        token_lists = [
-            phrases.apply_phrases_vocab(found.index.__contains__, tokens, max_len=max_len)
-            for tokens in token_lists
-        ]
-    return _units(found, texts, token_lists, in_order, bare)
+    return _Read(db, entry, inputs, raw, cache).units(in_order, bare)
+
+
+class _Read:
+    """One WEC's part of a call: its store, opened and its units preprocessed
+    when made, the words of its one store read (``wanted``), and that read's
+    statements once :meth:`start` handed them to another thread."""
+
+    __slots__ = ("store", "texts", "token_lists", "wanted", "max_len", "pending", "found")
+
+    def __init__(self, db, entry: CatalogEntry, inputs: Sequence, raw: bool,
+                 cache: PreprocessCache | None):
+        self.store = db.open_store(entry)
+        if raw:
+            if not all(isinstance(unit, str) for unit in inputs):
+                raise WecdbError("raw=True expects each input unit to be a string")
+            texts = inputs
+            try:
+                token_lists = [run_pipeline(entry.pipeline, unit, cache) for unit in inputs]
+            except PipelineError as exc:
+                raise PipelineError(f"[{entry.normalized}] {exc}") from exc
+            if entry.phrase_model_ref is not None:
+                apply = db._phrase_model(entry).apply  # one model version for every unit
+                token_lists = [apply(tokens) for tokens in token_lists]
+        else:
+            if any(isinstance(unit, str) for unit in inputs):
+                raise WecdbError("raw=False expects each input unit to be a token list")
+            texts = [""] * len(inputs)
+            token_lists = [list(unit) for unit in inputs]
+        self.max_len = max_len = entry.vocab_join_max_len if raw else None
+        wanted = [token for tokens in token_lists for token in tokens]
+        if max_len is not None:
+            wanted += [w for tokens in token_lists for w in phrases.vocab_windows(tokens, max_len)]
+        self.texts, self.token_lists, self.wanted = texts, token_lists, wanted
+        self.pending = self.found = None
+
+    def start(self, executor) -> None:
+        """Hand the store read's statements to ``executor``."""
+        self.pending = self.store.submit_many(self.wanted, executor)
+
+    def wait_started(self) -> None:
+        """Wait until the executor runs the read handed to it, if any."""
+        if self.pending is not None:
+            self.pending.started.wait()
+
+    def finish(self) -> None:
+        """Wait for the store read and decode it, on this thread."""
+        self.found = self.store.get_many(self.wanted, pending=self.pending)
+
+    def units(self, in_order: bool, bare: bool) -> list[UnitResult]:
+        """The units, from the store read."""
+        if self.found is None:
+            self.finish()
+        found = self.found
+        token_lists, max_len = self.token_lists, self.max_len
+        if max_len is not None:
+            token_lists = [
+                phrases.apply_phrases_vocab(found.index.__contains__, tokens, max_len=max_len)
+                for tokens in token_lists
+            ]
+        return _units(found, self.texts, token_lists, in_order, bare)
+
+
+def _lookup_overlapped(db, entries, inputs, raw, cache, in_order, bare) -> list[list[UnitResult]]:
+    """:func:`lookup_units` of each of two or more ``entries``, in order, their
+    store statements run on one helper thread (see the module docstring).
+    An error is the first failing WEC's, and the helper is gone when this
+    returns or raises."""
+    # imported here: a one-WEC call starts no thread and needs none of it
+    from concurrent.futures import ThreadPoolExecutor
+
+    out = []
+    with ThreadPoolExecutor(1) as helper:
+        last = None  # the read whose statements were handed to the helper last
+        for entry in entries:
+            try:
+                read = _Read(db, entry, inputs, raw, cache)
+            except Exception:
+                if last is not None:  # an error of the WEC before comes first
+                    last.units(in_order, bare)
+                raise
+            read.start(helper)
+            if last is not None:
+                last.finish()  # waits in get_many while the helper is busy with it
+            # the helper needs the GIL to start a statement, which matters only
+            # when it was idle: then this thread gives the GIL up until it has
+            read.wait_started()
+            if last is not None:
+                out.append(last.units(in_order, bare))
+            last = read
+        out.append(last.units(in_order, bare))
+    return out
 
 
 def get_vectors(
@@ -290,7 +364,9 @@ def get_vectors(
     pipeline is bypassed. Every identifier the query expands to is resolved
     from one read of the catalog manifest, so a call sees one catalog
     version (the result's ``entries``) and an unknown identifier raises
-    before any store is opened. Each WEC's store is read once per call.
+    before any store is opened. Each WEC's store is read once per call;
+    a call over two or more WECs runs those reads' statements on one helper
+    thread of its own (:func:`_lookup_overlapped`).
     ``inputs`` that is one string, not a sequence of units, raises.
     """
     if isinstance(inputs, str):
@@ -298,9 +374,14 @@ def get_vectors(
     if not isinstance(query, WecQuery):
         query = parse_query(query)
     inputs = list(inputs)  # read once: every WEC gets the same units
+    entries = db.catalog.require_all(query.expanded)
+    bare = not as_tuple
+    if len(entries) > 1:
+        per_wec = _lookup_overlapped(db, entries, inputs, raw, cache, in_order, bare)
+    else:
+        per_wec = [lookup_units(db, entry, inputs, raw, cache, in_order, bare) for entry in entries]
     result = RetrievalResult()
-    for entry in db.catalog.require_all(query.expanded):
-        units = lookup_units(db, entry, inputs, raw, cache, in_order, bare=not as_tuple)
+    for entry, units in zip(entries, per_wec):
         result.per_wec.append((entry.normalized, units))
         result.entries[entry.normalized] = entry
     return result

@@ -12,13 +12,20 @@ but above it at a few dimensions. A row of up to about 4 KB (about 1,000-d)
 stays on its table leaf page. Point lookups never scan the store; that is
 the whole point: retrieval cost depends on the words requested, not the
 collection size. A batched read (:meth:`WecStore.get_many`) is one
-statement: it binds the distinct words once, as one JSON array read by
-SQLite's ``json_each`` (built in by default since SQLite 3.38.0), and probes
-the word index once per word. It returns a read-only :class:`VectorRows`
+aggregate statement: it binds the distinct words once, as one JSON array
+read by SQLite's ``json_each`` (built in by default since SQLite 3.38.0),
+probes the word index once per word, and answers with one row: the found
+words' places in the array, their vectors end to end, and how many found
+values are not one vector's blob. One ``sqlite3_step`` does the whole read,
+and Python's ``sqlite3`` module releases the GIL around it, so another
+thread runs Python meanwhile (:meth:`WecStore.submit_many` hands the
+statement to a helper thread). A request whose vectors would pass
+``_CHUNK_BYTES`` is read in chunks, each one statement, so that no answer
+nears SQLite's length limit. It returns a read-only :class:`VectorRows`
 mapping: the vectors it found are the read-only rows of one float32 matrix.
-A point read (:meth:`WecStore.get`) is a one-word batched read, with its
-checks. A read that SQLite cannot complete on a damaged file raises
-:class:`~wecdb.errors.StoreError` naming the file.
+A point read (:meth:`WecStore.get`) reads one word with a one-row-per-word
+statement, with the same checks. A read that SQLite cannot complete on a
+damaged file raises :class:`~wecdb.errors.StoreError` naming the file.
 
 Store format (``format`` key of the ``meta`` table): ``2`` is the layout
 above, stamped by the import that creates the table. A store without the
@@ -27,7 +34,9 @@ key is format 1, an earlier ``WITHOUT ROWID`` layout whose rows over about
 since every statement here works on both layouts. An import writes
 format 2. Any other value is refused. The ``dims`` key records the vector
 width, the one source of a :class:`WecStore`'s width: a store that records
-none, or one that is not a positive integer, is refused when opened.
+none, or one that is not a positive integer, is refused when opened, and
+so is a store whose text encoding is not UTF-8 (``PRAGMA encoding``): the
+aggregate read would transcode its vector bytes.
 
 SQLite is an implementation detail behind :class:`WecStore`; any engine
 providing a unique key, point lookup, atomic batch writes, and a single
@@ -68,19 +77,31 @@ from contextlib import closing
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from pathlib import Path
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .errors import DuplicateWordError, HeaderError, MalformedLineError, StoreError, WecImportError
+
+if TYPE_CHECKING:  # concurrent.futures imports logging, which only a multi-WEC read needs
+    from concurrent.futures import Executor, Future
 
 _BATCH_ROWS = 4096
 _GROUP_BYTES = 256 * 1024  # bytes of float64 values per numpy parse call; bounds import memory
 _SELECT_ONE = "SELECT vector FROM vectors WHERE word = ?"
 _SELECT_PAGE = "SELECT word FROM vectors WHERE word > ? ORDER BY word LIMIT ?"
 # CROSS JOIN keeps json_each outermost: one word-index probe per requested word
+_FROM_MANY = "FROM json_each(?) AS j CROSS JOIN vectors AS v ON v.word = j.value"
+# one row per found word: read only to name the word of a bad value
+_SELECT_ROWS = f"SELECT v.word, v.vector {_FROM_MANY}"
+# one row per batch: found words' array indexes, their vectors end to end, and
+# the count of found values that are not a blob of the bound byte width
 _SELECT_MANY = (
-    "SELECT v.word, v.vector FROM json_each(?) AS j CROSS JOIN vectors AS v ON v.word = j.value"
+    "SELECT group_concat(j.key), CAST(group_concat(v.vector, '') AS BLOB),"
+    f" total(typeof(v.vector) != 'blob' OR length(v.vector) != ?) {_FROM_MANY}"
 )
+# vector bytes per statement of one batched read, far below SQLite's 1e9-byte length limit
+_CHUNK_BYTES = 1 << 26
 _HEADER_RE = re.compile(r"(\d+) (\d+)")
 _WIDTH_RE = re.compile("[1-9][0-9]*")
 _ESCAPED_BYTE_RE = re.compile("[\udc80-\udcff]")  # a byte that UTF-8 could not decode
@@ -151,6 +172,14 @@ class VectorRows(Mapping):
         return len(self.index)
 
 
+class PendingRead(NamedTuple):
+    """A batched read that :meth:`WecStore.submit_many` handed to an executor."""
+
+    request: tuple  # the distinct words in chunks, their JSON arrays, the words held out
+    answers: Future  # the aggregate row of each chunk
+    started: threading.Event  # set once the executor's thread runs the read
+
+
 class WecStore:
     """Single-file store of ``<word, float32 vector>`` records for one WEC.
 
@@ -179,6 +208,10 @@ class WecStore:
             # 1 MiB of SQLite's own page cache, half its default: the OS page
             # cache holds the store's pages too and serves every read
             self._rows("PRAGMA cache_size = -1024")
+            # a batched read joins vectors as text, which SQLite would transcode
+            if (encoding := self._rows("PRAGMA encoding")[0][0]) != "UTF-8":
+                raise StoreError(f"{self.path} has text encoding {encoding};"
+                                 " this wecdb reads UTF-8 stores only")
             meta = dict(self._rows("SELECT key, value FROM meta"))
             # a store without a format key predates the key: format 1, read as is
             if (fmt := meta.get("format")) not in (None, "1", _FORMAT):
@@ -202,52 +235,110 @@ class WecStore:
             raise StoreError(f"{self.path} could not be read: {exc}") from exc
 
     def get(self, word: str) -> np.ndarray | None:
-        """``word``'s vector, or None: a one-word :meth:`get_many`, with its checks."""
-        return self.get_many((word,)).get(word)
+        """``word``'s vector, or None: one word read by the row, with the checks of
+        :meth:`get_many`."""
+        return self._read_rows((word,)).get(word)
 
-    def get_many(self, words: Iterable[str]) -> "VectorRows":
+    def get_many(self, words: Iterable[str], pending: PendingRead | None = None) -> VectorRows:
         """Found subset of ``words`` as a read-only mapping over one matrix.
 
         The distinct words are bound once, as one JSON array, to one
-        statement that probes the word index once per word, in request
-        order; its one SQL text keeps SQLite's statement cache at one entry
-        for any batch size. JSON text cannot carry a NUL into SQLite, so a
-        word holding one is read on its own by a one-word statement.
-        The blobs become one read-only float32 matrix with one row per found
-        word, so a call makes one array, not one per word. A result that
-        names a word twice or a word not asked for is refused as corrupt.
+        aggregate statement that probes the word index once per word and
+        answers with one row: the array indexes of the found words, their
+        blobs end to end, and how many found values are not a blob of
+        ``4 * dims`` bytes. Its one SQL text keeps SQLite's statement cache
+        at one entry for any batch size. A request whose vectors could pass
+        ``_CHUNK_BYTES`` runs it once per chunk of words. JSON text cannot
+        carry a NUL into SQLite, so a word holding one is read on its own by
+        a one-word statement. The blobs become one read-only float32 matrix
+        with one row per found word, so a call makes one array, not one per
+        word. A word found twice is refused as corrupt, and a value that is
+        not ``dims`` float32 values is named by a row-by-row re-read.
+
+        ``pending`` is what :meth:`submit_many` returned for these ``words``:
+        the call then waits for the statements it started and decodes
+        their answer here.
         """
-        unique = dict.fromkeys(words)
-        text = _json_text(list(unique))
-        held = []
-        if "\\u0000" in text:  # a NUL, as JSON escapes it (or a word holding that text)
-            held = [word for word in unique if "\0" in word]
-            text = _json_text([word for word in unique if "\0" not in word])
-        rows = self._rows(_SELECT_MANY, (text,))
+        if pending is None:
+            request = self._request(words)
+            answers = self._answers(request)
+        else:
+            request, answers = pending.request, pending.answers.result()
+        chunks, _, held = request
+        found, parts = [], []
+        for chunk, (keys, data, bad) in zip(chunks, answers):
+            if bad:  # a row-by-row re-read names the word
+                self._read_rows(chunk)
+                raise StoreError(f"{self.path}: a vector is not {self.dims} float32 values")
+            if keys is not None:
+                found += map(chunk.__getitem__, map(int, keys.split(",")))
+                parts.append(data)
+        if held:
+            rows = self._read_rows(held)
+            found += rows.words
+            parts.append(rows.matrix.tobytes())
+        return self._vector_rows(found, b"".join(parts))
+
+    def submit_many(self, words: Iterable[str], executor: Executor) -> PendingRead:
+        """Hand :meth:`get_many`'s statements for ``words`` to ``executor``
+        and return at once; pass the result to ``get_many(words, pending=...)``.
+
+        Only SQLite runs on the executor, with the GIL released. Until its
+        first statement starts, though, the executor's thread needs the GIL,
+        so a caller that goes on with Python work while the executor is idle
+        waits for ``started`` first; else the statement may wait a whole
+        switch interval (``sys.getswitchinterval()``) to start.
+        """
+        request = self._request(words)
+        started = threading.Event()
+        return PendingRead(request, executor.submit(self._answers, request, started), started)
+
+    def _request(self, words: Iterable[str]) -> tuple[list[list[str]], list[str], list[str]]:
+        """``(chunks, texts, held)``: the distinct words that JSON text can
+        carry, in chunks whose vectors fit ``_CHUNK_BYTES``, each chunk's
+        JSON array, and the words that hold a NUL."""
+        listed, held = _split_nul(words)
+        step = max(1, _CHUNK_BYTES // (4 * self.dims))
+        chunks = [listed[i : i + step] for i in range(0, len(listed), step)]
+        return chunks, [_json_text(chunk) for chunk in chunks], held
+
+    def _answers(self, request: tuple, started: threading.Event | None = None) -> list[tuple]:
+        """The aggregate row of each chunk of ``request``: the SQLite part of a
+        batched read, which any thread may run; ``started`` is set first."""
+        if started is not None:
+            started.set()
+        return [self._rows(_SELECT_MANY, (4 * self.dims, text))[0] for text in request[1]]
+
+    def _read_rows(self, words: Iterable[str]) -> VectorRows:
+        """The found subset of ``words``, read one row per found word, with
+        :meth:`get_many`'s checks; a result that names a word not asked for
+        is refused as corrupt too."""
+        listed, held = _split_nul(words)
+        rows = self._rows(_SELECT_ROWS, (_json_text(listed),))
         for word in held:
             rows += [(word, blob) for (blob,) in self._rows(_SELECT_ONE, (word,))]
-        found = [word for word, _ in rows]
-        index = dict(zip(found, range(len(found))))
-        if len(index) != len(found) or not index.keys() <= unique.keys():
-            raise StoreError(f"{self.path} is corrupt: its word index answered with other words")
-        blobs = [blob for _, blob in rows]
         size = 4 * self.dims
-        try:
-            whole = set(map(len, blobs)) <= {size}
-            data = b"".join(blobs)
-        except TypeError:  # a value that is not a blob
-            whole = False
-        if not whole:
-            word = next(w for w, b in rows if not isinstance(b, bytes) or len(b) != size)
-            raise StoreError(
-                f"{self.path}: vector of {word!r} is not {self.dims} float32 values"
-            )
-        matrix = np.frombuffer(data, dtype="<f4").reshape(len(blobs), self.dims)
+        for word, blob in rows:
+            if not isinstance(blob, bytes) or len(blob) != size:
+                raise StoreError(
+                    f"{self.path}: vector of {word!r} is not {self.dims} float32 values"
+                )
+        found = [word for word, _ in rows]
+        if not set(found) <= {*listed, *held}:
+            raise StoreError(f"{self.path} is corrupt: its word index answered with other words")
+        return self._vector_rows(found, b"".join([blob for _, blob in rows]))
+
+    def _vector_rows(self, found: list[str], data: bytes) -> VectorRows:
+        """``found`` over the float32 matrix of ``data``; a word found twice is refused."""
+        index = dict(zip(found, range(len(found))))
+        if len(index) != len(found):
+            raise StoreError(f"{self.path} is corrupt: its word index answered with a word twice")
+        matrix = np.frombuffer(data, dtype="<f4").reshape(len(found), self.dims)
         return VectorRows(matrix, found, index)
 
     def contains(self, word: str) -> bool:
-        """Whether ``word`` is stored: a one-word :meth:`get_many`, with its checks."""
-        return word in self.get_many((word,))
+        """Whether ``word`` is stored: a :meth:`get` of it, with its checks."""
+        return word in self._read_rows((word,))
 
     def count(self) -> int:
         return self._rows("SELECT count(*) FROM vectors")[0][0]
@@ -282,10 +373,22 @@ class EmptyStore(VectorRows):
     def __init__(self, dims: int):
         super().__init__(np.frombuffer(b"", dtype="<f4").reshape(0, dims), [], {})
 
-    def get_many(self, words: Iterable[str]) -> VectorRows:
+    def get_many(self, words: Iterable[str], pending: None = None) -> VectorRows:
         return self
 
+    def submit_many(self, words: Iterable[str], executor) -> None:
+        return None
+
     contains, count, iter_words = VectorRows.__contains__, VectorRows.__len__, VectorRows.__iter__
+
+
+def _split_nul(words: Iterable[str]) -> tuple[list[str], list[str]]:
+    """The distinct ``words`` in first-seen order, split into those that JSON
+    text can carry into SQLite and those that hold a NUL, which it cannot."""
+    listed = list(dict.fromkeys(words))
+    if "\0" not in "".join(listed):
+        return listed, []
+    return [word for word in listed if "\0" not in word], [word for word in listed if "\0" in word]
 
 
 def parse_vector_text(fields: list[str]) -> bytes:

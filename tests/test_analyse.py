@@ -745,6 +745,13 @@ def test_svg_grayscale_spans_the_finite_cells_and_marks_the_rest(tmp_path, cells
     assert found == list(zip(fills, titles))
 
 
+def test_svg_grayscale_spans_a_range_wider_than_float64(tmp_path):
+    path = tmp_path / "h.svg"
+    export_heatmap(np.array([[-1e308, 1e308, 0.0]]), ["r"], ["a", "b", "c"], path, format="svg")
+    fills = re.findall(r'fill="(rgb\([^)]*\))"><title>', path.read_text())
+    assert fills == [WHITE, BLACK, "rgb(128,128,128)"]
+
+
 def test_export_rejects_label_shape_mismatch(tmp_path):
     with pytest.raises(AnalysisError, match="labels"):
         export_heatmap(np.eye(2), ["only-one"], ["a", "b"], tmp_path / "x.csv")

@@ -30,7 +30,8 @@ def _run_threads(worker, n=8):
     for t in threads:
         t.start()
     for t in threads:
-        t.join()
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
     assert errors == [], errors
 
 
@@ -104,6 +105,33 @@ def test_concurrent_get_vectors_calls(db, tmp_path):
         assert res.per_wec[0][1][0].words() == ref_words
 
     _run_threads(worker)
+
+
+def test_concurrent_multi_wec_calls_share_store_handles_with_their_helpers(db, tmp_path):
+    # each call's helper thread reads the same handles as the other calls and
+    # their helpers, one statement at a time per handle
+    words = [f"w{i}" for i in range(300)]
+    grid = "algo:t;dataset:{a,b,c};dims:4;fold:1;unit:token"
+    for name in "abc":
+        write_wec_text(tmp_path / f"{name}.txt", words[::2] if name == "b" else words, dims=4)
+        db.import_from_file(tmp_path / f"{name}.txt", grid.replace("{a,b,c}", name))
+    units = [words[k::7] + ["absent"] for k in range(7)]
+    reference = [[u.vectors() for u in us] for _, us in db.get_vectors(grid, inputs=units)]
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        def worker(k):
+            for _ in range(5):
+                res = db.get_vectors(grid, inputs=units)
+                got = [[u.vectors() for u in us] for _, us in res]
+                assert [[[v.tobytes() for v in u] for u in us] for us in got] == [
+                    [[v.tobytes() for v in u] for u in us] for us in reference]
+
+        _run_threads(worker, n=6)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == before
 
 
 def test_cross_process_registration_locking(tmp_path):

@@ -35,6 +35,23 @@ def reference_scan(model, tokens):
     return current
 
 
+def test_apply_stops_after_a_pass_that_joins_nothing(monkeypatch):
+    model = PhraseModel(unigram_counts={"a": 1, "b": 1, "a_b": 1, "c": 1},
+                        bigram_counts={("a", "b"): 1, ("a_b", "c"): 1},
+                        corpus_token_count=4, threshold=1.0, passes=10**6)
+    scans = []
+    real_scan = PhraseModel._scan_once
+    monkeypatch.setattr(PhraseModel, "_scan_once",
+                        lambda self, tokens: scans.append(1) or real_scan(self, tokens))
+    assert model.apply(["a", "b", "c", "d"]) == ["a_b_c", "d"]
+    assert len(scans) == 3  # two that join, one that joins nothing
+    scans.clear()
+    assert model.apply(["c", "a"]) == ["c", "a"] and len(scans) == 1
+    model.passes = 5
+    for tokens in (["a", "b", "c"], ["a", "b", "a", "b", "c"], ["x"], []):
+        assert model.apply(tokens) == reference_scan(model, tokens)
+
+
 def test_direct_counting_oracle():
     corpus = [["petri", "net"]] * 10 + [["net"]] * 10
     model = train_phrase_model(corpus, threshold=1.0)

@@ -1,12 +1,15 @@
 import json
+import sqlite3
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wecdb import Database, PreprocessCache, UnknownWecError, WecdbError
+from wecdb import Database, PreprocessCache, StoreError, UnknownWecError, WecdbError
 from wecdb.catalog import Catalog
 from wecdb.pipeline import run_pipeline
+from wecdb.store import WecStore
 
 from conftest import write_wec_text
 
@@ -146,6 +149,59 @@ def test_unknown_last_wec_raises_before_any_store_opens(db, tmp_path, monkeypatc
         )
     assert str(exc.value) == "no WEC registered as 'algo:a;dataset:d;dims:9;fold:0;unit:token'"
     assert opens == []
+
+
+def _break_store(db, dims, how):
+    """Damage the store of the three-WEC grid's ``dims`` WEC: give it a word
+    whose value is not a vector, or delete its file."""
+    entry = db.catalog.require(f"algo:a;dataset:d;dims:{dims};fold:0;unit:token")
+    path = db.catalog.store_path(entry)
+    if how == "bad row":
+        conn = sqlite3.connect(path)
+        conn.execute("INSERT INTO vectors VALUES ('gamma', x'00')")
+        conn.commit()
+        conn.close()
+    else:
+        path.unlink()
+
+
+@pytest.mark.parametrize("first, second, message", [
+    ("bad row", "missing", "vector of 'gamma' is not 2 float32 values"),
+    ("missing", "bad row", "dims:2;fold:0;unit:token is missing"),
+])
+def test_the_first_failing_wec_raises_in_expansion_order(db, tmp_path, first, second, message):
+    _three_wecs(db, tmp_path)
+    _break_store(db, 2, first)
+    _break_store(db, 3, second)
+    before = threading.active_count()
+    for raw in (False, True):
+        with pytest.raises(StoreError, match=message):
+            db.get_vectors("algo:a;dataset:d;dims:{2,3,4};fold:0;unit:token", None,
+                           inputs=["alpha gamma"] if raw else [["alpha", "gamma"]], raw=raw)
+        assert threading.active_count() == before
+
+
+def test_a_multi_wec_call_reads_on_one_helper_thread_and_leaves_none(db, tmp_path, monkeypatch):
+    _three_wecs(db, tmp_path)
+    caller = threading.get_ident()
+    starts, reads = [], []
+    real_start, real_get_many = threading.Thread.start, WecStore.get_many
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: starts.append(1) or real_start(self))
+    monkeypatch.setattr(WecStore, "get_many", lambda self, words, pending=None: (
+        reads.append((threading.get_ident(), pending is not None))
+        or real_get_many(self, words, pending)))
+    before = threading.active_count()
+    res = db.get_vectors("algo:a;dataset:d;dims:{2,3,4};fold:0;unit:token", None,
+                         inputs=["alpha gamma", "beta"], raw=True)
+    assert [[u.words() for u in units] for _, units in res] == [[["alpha"], ["beta"]]] * 3
+    assert starts == [1] and reads == [(caller, True)] * 3
+    assert threading.active_count() == before
+    starts.clear(), reads.clear()
+    res = db.get_vectors("algo:a;dataset:d;dims:3;fold:0;unit:token", None,
+                         inputs=[["beta", "alpha"]], raw=False)
+    assert res.per_wec[0][1][0].words() == ["beta", "alpha"]
+    assert starts == [] and reads == [(caller, False)]
 
 
 @pytest.mark.parametrize("raw", [True, False])

@@ -474,6 +474,61 @@ def test_get_many_reads_words_holding_nul_exactly(db, tmp_path):
     assert all(vec.tobytes() == expected[w].tobytes() for w, vec in pairs)
 
 
+def test_chunked_get_many_gives_the_same_rows(tmp_path, monkeypatch):
+    from wecdb import store as store_mod
+
+    words = [f"w{i:03d}" for i in range(40)] + ["a\0b"]
+    _write_store(
+        tmp_path / "s.wec", 2,
+        ((w, np.array([i, -i], dtype="<f4").tobytes()) for i, w in enumerate(words[::2])),
+    )
+    asked = words[::-1] + ["zz", "w003", "a\0b"]
+    with WecStore(tmp_path / "s.wec") as store:
+        whole = store.get_many(asked)
+        monkeypatch.setattr(store_mod, "_CHUNK_BYTES", 3 * 8)  # three 2-d vectors a chunk
+        statements: list[str] = []
+        store._conn.set_trace_callback(statements.append)
+        chunked = store.get_many(asked)
+        store._conn.set_trace_callback(None)
+        # 41 distinct words without a NUL, in 14 chunks; the one with a NUL is read
+        # by the row-by-row read, whose JSON array is then empty, and by itself
+        assert len(statements) == 16
+        assert chunked.words == whole.words and chunked.index == whole.index
+        assert chunked.matrix.tobytes() == whole.matrix.tobytes()
+        assert not chunked.matrix.flags.writeable
+        _execute(tmp_path / "s.wec", "INSERT INTO vectors VALUES (?, ?)", [("w039", b"\0" * 4)])
+        with pytest.raises(StoreError, match="'w039'"):
+            store.get_many(asked)
+
+
+def test_submitted_get_many_reads_on_the_executor_and_decodes_here(tmp_path):
+    from concurrent.futures import ThreadPoolExecutor
+
+    path = tmp_path / "s.wec"
+    _write_store(path, 2, [("a", np.array([1, 2], dtype="<f4").tobytes()), ("b", b"\0" * 4)])
+    with WecStore(path) as store, ThreadPoolExecutor(1) as helper:
+        pending = store.submit_many(["zz", "a", "a"], helper)
+        got = store.get_many(["zz", "a", "a"], pending=pending)
+        assert got.words == ["a"] and got["a"].tolist() == [1.0, 2.0]
+        pending = store.submit_many(["a", "b"], helper)
+        with pytest.raises(StoreError, match="vector of 'b' is not 2 float32 values"):
+            store.get_many(["a", "b"], pending=pending)
+
+
+def test_store_in_a_utf16_encoding_is_refused_when_it_opens(tmp_path):
+    path = tmp_path / "utf16.wec"
+    conn = sqlite3.connect(path)
+    conn.execute("PRAGMA encoding = 'UTF-16le'")
+    conn.execute("CREATE TABLE vectors (word TEXT PRIMARY KEY NOT NULL, vector BLOB NOT NULL)")
+    conn.execute("CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT)")
+    conn.execute("INSERT INTO meta VALUES ('format', '2'), ('dims', '1')")
+    conn.execute("INSERT INTO vectors VALUES ('a', ?)", (np.float32(1).tobytes(),))
+    conn.commit()
+    conn.close()
+    with pytest.raises(StoreError, match="utf16.wec has text encoding UTF-16le"):
+        WecStore(path)
+
+
 def test_get_many_refuses_a_word_read_twice(tmp_path):
     # a format-1 store whose vectors table has no unique key, holding one word twice
     path = tmp_path / "twice.wec"

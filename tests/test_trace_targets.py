@@ -87,3 +87,44 @@ def test_traced_builtin_metric_keeps_the_batched_path():
     assert names == ["analyse.pairwise_distances"]
     assert traced.per_wec == untraced.per_wec
     assert len(traced.per_wec[0][1]) == 20
+
+
+def test_a_multi_wec_read_runs_every_traced_function_on_the_calling_thread(tmp_path):
+    # The tracer keeps one span stack, which only one thread may use: the
+    # helper thread of a multi-WEC get_vectors must run none of its targets.
+    import threading
+
+    from wecdb import Database
+
+    threads = []
+
+    class ThreadTracer(tracing.Tracer):
+        def wrap(self, fn, name, layer, info=None, materialize_arg=None):
+            traced = super().wrap(fn, name, layer, info, materialize_arg)
+
+            def recorded(*args, **kwargs):
+                threads.append((name, threading.get_ident()))
+                return traced(*args, **kwargs)
+
+            recorded.__wrapped__ = fn
+            return recorded
+
+    text = tmp_path / "v.txt"
+    text.write_text("alpha 1 2\nbeta 3 4\nalpha_beta 5 6\n", encoding="utf-8")
+    grid = "algo:a;dataset:{d,e,f};dims:2;fold:0;unit:token"
+    with Database(tmp_path / "catalog", create_if_missing=True) as db:
+        for dataset, join in (("d", None), ("e", 2), ("f", None)):
+            db.import_from_file(text, grid.replace("{d,e,f}", dataset), vocab_join_max_len=join)
+        db.train_phrases(["alpha beta"] * 5, grid.replace("{d,e,f}", "f"), threshold=1.0)
+        tracer = ThreadTracer()
+        uninstall = tracing.install(tracer)
+        try:
+            res = db.get_vectors(grid, None, inputs=["alpha beta", "beta"], raw=True)
+        finally:
+            uninstall()
+    assert [[u.words() for u in units] for _, units in res] == [
+        [["alpha", "beta"], ["beta"]], [["alpha_beta"], ["beta"]], [["alpha_beta"], ["beta"]]]
+    assert {ident for _, ident in threads} == {threading.get_ident()}
+    names = [name for name, _ in threads]
+    assert names.count("store.WecStore.get_many") == 3
+    assert names.count("db.Database.open_store") == 3
