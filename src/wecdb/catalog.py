@@ -39,7 +39,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .errors import (
-    CatalogError, DuplicateEntryError, UnknownWecError, WecdbError, read_text, text_lines,
+    CatalogError, DuplicateEntryError, UnknownWecError, WecdbError, first_surrogate, read_text,
+    text_lines,
 )
 from .identifier import WecIdentifier, as_identifier, parse_identifier
 from .phrases import PhraseModel
@@ -327,6 +328,8 @@ class Catalog:
         # a manifest read with universal newlines ends a line at "\r" too
         if any(c in str(source) for c in "\t\n\r"):
             raise CatalogError("source path may not contain tabs or newlines (\\t, \\n or \\r)")
+        if first_surrogate(str(source)):  # the manifest is UTF-8 text
+            raise CatalogError("source path is not UTF-8 text")
         norm = ident.normalized()
         entries = self._load()
         if norm in entries:
@@ -345,7 +348,8 @@ class Catalog:
         return entries, entry
 
     def _register(self, ident, pipeline, source, vocab_join_max_len, model=None, built=None):
-        """:meth:`register`, moving ``built`` (store file, record count) into place."""
+        """:meth:`register`, moving ``built`` (store file, record count) into place
+        as :meth:`_commit` does."""
         with self._locked():
             entries, entry = self._check_new(ident, pipeline, source, vocab_join_max_len,
                                              built[1] if built else 0)
@@ -357,10 +361,8 @@ class Catalog:
                     list_path = self.root / "lists" / f"{ref[5:]}.txt"
                     if not list_path.exists():
                         _write_atomic(list_path, content)
-            if built:
-                os.replace(built[0], self.store_path(entry))
             entries[entry.normalized] = entry
-            self._write_manifest(entries)
+            self._commit(entries, entry, built and built[0])
         return entry
 
     def set_vocab_size(self, ident: WecIdentifier | str, vocab_size: int) -> CatalogEntry:
@@ -378,16 +380,34 @@ class Catalog:
         return entry
 
     def _update(
-        self, ident: WecIdentifier | str, change: Callable[[CatalogEntry], CatalogEntry]
+        self, ident: WecIdentifier | str, change: Callable[[CatalogEntry], CatalogEntry],
+        built: Path | None = None,
     ) -> CatalogEntry:
-        """Rewrite a registered entry as ``change(entry)``, under the lock;
+        """Rewrite a registered entry as ``change(entry)``, under the lock, moving
+        the store file ``built``, if given, into place as :meth:`_commit` does;
         ``change`` may write the entry's own files before the manifest is."""
         norm = as_identifier(ident).normalized()
         with self._locked():
             entries = self._load()
             entry = entries[norm] = change(_registered(entries, norm))
-            self._write_manifest(entries)
+            self._commit(entries, entry, built)
         return entry
+
+    def _commit(self, entries: dict[str, CatalogEntry], entry: CatalogEntry,
+                built: Path | None) -> None:
+        """Write the manifest of ``entries``, after moving the store file ``built``,
+        if given, to ``entry``'s store path; a store moved there is removed
+        again when the write fails, so no store outlives a failed import."""
+        if built is None:
+            self._write_manifest(entries)
+            return
+        path = self.store_path(entry)
+        os.replace(built, path)
+        try:
+            self._write_manifest(entries)
+        except BaseException:
+            path.unlink(missing_ok=True)
+            raise
 
     def delete(self, ident: WecIdentifier | str, force: bool = False) -> CatalogEntry:
         """Remove an entry and its store file. Requires ``force=True``:

@@ -96,7 +96,8 @@ class Database:
         identifier error (identifiers are one-per-import citations). Use
         :meth:`register` plus :meth:`import_into` to split the two halves.
         The store is built in a private file that the registering catalog
-        write moves into place, so a failed or killed import leaves no entry.
+        write moves into place, so a failed or killed import leaves no entry,
+        and no store file that a later registration of the identifier would read.
         """
         ident, pipeline = _registration(ident, pipeline, pipeline_options)
         self.catalog._check_new(ident, pipeline, path, vocab_join_max_len)
@@ -125,14 +126,13 @@ class Database:
             return current
 
         entry = without_records(self.catalog.require(ident))
-
-        def move_in(current: CatalogEntry) -> CatalogEntry:
-            os.replace(tmp, self.catalog.store_path(without_records(current)))
-            return replace(current, vocab_size=report.imported)
-
         with self._build(path, entry.dims, on_duplicate, expect_header,
                          on_malformed) as (tmp, report):
-            self.catalog._update(entry.identifier, move_in)
+            self.catalog._update(
+                entry.identifier,
+                lambda current: replace(without_records(current), vocab_size=report.imported),
+                built=tmp,
+            )
         return report
 
     @contextmanager

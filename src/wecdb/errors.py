@@ -1,5 +1,6 @@
 """Exception hierarchy, the one UTF-8 file reader that raises into it (and
-its form for user input files), and the one line splitter for the text it reads.
+its form for user input files), the one line splitter for the text it reads,
+and the one check for text that UTF-8 cannot encode.
 
 Everything raised on purpose by this package derives from :class:`WecdbError`,
 so callers (and the CLI) can catch one type. Parsing and validation problems
@@ -9,7 +10,10 @@ users who never import this module.
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
+
+_SURROGATE_RE = re.compile("[\ud800-\udfff]")
 
 
 class WecdbError(Exception):
@@ -95,6 +99,19 @@ def read_input_text(path: str | Path, error: type[WecdbError] = WecdbError) -> s
     """:func:`read_text` of a file a user hands in, without one leading
     byte-order mark; files that wecdb writes itself are read byte for byte."""
     return read_text(path, error).removeprefix("\ufeff")
+
+
+def first_surrogate(text: str) -> str | None:
+    """The first lone surrogate in ``text``, which UTF-8 cannot encode, or None.
+
+    A byte that is not UTF-8 reaches Python as one such character (U+DC80 to
+    U+DCFF) in a POSIX path or command-line argument, and in a file read with
+    ``errors="surrogateescape"``; the text holding it is not UTF-8 text.
+    """
+    if text.isascii():
+        return None
+    found = _SURROGATE_RE.search(text)
+    return found and found[0]
 
 
 def text_lines(text: str) -> list[str]:

@@ -10,10 +10,10 @@ user-defined keys may be added. The grammar, exactly:
 
 Whitespace around structural characters is trimmed, so queries may be split
 over several (continuation) lines. Keys are lowercase ASCII identifiers.
-Values are taken verbatim (case-sensitive) and may not contain structural
-characters or whitespace. A brace set expands a spec into the Cartesian
-product of its values; with several brace sets the leftmost one varies
-slowest. ``&`` concatenates independent specs in the supplied order. A
+Values are taken verbatim (case-sensitive) and must be UTF-8 text without
+structural characters or whitespace. A brace set expands a spec into the
+Cartesian product of its values; with several brace sets the leftmost one
+varies slowest. ``&`` concatenates independent specs in the supplied order. A
 filter (:func:`parse_filter`) is one spec without brace sets that may leave
 out any key.
 
@@ -28,7 +28,7 @@ import itertools
 import re
 from dataclasses import dataclass
 
-from .errors import IdentifierError
+from .errors import IdentifierError, first_surrogate
 
 SYSTEM_KEYS = ("algo", "dataset", "dims", "fold", "unit")
 
@@ -48,6 +48,8 @@ def _validate_key(key: str) -> None:
 def _validate_value(key: str, value: str) -> None:
     if not value:
         raise IdentifierError(f"empty value for key {key!r}")
+    if first_surrogate(value):
+        raise IdentifierError(f"value for key {key!r} is not UTF-8 text")
     for ch in value:
         if ch in _RESERVED:
             raise IdentifierError(f"reserved character {ch!r} in value for key {key!r}")

@@ -387,7 +387,8 @@ class _ExternalProcess:
             try:
                 self._write_line(proc, line.replace("\n", " ") + "\n", deadline)
                 out = self._read_line(proc, deadline)
-            except (BrokenPipeError, OSError) as exc:
+            # text that the pipe's encoding cannot carry fails before any write
+            except (OSError, UnicodeEncodeError) as exc:
                 raise ExternalStageError(
                     f"external stage {self.command!r} failed: {exc}"
                 ) from exc

@@ -29,23 +29,27 @@ and reads no layout itself. A unit built by hand holds only its ``pairs``;
 ``_unit_groups`` stacks those per width on each call and stores nothing on
 the unit.
 Each WEC read is one :class:`_Read`, with the entry's own pipeline and
-join: :func:`lookup_units` makes one and reads it at once, and
-``heatmap --no-phrases`` passes it a copy of the entry without a join.
-A call looks up the entry's phrase model once, so its units join by one
-model version, as they read one catalog version.
+join; ``heatmap --no-phrases`` passes :func:`lookup_units` a copy of the
+entry without a join. A call looks up the entry's phrase model once, so
+its units join by one model version, as they read one catalog version.
 
-A :func:`get_vectors` call over two or more WECs opens one helper thread
-for the call (:func:`_lookup_overlapped`). WEC k's store statement runs
-there, with the GIL released inside SQLite, while this thread preprocesses
-WEC k+1 and builds WEC k-1's units. Only the statement runs on the helper:
-pipelines, phrase models, store opens and each read's ``get_many``, which
-waits for its statement and decodes it, run on the calling thread, so
-errors are raised there in expansion order, and a tracer that wraps those
-functions sees every call on one thread. A one-WEC call starts no thread.
+:func:`lookup_units` and :func:`get_vectors` read through one loop,
+:func:`_lookup`. A call over two or more WECs opens one helper thread for
+the call, and each ``_Read`` hands its store statement to it as soon as it
+is made. While WEC k's statement runs there, with the GIL released inside
+SQLite, this thread decodes WEC k-1's answer in ``get_many``, waits until
+the helper has started WEC k's statement, builds WEC k-1's units and
+preprocesses WEC k+1. Only the statement runs on the helper: pipelines,
+phrase models, store opens and each read's ``get_many``, which waits for
+its statement and decodes it, run on the calling thread, so errors are
+raised there in expansion order, and a tracer that wraps those functions
+sees every call on one thread. A one-WEC call starts no thread, and its
+``get_many`` runs its statement itself.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -251,18 +255,19 @@ def lookup_units(
     so the greedy join and the units' :class:`_Batch` both read that one
     mapping. ``bare=True`` gives units whose ``pairs`` are bare vectors.
     """
-    return _Read(db, entry, inputs, raw, cache).units(in_order, bare)
+    (units,) = _lookup(db, [entry], inputs, raw, cache, in_order, bare)
+    return units
 
 
 class _Read:
     """One WEC's part of a call: its store, opened and its units preprocessed
-    when made, the words of its one store read (``wanted``), and that read's
-    statements once :meth:`start` handed them to another thread."""
+    when made, and the words of its one store read (``wanted``), whose
+    statements go to ``helper`` at once when one is given."""
 
-    __slots__ = ("store", "texts", "token_lists", "wanted", "max_len", "pending", "found")
+    __slots__ = ("store", "texts", "token_lists", "wanted", "max_len", "pending")
 
     def __init__(self, db, entry: CatalogEntry, inputs: Sequence, raw: bool,
-                 cache: PreprocessCache | None):
+                 cache: PreprocessCache | None, helper):
         self.store = db.open_store(entry)
         if raw:
             if not all(isinstance(unit, str) for unit in inputs):
@@ -285,26 +290,18 @@ class _Read:
         if max_len is not None:
             wanted += [w for tokens in token_lists for w in phrases.vocab_windows(tokens, max_len)]
         self.texts, self.token_lists, self.wanted = texts, token_lists, wanted
-        self.pending = self.found = None
+        self.pending = None if helper is None else self.store.submit_many(wanted, helper)
 
-    def start(self, executor) -> None:
-        """Hand the store read's statements to ``executor``."""
-        self.pending = self.store.submit_many(self.wanted, executor)
-
-    def wait_started(self) -> None:
-        """Wait until the executor runs the read handed to it, if any."""
-        if self.pending is not None:
-            self.pending.started.wait()
-
-    def finish(self) -> None:
-        """Wait for the store read and decode it, on this thread."""
-        self.found = self.store.get_many(self.wanted, pending=self.pending)
-
-    def units(self, in_order: bool, bare: bool) -> list[UnitResult]:
-        """The units, from the store read."""
-        if self.found is None:
-            self.finish()
-        found = self.found
+    def units(self, in_order: bool, bare: bool, then: _Read | None = None) -> list[UnitResult]:
+        """The units, in three steps on this thread: ``get_many`` waits for
+        the store read and decodes it; this thread waits until the helper has
+        started ``then``, the read made after this one, if given; the units
+        are built."""
+        found = self.store.get_many(self.wanted, pending=self.pending)
+        if then is not None and then.pending is not None:
+            # the helper needs the GIL to start a statement: this thread gives
+            # it up until it has, not for a whole switch interval
+            then.pending.started.wait()
         token_lists, max_len = self.token_lists, self.max_len
         if max_len is not None:
             token_lists = [
@@ -314,34 +311,27 @@ class _Read:
         return _units(found, self.texts, token_lists, in_order, bare)
 
 
-def _lookup_overlapped(db, entries, inputs, raw, cache, in_order, bare) -> list[list[UnitResult]]:
-    """:func:`lookup_units` of each of two or more ``entries``, in order, their
-    store statements run on one helper thread (see the module docstring).
-    An error is the first failing WEC's, and the helper is gone when this
-    returns or raises."""
-    # imported here: a one-WEC call starts no thread and needs none of it
-    from concurrent.futures import ThreadPoolExecutor
-
-    out = []
-    with ThreadPoolExecutor(1) as helper:
-        last = None  # the read whose statements were handed to the helper last
+def _lookup(db, entries, inputs, raw, cache, in_order, bare) -> list[list[UnitResult]]:
+    """:func:`lookup_units` of each of ``entries``, in order (see the module
+    docstring). A call over two or more has one helper thread, gone when
+    this returns or raises; an error is the first failing WEC's."""
+    many = len(entries) > 1
+    if many:  # imported here: a one-WEC call starts no thread and needs none of it
+        from concurrent.futures import ThreadPoolExecutor
+    out, last = [], None  # last: the read made before this one, its units not yet built
+    with ThreadPoolExecutor(1) if many else nullcontext() as helper:
         for entry in entries:
             try:
-                read = _Read(db, entry, inputs, raw, cache)
+                read = _Read(db, entry, inputs, raw, cache, helper)
             except Exception:
                 if last is not None:  # an error of the WEC before comes first
                     last.units(in_order, bare)
                 raise
-            read.start(helper)
             if last is not None:
-                last.finish()  # waits in get_many while the helper is busy with it
-            # the helper needs the GIL to start a statement, which matters only
-            # when it was idle: then this thread gives the GIL up until it has
-            read.wait_started()
-            if last is not None:
-                out.append(last.units(in_order, bare))
+                out.append(last.units(in_order, bare, then=read))
             last = read
-        out.append(last.units(in_order, bare))
+        if last is not None:  # else a WecQuery built by hand named no WEC
+            out.append(last.units(in_order, bare))
     return out
 
 
@@ -366,7 +356,7 @@ def get_vectors(
     version (the result's ``entries``) and an unknown identifier raises
     before any store is opened. Each WEC's store is read once per call;
     a call over two or more WECs runs those reads' statements on one helper
-    thread of its own (:func:`_lookup_overlapped`).
+    thread of its own (:func:`_lookup`).
     ``inputs`` that is one string, not a sequence of units, raises.
     """
     if isinstance(inputs, str):
@@ -375,11 +365,7 @@ def get_vectors(
         query = parse_query(query)
     inputs = list(inputs)  # read once: every WEC gets the same units
     entries = db.catalog.require_all(query.expanded)
-    bare = not as_tuple
-    if len(entries) > 1:
-        per_wec = _lookup_overlapped(db, entries, inputs, raw, cache, in_order, bare)
-    else:
-        per_wec = [lookup_units(db, entry, inputs, raw, cache, in_order, bare) for entry in entries]
+    per_wec = _lookup(db, entries, inputs, raw, cache, in_order, not as_tuple)
     result = RetrievalResult()
     for entry, units in zip(entries, per_wec):
         result.per_wec.append((entry.normalized, units))

@@ -15,17 +15,21 @@ collection size. A batched read (:meth:`WecStore.get_many`) is one
 aggregate statement: it binds the distinct words once, as one JSON array
 read by SQLite's ``json_each`` (built in by default since SQLite 3.38.0),
 probes the word index once per word, and answers with one row: the found
-words' places in the array, their vectors end to end, and how many found
-values are not one vector's blob. One ``sqlite3_step`` does the whole read,
-and Python's ``sqlite3`` module releases the GIL around it, so another
-thread runs Python meanwhile (:meth:`WecStore.submit_many` hands the
-statement to a helper thread). A request whose vectors would pass
-``_CHUNK_BYTES`` is read in chunks, each one statement, so that no answer
-nears SQLite's length limit. It returns a read-only :class:`VectorRows`
-mapping: the vectors it found are the read-only rows of one float32 matrix.
+words' places in the array, their vectors end to end, and the place of the
+first found value that is not one vector's blob, which names its word. One
+``sqlite3_step`` does the whole read, and Python's ``sqlite3`` module
+releases the GIL around it, so another thread runs Python meanwhile
+(:meth:`WecStore.submit_many` hands the statement to a helper thread). A
+request whose vectors would pass ``_CHUNK_BYTES`` is read in chunks, each
+one statement, so that no answer nears SQLite's length limit. It returns a
+read-only :class:`VectorRows` mapping: the vectors it found are the
+read-only rows of one float32 matrix.
 A point read (:meth:`WecStore.get`) reads one word with a one-row-per-word
-statement, with the same checks. A read that SQLite cannot complete on a
-damaged file raises :class:`~wecdb.errors.StoreError` naming the file.
+statement, with the same checks. A word that is not UTF-8 text (one that
+holds a lone surrogate, as a byte that is not UTF-8 does in a POSIX
+argument) reads as absent: an import refuses such text, so no store holds
+it. A read that SQLite cannot complete on a damaged file raises
+:class:`~wecdb.errors.StoreError` naming the file.
 
 Store format (``format`` key of the ``meta`` table): ``2`` is the layout
 above, stamped by the import that creates the table. A store without the
@@ -81,7 +85,10 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .errors import DuplicateWordError, HeaderError, MalformedLineError, StoreError, WecImportError
+from .errors import (
+    DuplicateWordError, HeaderError, MalformedLineError, StoreError, WecImportError,
+    first_surrogate,
+)
 
 if TYPE_CHECKING:  # concurrent.futures imports logging, which only a multi-WEC read needs
     from concurrent.futures import Executor, Future
@@ -92,19 +99,19 @@ _SELECT_ONE = "SELECT vector FROM vectors WHERE word = ?"
 _SELECT_PAGE = "SELECT word FROM vectors WHERE word > ? ORDER BY word LIMIT ?"
 # CROSS JOIN keeps json_each outermost: one word-index probe per requested word
 _FROM_MANY = "FROM json_each(?) AS j CROSS JOIN vectors AS v ON v.word = j.value"
-# one row per found word: read only to name the word of a bad value
+# one row per found word, for a point read and a word that holds a NUL
 _SELECT_ROWS = f"SELECT v.word, v.vector {_FROM_MANY}"
 # one row per batch: found words' array indexes, their vectors end to end, and
-# the count of found values that are not a blob of the bound byte width
+# the first array index whose value is not a blob of the bound byte width
 _SELECT_MANY = (
     "SELECT group_concat(j.key), CAST(group_concat(v.vector, '') AS BLOB),"
-    f" total(typeof(v.vector) != 'blob' OR length(v.vector) != ?) {_FROM_MANY}"
+    " min(CASE WHEN typeof(v.vector) != 'blob' OR length(v.vector) != ? THEN j.key END)"
+    f" {_FROM_MANY}"
 )
 # vector bytes per statement of one batched read, far below SQLite's 1e9-byte length limit
 _CHUNK_BYTES = 1 << 26
 _HEADER_RE = re.compile(r"(\d+) (\d+)")
 _WIDTH_RE = re.compile("[1-9][0-9]*")
-_ESCAPED_BYTE_RE = re.compile("[\udc80-\udcff]")  # a byte that UTF-8 could not decode
 _FORMAT = "2"
 # what a read of a damaged file raises; SQLite's message may quote its damaged schema
 _READ_ERRORS = (sqlite3.DatabaseError, UnicodeDecodeError)
@@ -245,15 +252,17 @@ class WecStore:
         The distinct words are bound once, as one JSON array, to one
         aggregate statement that probes the word index once per word and
         answers with one row: the array indexes of the found words, their
-        blobs end to end, and how many found values are not a blob of
-        ``4 * dims`` bytes. Its one SQL text keeps SQLite's statement cache
-        at one entry for any batch size. A request whose vectors could pass
+        blobs end to end, and the first array index whose value is not a
+        blob of ``4 * dims`` bytes, whose word the raised error names. Its
+        one SQL text keeps SQLite's statement cache at one entry for any
+        batch size. A request whose vectors could pass
         ``_CHUNK_BYTES`` runs it once per chunk of words. JSON text cannot
         carry a NUL into SQLite, so a word holding one is read on its own by
         a one-word statement. The blobs become one read-only float32 matrix
         with one row per found word, so a call makes one array, not one per
-        word. A word found twice is refused as corrupt, and a value that is
-        not ``dims`` float32 values is named by a row-by-row re-read.
+        word. A word found twice is refused as corrupt, and so is a value that
+        is not ``dims`` float32 values. A word that is not UTF-8 text is left
+        out of the read, as absent.
 
         ``pending`` is what :meth:`submit_many` returned for these ``words``:
         the call then waits for the statements it started and decodes
@@ -267,9 +276,8 @@ class WecStore:
         chunks, _, held = request
         found, parts = [], []
         for chunk, (keys, data, bad) in zip(chunks, answers):
-            if bad:  # a row-by-row re-read names the word
-                self._read_rows(chunk)
-                raise StoreError(f"{self.path}: a vector is not {self.dims} float32 values")
+            if bad is not None:
+                raise self._not_a_vector(chunk[bad])
             if keys is not None:
                 found += map(chunk.__getitem__, map(int, keys.split(",")))
                 parts.append(data)
@@ -312,7 +320,8 @@ class WecStore:
     def _read_rows(self, words: Iterable[str]) -> VectorRows:
         """The found subset of ``words``, read one row per found word, with
         :meth:`get_many`'s checks; a result that names a word not asked for
-        is refused as corrupt too."""
+        is refused as corrupt too. It serves point reads and words that hold
+        a NUL."""
         listed, held = _split_nul(words)
         rows = self._rows(_SELECT_ROWS, (_json_text(listed),))
         for word in held:
@@ -320,13 +329,15 @@ class WecStore:
         size = 4 * self.dims
         for word, blob in rows:
             if not isinstance(blob, bytes) or len(blob) != size:
-                raise StoreError(
-                    f"{self.path}: vector of {word!r} is not {self.dims} float32 values"
-                )
+                raise self._not_a_vector(word)
         found = [word for word, _ in rows]
         if not set(found) <= {*listed, *held}:
             raise StoreError(f"{self.path} is corrupt: its word index answered with other words")
         return self._vector_rows(found, b"".join([blob for _, blob in rows]))
+
+    def _not_a_vector(self, word: str) -> StoreError:
+        """The error for a stored value of ``word`` that is not ``dims`` float32 values."""
+        return StoreError(f"{self.path}: vector of {word!r} is not {self.dims} float32 values")
 
     def _vector_rows(self, found: list[str], data: bytes) -> VectorRows:
         """``found`` over the float32 matrix of ``data``; a word found twice is refused."""
@@ -383,10 +394,14 @@ class EmptyStore(VectorRows):
 
 
 def _split_nul(words: Iterable[str]) -> tuple[list[str], list[str]]:
-    """The distinct ``words`` in first-seen order, split into those that JSON
-    text can carry into SQLite and those that hold a NUL, which it cannot."""
+    """The distinct ``words`` in first-seen order that a store can hold, split
+    into those that JSON text can carry into SQLite and those that hold a NUL,
+    which it cannot. A word that is not UTF-8 text is left out: no store holds one."""
     listed = list(dict.fromkeys(words))
-    if "\0" not in "".join(listed):
+    joined = "".join(listed)
+    if first_surrogate(joined):
+        listed = [word for word in listed if not first_surrogate(word)]
+    if "\0" not in joined:
         return listed, []
     return [word for word in listed if "\0" not in word], [word for word in listed if "\0" in word]
 
@@ -493,8 +508,8 @@ def import_from_file(
 def _not_utf8(line: str) -> str | None:
     """The reason a line read with ``surrogateescape`` is refused, naming its
     first byte that is not UTF-8; None when it has none."""
-    bad = _ESCAPED_BYTE_RE.search(line)
-    return bad and f"not UTF-8 text (byte {ord(bad[0]) - 0xDC00:#04x})"
+    bad = first_surrogate(line)  # decoding escapes a byte as U+DC80 to U+DCFF
+    return bad and f"not UTF-8 text (byte {ord(bad) - 0xDC00:#04x})"
 
 
 def _parse_group(
@@ -524,7 +539,7 @@ def _parse_group(
     joined = " ".join(words)
     # the reader skips blank lines, and warns on a group of nothing else
     if (joined.split() == words and "" not in rests
-            and (joined.isascii() or not _ESCAPED_BYTE_RE.search(joined))):
+            and not first_surrogate(joined)):
         try:
             values = np.loadtxt(rests, dtype="<f8", delimiter=" ", comments=None, ndmin=2)
         except ValueError:
