@@ -275,20 +275,18 @@ def cmd_heatmap(args) -> int:
     with _open_db(args) as db:
         query = parse_query(args.query)
         metric, _ = analyse.METRICS[args.metric]
-        cache = PreprocessCache()
+        entries = db.catalog.require_all(query.expanded)
+        if args.no_phrases:  # copies for this run; the catalog keeps their joins
+            entries = [dataclasses.replace(entry, phrase_model_ref=None, vocab_join_max_len=None)
+                       for entry in entries]
+        per_wec = lookup_units(db, entries, [args.sentence1, args.sentence2], raw=True,
+                               cache=PreprocessCache(), in_order=False)
+        matrices = [analyse.similarity_matrix(one, two, metric=metric) for one, two in per_wec]
         outdir = Path(args.outdir)
         outdir.mkdir(parents=True, exist_ok=True)
-        for entry in db.catalog.require_all(query.expanded):
-            if args.no_phrases:  # a copy for this run; the catalog keeps its join
-                entry = dataclasses.replace(entry, phrase_model_ref=None, vocab_join_max_len=None)
-            units = lookup_units(
-                db, entry, [args.sentence1, args.sentence2], raw=True, cache=cache, in_order=False
-            )
-            matrix = analyse.similarity_matrix(units[0], units[1], metric=metric)
+        for entry, (one, two), matrix in zip(entries, per_wec, matrices):
             path = outdir / f"{entry.file_stem}.heatmap.{args.format}"
-            analyse.export_heatmap(
-                matrix, units[0].words(), units[1].words(), path, format=args.format
-            )
+            analyse.export_heatmap(matrix, one.words(), two.words(), path, format=args.format)
             print(f"{entry.normalized}: {matrix.shape[0]}x{matrix.shape[1]} -> {path}")
         return 0
 

@@ -196,7 +196,7 @@ class Database:
         """(found pairs, missing words): one pair per distinct found word,
         missing in first-occurrence order."""
         entry = self.catalog.require(ident)
-        (unit,) = lookup_units(self, entry, [words], raw=False, cache=None, in_order=False)
+        ((unit,),) = lookup_units(self, [entry], [words], raw=False, cache=None, in_order=False)
         return unit.pairs, unit.missing
 
     def contains(self, ident: WecIdentifier | str, word: str) -> bool:

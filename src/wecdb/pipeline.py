@@ -62,7 +62,7 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 from . import porter
-from .errors import ExternalStageError, PipelineError, read_input_text
+from .errors import ExternalStageError, PipelineError, first_surrogate, read_input_text
 
 BUILTIN_STOPWORDS = "builtin:en"
 
@@ -256,6 +256,8 @@ def build_pipeline(
     stages: list[Stage] = []
     if external is not None:
         command, script = external
+        if first_surrogate(command):  # the manifest records it as UTF-8 text
+            raise PipelineError("external command is not UTF-8 text")
         content = command.encode("utf-8") if script is None else Path(script).read_bytes()
         digest = hashlib.sha256(content).hexdigest()[:16]
         stages.append(Stage("external", (command, digest)))

@@ -29,12 +29,13 @@ and reads no layout itself. A unit built by hand holds only its ``pairs``;
 ``_unit_groups`` stacks those per width on each call and stores nothing on
 the unit.
 Each WEC read is one :class:`_Read`, with the entry's own pipeline and
-join; ``heatmap --no-phrases`` passes :func:`lookup_units` a copy of the
-entry without a join. A call looks up the entry's phrase model once, so
+join; ``heatmap --no-phrases`` passes :func:`lookup_units` copies of the
+entries without a join. A call looks up the entry's phrase model once, so
 its units join by one model version, as they read one catalog version.
 
-:func:`lookup_units` and :func:`get_vectors` read through one loop,
-:func:`_lookup`. A call over two or more WECs opens one helper thread for
+:func:`get_vectors`, ``Database.get_vectors_batch`` and ``wecdb heatmap``
+all read through one loop, :func:`lookup_units`, which returns one unit
+list per entry. A call over two or more WECs opens one helper thread for
 the call, and each ``_Read`` hands its store statement to it as soon as it
 is made. While WEC k's statement runs there, with the GIL released inside
 SQLite, this thread decodes WEC k-1's answer in ``get_many``, waits until
@@ -241,24 +242,6 @@ def _units(
     return units
 
 
-def lookup_units(
-    db, entry: CatalogEntry, inputs: Sequence, raw: bool, cache: PreprocessCache | None,
-    in_order: bool, bare: bool = False,
-) -> list[UnitResult]:
-    """Every input unit of the sequence ``inputs`` against one WEC, with a
-    single store read.
-
-    With ``raw=True`` each unit runs through the entry's pipeline and its
-    phrase model, if it has one, looked up once for all units; one
-    ``get_many`` then covers every token of
-    every unit plus, for the entry's vocabulary join, every candidate window,
-    so the greedy join and the units' :class:`_Batch` both read that one
-    mapping. ``bare=True`` gives units whose ``pairs`` are bare vectors.
-    """
-    (units,) = _lookup(db, [entry], inputs, raw, cache, in_order, bare)
-    return units
-
-
 class _Read:
     """One WEC's part of a call: its store, opened and its units preprocessed
     when made, and the words of its one store read (``wanted``), whose
@@ -311,10 +294,22 @@ class _Read:
         return _units(found, self.texts, token_lists, in_order, bare)
 
 
-def _lookup(db, entries, inputs, raw, cache, in_order, bare) -> list[list[UnitResult]]:
-    """:func:`lookup_units` of each of ``entries``, in order (see the module
-    docstring). A call over two or more has one helper thread, gone when
-    this returns or raises; an error is the first failing WEC's."""
+def lookup_units(
+    db, entries: Sequence[CatalogEntry], inputs: Sequence, raw: bool,
+    cache: PreprocessCache | None, in_order: bool, bare: bool = False,
+) -> list[list[UnitResult]]:
+    """One unit list per entry of ``entries``, in order: every input unit of
+    the sequence ``inputs`` against that WEC, with a single store read.
+
+    With ``raw=True`` each unit runs through the entry's pipeline and its
+    phrase model, if it has one, looked up once for all units; one
+    ``get_many`` then covers every token of every unit plus, for the entry's
+    vocabulary join, every candidate window, so the greedy join and the
+    units' :class:`_Batch` both read that one mapping. ``bare=True`` gives
+    units whose ``pairs`` are bare vectors. A call over two or more entries
+    has one helper thread (see the module docstring), gone when this returns
+    or raises; an error is the first failing WEC's.
+    """
     many = len(entries) > 1
     if many:  # imported here: a one-WEC call starts no thread and needs none of it
         from concurrent.futures import ThreadPoolExecutor
@@ -356,7 +351,7 @@ def get_vectors(
     version (the result's ``entries``) and an unknown identifier raises
     before any store is opened. Each WEC's store is read once per call;
     a call over two or more WECs runs those reads' statements on one helper
-    thread of its own (:func:`_lookup`).
+    thread of its own (:func:`lookup_units`).
     ``inputs`` that is one string, not a sequence of units, raises.
     """
     if isinstance(inputs, str):
@@ -365,7 +360,7 @@ def get_vectors(
         query = parse_query(query)
     inputs = list(inputs)  # read once: every WEC gets the same units
     entries = db.catalog.require_all(query.expanded)
-    per_wec = _lookup(db, entries, inputs, raw, cache, in_order, not as_tuple)
+    per_wec = lookup_units(db, entries, inputs, raw, cache, in_order, not as_tuple)
     result = RetrievalResult()
     for entry, units in zip(entries, per_wec):
         result.per_wec.append((entry.normalized, units))

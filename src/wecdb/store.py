@@ -24,12 +24,14 @@ request whose vectors would pass ``_CHUNK_BYTES`` is read in chunks, each
 one statement, so that no answer nears SQLite's length limit. It returns a
 read-only :class:`VectorRows` mapping: the vectors it found are the
 read-only rows of one float32 matrix.
-A point read (:meth:`WecStore.get`) reads one word with a one-row-per-word
-statement, with the same checks. A word that is not UTF-8 text (one that
-holds a lone surrogate, as a byte that is not UTF-8 does in a POSIX
-argument) reads as absent: an import refuses such text, so no store holds
-it. A read that SQLite cannot complete on a damaged file raises
-:class:`~wecdb.errors.StoreError` naming the file.
+A point read (:meth:`WecStore.get`, :meth:`WecStore.contains`) reads its
+word with one keyed statement, ``WHERE word = ?``, with the same checks;
+so does a batch for each word that holds a NUL. Every read matches words
+exactly (``COLLATE BINARY``), whatever the column's collation. A word
+that is not UTF-8 text (one that holds a lone surrogate, as a byte that is
+not UTF-8 does in a POSIX argument) reads as absent: an import refuses
+such text, so no store holds it. A read that SQLite cannot complete on a
+damaged file raises :class:`~wecdb.errors.StoreError` naming the file.
 
 Store format (``format`` key of the ``meta`` table): ``2`` is the layout
 above, stamped by the import that creates the table. A store without the
@@ -95,12 +97,11 @@ if TYPE_CHECKING:  # concurrent.futures imports logging, which only a multi-WEC 
 
 _BATCH_ROWS = 4096
 _GROUP_BYTES = 256 * 1024  # bytes of float64 values per numpy parse call; bounds import memory
-_SELECT_ONE = "SELECT vector FROM vectors WHERE word = ?"
+# COLLATE BINARY: every read matches a word exactly, whatever the column's collation
+_SELECT_ONE = "SELECT word, vector FROM vectors WHERE word = ? COLLATE BINARY"
 _SELECT_PAGE = "SELECT word FROM vectors WHERE word > ? ORDER BY word LIMIT ?"
 # CROSS JOIN keeps json_each outermost: one word-index probe per requested word
-_FROM_MANY = "FROM json_each(?) AS j CROSS JOIN vectors AS v ON v.word = j.value"
-# one row per found word, for a point read and a word that holds a NUL
-_SELECT_ROWS = f"SELECT v.word, v.vector {_FROM_MANY}"
+_FROM_MANY = "FROM json_each(?) AS j CROSS JOIN vectors AS v ON v.word = j.value COLLATE BINARY"
 # one row per batch: found words' array indexes, their vectors end to end, and
 # the first array index whose value is not a blob of the bound byte width
 _SELECT_MANY = (
@@ -242,7 +243,7 @@ class WecStore:
             raise StoreError(f"{self.path} could not be read: {exc}") from exc
 
     def get(self, word: str) -> np.ndarray | None:
-        """``word``'s vector, or None: one word read by the row, with the checks of
+        """``word``'s vector, or None: one keyed statement, with the checks of
         :meth:`get_many`."""
         return self._read_rows((word,)).get(word)
 
@@ -258,11 +259,11 @@ class WecStore:
         batch size. A request whose vectors could pass
         ``_CHUNK_BYTES`` runs it once per chunk of words. JSON text cannot
         carry a NUL into SQLite, so a word holding one is read on its own by
-        a one-word statement. The blobs become one read-only float32 matrix
-        with one row per found word, so a call makes one array, not one per
-        word. A word found twice is refused as corrupt, and so is a value that
-        is not ``dims`` float32 values. A word that is not UTF-8 text is left
-        out of the read, as absent.
+        the keyed statement of :meth:`get`. The blobs become one read-only
+        float32 matrix with one row per found word, so a call makes one
+        array, not one per word. A word found twice is refused as corrupt,
+        and so is a value that is not ``dims`` float32 values. A word that is
+        not UTF-8 text is left out of the read, as absent.
 
         ``pending`` is what :meth:`submit_many` returned for these ``words``:
         the call then waits for the statements it started and decodes
@@ -318,22 +319,20 @@ class WecStore:
         return [self._rows(_SELECT_MANY, (4 * self.dims, text))[0] for text in request[1]]
 
     def _read_rows(self, words: Iterable[str]) -> VectorRows:
-        """The found subset of ``words``, read one row per found word, with
-        :meth:`get_many`'s checks; a result that names a word not asked for
-        is refused as corrupt too. It serves point reads and words that hold
-        a NUL."""
-        listed, held = _split_nul(words)
-        rows = self._rows(_SELECT_ROWS, (_json_text(listed),))
-        for word in held:
-            rows += [(word, blob) for (blob,) in self._rows(_SELECT_ONE, (word,))]
-        size = 4 * self.dims
-        for word, blob in rows:
-            if not isinstance(blob, bytes) or len(blob) != size:
-                raise self._not_a_vector(word)
-        found = [word for word, _ in rows]
-        if not set(found) <= {*listed, *held}:
-            raise StoreError(f"{self.path} is corrupt: its word index answered with other words")
-        return self._vector_rows(found, b"".join([blob for _, blob in rows]))
+        """The found subset of ``words``, each read by one keyed statement, with
+        :meth:`get_many`'s checks; a row of a word not asked for is refused as
+        corrupt too. It serves point reads and words that hold a NUL."""
+        size, found, blobs = 4 * self.dims, [], []
+        for asked in chain(*_split_nul(words)):
+            for word, blob in self._rows(_SELECT_ONE, (asked,)):
+                if not isinstance(blob, bytes) or len(blob) != size:
+                    raise self._not_a_vector(word)
+                if word != asked:
+                    raise StoreError(f"{self.path} is corrupt: its word index answered"
+                                     " with other words")
+                found.append(word)
+                blobs.append(blob)
+        return self._vector_rows(found, b"".join(blobs))
 
     def _not_a_vector(self, word: str) -> StoreError:
         """The error for a stored value of ``word`` that is not ``dims`` float32 values."""

@@ -481,6 +481,60 @@ def test_heatmap_svg_with_an_infinite_cell(root, tmp_path):
         ("rgb(0,0,0)", "0.282843"), ("rgb(255,0,0)", "inf")]
 
 
+def _import_toy_twice(root, tmp_path):
+    """The toy WEC as datasets a and b, and the query naming both, a first."""
+    path = _write_toy(tmp_path)
+    for dataset in ("a", "b"):
+        assert main(["--root", root, "import", str(path),
+                     f"algo:glove;dataset:{dataset};dims:3;fold:1;unit:token", "--create"]) == 0
+    return "algo:glove;dataset:{a,b};dims:3;fold:1;unit:token"
+
+
+def test_heatmap_reads_every_wec_through_one_lookup(root, tmp_path, monkeypatch):
+    from wecdb import cli
+
+    query = _import_toy_twice(root, tmp_path)
+    calls = []
+    real = cli.lookup_units
+    monkeypatch.setattr(cli, "lookup_units",
+                        lambda db, entries, *a, **k: calls.append(len(entries))
+                        or real(db, entries, *a, **k))
+    outdir = tmp_path / "hm"
+    assert main(["--root", root, "heatmap", query, "theory net", "net",
+                 "--outdir", str(outdir)]) == 0
+    assert calls == [2]
+    assert len(list(outdir.glob("*.heatmap.csv"))) == 2
+
+
+def test_heatmap_writes_no_file_when_a_later_wec_fails(root, tmp_path, capsys):
+    query = _import_toy_twice(root, tmp_path)
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("petri net\n" * 30 + "net\n" * 5)
+    second = "algo:glove;dataset:b;dims:3;fold:1;unit:token"
+    assert main(["--root", root, "train-phrases", str(corpus), second, "--threshold", "1"]) == 0
+    (model,) = (tmp_path / "catalog" / "phrases").glob("*.phr")
+    model.unlink()
+    capsys.readouterr()
+    outdir = tmp_path / "hm"
+    assert main(["--root", root, "heatmap", query, "petri net theory", "net",
+                 "--outdir", str(outdir)]) == 1
+    assert capsys.readouterr().err == f"error: phrase model file {model} of {second} is missing\n"
+    assert list(outdir.glob("*.heatmap.*")) == []
+
+
+def test_heatmap_writes_no_file_when_a_later_wec_has_an_undefined_cell(root, tmp_path, capsys):
+    for dataset, theory in (("a", "0.1 0.2"), ("b", "0 0")):
+        (tmp_path / f"{dataset}.txt").write_text(f"theory {theory}\nnet 0.3 0.4\n")
+        assert main(["--root", root, "import", str(tmp_path / f"{dataset}.txt"),
+                     f"algo:g;dataset:{dataset};dims:2;fold:0;unit:token", "--create"]) == 0
+    capsys.readouterr()
+    outdir = tmp_path / "hm"
+    assert main(["--root", root, "heatmap", "algo:g;dataset:{a,b};dims:2;fold:0;unit:token",
+                 "theory", "net", "--outdir", str(outdir)]) == 1
+    assert capsys.readouterr().err.startswith("error: cosine undefined")
+    assert list(outdir.glob("*.heatmap.*")) == []
+
+
 def test_heatmap_reads_the_manifest_once(root, tmp_path, monkeypatch):
     from wecdb.catalog import Catalog
 

@@ -7,12 +7,12 @@ import json
 
 import pytest
 
-from wecdb import CatalogError, Database, IdentifierError
+from wecdb import CatalogError, Database, IdentifierError, PipelineError
 from wecdb.catalog import Catalog
 from wecdb.cli import main
 from wecdb.errors import ExternalStageError
 from wecdb.identifier import parse_filter, parse_identifier, parse_query
-from wecdb.pipeline import _ExternalProcess
+from wecdb.pipeline import _ExternalProcess, build_pipeline
 
 from conftest import write_wec_text
 
@@ -131,6 +131,24 @@ def test_an_identifier_value_that_is_not_utf8_is_refused_naming_its_key(tmp_path
     assert main(["--root", str(root), "import", str(source), spec, "--create"]) == 1
     assert capsys.readouterr().err.startswith("error: value for key 'algo'")
     assert _stores(root) == []
+
+
+def test_an_external_command_that_is_not_utf8_is_refused_before_the_import_writes(
+    tmp_path, capsys
+):
+    root = tmp_path / "c"
+    source = _write_v(tmp_path / "v.txt")
+    assert main(["--root", str(root), "import", str(source), IDENT, "--create",
+                 "--external", "ca\udce9"]) == 1
+    assert capsys.readouterr().err.startswith("error: external command is not UTF-8 text")
+    assert _stores(root) == []
+    with Database(root) as db:
+        assert db.catalog.list_entries() == []
+    script = tmp_path / "tok.py"
+    script.write_text("")
+    for external in (("ca\udce9", None), ("ca\udce9", script)):
+        with pytest.raises(PipelineError, match="external command is not UTF-8 text"):
+            build_pipeline(external=external)
 
 
 def test_an_external_stage_refuses_text_it_cannot_encode_and_answers_on():

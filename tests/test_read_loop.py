@@ -26,8 +26,8 @@ ONE_WEC = textwrap.dedent("""
     ident = "algo:a;dataset:d;dims:2;fold:0;unit:token"
     res = db.get_vectors(ident, None, inputs=["alpha gamma"], raw=True)
     assert res.per_wec[0][1][0].words() == ["alpha"]
-    (unit,) = lookup_units(db, res.entries[ident], [["gamma", "beta"]], raw=False,
-                           cache=None, in_order=False)
+    ((unit,),) = lookup_units(db, [res.entries[ident]], [["gamma", "beta"]], raw=False,
+                              cache=None, in_order=False)
     assert unit.words() == ["beta"] and unit.missing == ["gamma"]
     assert "concurrent.futures" not in sys.modules, "imported concurrent.futures"
     assert threading.active_count() == 1, threading.enumerate()

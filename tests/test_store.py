@@ -78,6 +78,47 @@ def test_lookup_is_case_literal(db, tmp_path):
     assert db.get_vector(IDENT, "theory") is not None
 
 
+def test_every_read_matches_words_exactly_whatever_the_column_collation(tmp_path):
+    path = tmp_path / "s.wec"
+    conn = sqlite3.connect(path)
+    conn.execute("CREATE TABLE vectors"
+                 " (word TEXT PRIMARY KEY COLLATE NOCASE NOT NULL, vector BLOB NOT NULL)")
+    conn.execute("CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT)")
+    conn.executemany("INSERT INTO meta VALUES (?, ?)", [("format", "2"), ("dims", "2")])
+    conn.executemany("INSERT INTO vectors VALUES (?, ?)", [
+        ("a", np.array([1, 2], dtype="<f4").tobytes()),
+        ("b\0c", np.array([3, 4], dtype="<f4").tobytes()),
+    ])
+    conn.commit()
+    conn.close()
+    with WecStore(path) as store:
+        assert store.get("A") is None and not store.contains("A")
+        assert store.get_many(["A", "B\0C"]).words == []
+        assert store.get("a").tolist() == [1, 2] and store.contains("a")
+        assert store.get_many(["A", "a", "B\0C", "b\0c"]).words == ["a", "b\0c"]
+
+
+@pytest.mark.parametrize("layout", ["format-1", "format-2"])
+def test_every_read_statement_probes_the_word_index(tmp_path, layout):
+    from wecdb import store as store_mod
+
+    path = tmp_path / "s.wec"
+    if layout == "format-1":
+        _write_format1_store(path, 2, [])
+    else:
+        _write_store(path, 2)
+    conn = sqlite3.connect(path)
+    try:
+        for sql, params in ((store_mod._SELECT_ONE, ("a",)),
+                            (store_mod._SELECT_MANY, (8, '["a"]'))):
+            plan = [row[3] for row in conn.execute(f"EXPLAIN QUERY PLAN {sql}", params)]
+            searches = [step for step in plan if "(word=?)" in step]
+            assert len(searches) == 1 and searches[0].startswith("SEARCH"), plan
+            assert not any(step.startswith("SCAN v") for step in plan), plan
+    finally:
+        conn.close()
+
+
 def test_duplicate_rejected_with_word_and_line(db, tmp_path):
     path = tmp_path / "t.txt"
     path.write_text("the 1 2 3 4\nnet 5 6 7 8\nthe 9 9 9 9\n")
@@ -491,8 +532,8 @@ def test_chunked_get_many_gives_the_same_rows(tmp_path, monkeypatch):
         chunked = store.get_many(asked)
         store._conn.set_trace_callback(None)
         # 41 distinct words without a NUL, in 14 chunks; the one with a NUL is read
-        # by the row-by-row read, whose JSON array is then empty, and by itself
-        assert len(statements) == 16
+        # by itself, with the keyed statement of a point read
+        assert len(statements) == 15
         assert chunked.words == whole.words and chunked.index == whole.index
         assert chunked.matrix.tobytes() == whole.matrix.tobytes()
         assert not chunked.matrix.flags.writeable
