@@ -15,9 +15,12 @@ WEC with tab-separated columns
 
 where ``phrases`` is ``-`` (off), ``model:<file>`` or ``vocab:<max_len>``
 (a WEC joins phrases by a model or by its vocabulary, never both), and
-``pipeline`` is the descriptor's serialized form. Mutations take an
-exclusive file lock, and every catalog file is replaced atomically, so
-readers never observe a half-written manifest, list or phrase model.
+``pipeline`` is the descriptor's serialized form. Each entry change takes an
+exclusive file lock and writes the entry's files first (phrase model, list
+copies, store) and the manifest last: a file the entry names anew is removed
+when that write fails, and an unchanged entry writes no manifest. Every file
+is replaced atomically, so readers never observe a half-written manifest,
+list or phrase model.
 
 Store file names are the normalized identifier with ``:`` replaced by ``=``
 and ``;`` by ``.``; names that would be unsafe, over-long, or collide fall
@@ -142,9 +145,11 @@ class Catalog:
         if ref == BUILTIN_STOPWORDS:
             return builtin_stopwords_text()
         if ref.startswith("list:"):
-            return _read_text(self.root / "lists" / f"{ref[5:]}.txt",
-                              f"stopword list {ref!r} missing from catalog")
+            return _read_text(self._list_path(ref), f"stopword list {ref!r} missing from catalog")
         raise CatalogError(f"unresolvable stopword list ref {ref!r}")
+
+    def _list_path(self, ref: str) -> Path:  # ref is list:<sha16>
+        return self.root / "lists" / f"{ref[5:]}.txt"
 
     def _load(self) -> dict[str, CatalogEntry]:
         """The registered entries, in a dict the caller may change.
@@ -310,11 +315,11 @@ class Catalog:
         so the directory stays self-contained. At most one of
         ``phrase_model`` and ``vocab_join_max_len`` may be given.
         """
-        return self._register(ident, pipeline, source, vocab_join_max_len, phrase_model)
+        return self._write(lambda entries: self._add(entries, ident, pipeline, source,
+                                                     vocab_join_max_len, model=phrase_model))
 
-    def _check_new(self, ident, pipeline, source, vocab_join_max_len, vocab_size=0):
-        """Raise what :meth:`register` would raise; else return the registered
-        entries and the new entry."""
+    def _check_new(self, entries, ident, pipeline, source, vocab_join_max_len, vocab_size=0):
+        """Raise what :meth:`register` would raise against ``entries``; else the new entry."""
         if pipeline.case_fold_enabled != (ident.fold == 1):
             raise CatalogError(
                 f"pipeline case_fold={'on' if pipeline.case_fold_enabled else 'off'}"
@@ -331,11 +336,10 @@ class Catalog:
         if first_surrogate(str(source)):  # the manifest is UTF-8 text
             raise CatalogError("source path is not UTF-8 text")
         norm = ident.normalized()
-        entries = self._load()
         if norm in entries:
             raise DuplicateEntryError(f"identifier {norm!r} already registered"
                                       f" (store {entries[norm].store_file})")
-        entry = CatalogEntry(
+        return CatalogEntry(
             identifier=ident,
             vocab_size=vocab_size,
             pipeline=pipeline,
@@ -345,24 +349,17 @@ class Catalog:
             created_at=datetime.now(timezone.utc).isoformat(timespec="seconds"),
             source_file=str(source),
         )
-        return entries, entry
 
-    def _register(self, ident, pipeline, source, vocab_join_max_len, model=None, built=None):
-        """:meth:`register`, moving ``built`` (store file, record count) into place
-        as :meth:`_commit` does."""
-        with self._locked():
-            entries, entry = self._check_new(ident, pipeline, source, vocab_join_max_len,
-                                             built[1] if built else 0)
-            if model is not None:
-                # the entry refuses a model with a vocabulary join before the file is written
-                entry = self._attach_model(entry, model)
-            for ref, content in pipeline.resources:
-                if ref.startswith("list:"):
-                    list_path = self.root / "lists" / f"{ref[5:]}.txt"
-                    if not list_path.exists():
-                        _write_atomic(list_path, content)
-            entries[entry.normalized] = entry
-            self._commit(entries, entry, built and built[0])
+    def _add(self, entries, ident, pipeline, source, vocab_join_max_len, vocab_size=0, model=None):
+        """The :meth:`_write` change of a registration: the entry :meth:`_check_new`
+        makes, after saving ``model`` and copying the pipeline's stopword lists."""
+        entry = self._check_new(entries, ident, pipeline, source, vocab_join_max_len, vocab_size)
+        if model is not None:
+            # the entry refuses a model with a vocabulary join before the file is written
+            entry = self._attach_model(entry, model)
+        for ref, content in pipeline.resources:
+            if ref.startswith("list:") and not (path := self._list_path(ref)).exists():
+                _write_atomic(path, content)
         return entry
 
     def set_vocab_size(self, ident: WecIdentifier | str, vocab_size: int) -> CatalogEntry:
@@ -383,31 +380,32 @@ class Catalog:
         self, ident: WecIdentifier | str, change: Callable[[CatalogEntry], CatalogEntry],
         built: Path | None = None,
     ) -> CatalogEntry:
-        """Rewrite a registered entry as ``change(entry)``, under the lock, moving
-        the store file ``built``, if given, into place as :meth:`_commit` does;
-        ``change`` may write the entry's own files before the manifest is."""
+        """Rewrite a registered entry as ``change(entry)`` in one :meth:`_write`."""
         norm = as_identifier(ident).normalized()
+        return self._write(lambda entries: change(_registered(entries, norm)), built)
+
+    def _write(self, change: Callable[[dict[str, CatalogEntry]], CatalogEntry],
+               built: Path | None = None) -> CatalogEntry:
+        """Under the lock, ``change(entries)`` returns the new or changed entry, after
+        writing its own files (model, list copies); the store file ``built``, if given,
+        is moved to its store path; the manifest is written last, if the entry changed.
+        A failed manifest write removes that store, and a model file no entry named."""
         with self._locked():
             entries = self._load()
-            entry = entries[norm] = change(_registered(entries, norm))
-            self._commit(entries, entry, built)
+            entry = change(entries)
+            if built is not None:
+                os.replace(built, self.store_path(entry))
+            if entry != entries.get(entry.normalized):
+                try:
+                    self._write_manifest({**entries, entry.normalized: entry})
+                except BaseException:
+                    if built is not None:
+                        self.store_path(entry).unlink(missing_ok=True)
+                    ref = entry.phrase_model_ref
+                    if ref and ref not in {e.phrase_model_ref for e in entries.values()}:
+                        self.phrase_model_path(entry).unlink(missing_ok=True)
+                    raise
         return entry
-
-    def _commit(self, entries: dict[str, CatalogEntry], entry: CatalogEntry,
-                built: Path | None) -> None:
-        """Write the manifest of ``entries``, after moving the store file ``built``,
-        if given, to ``entry``'s store path; a store moved there is removed
-        again when the write fails, so no store outlives a failed import."""
-        if built is None:
-            self._write_manifest(entries)
-            return
-        path = self.store_path(entry)
-        os.replace(built, path)
-        try:
-            self._write_manifest(entries)
-        except BaseException:
-            path.unlink(missing_ok=True)
-            raise
 
     def delete(self, ident: WecIdentifier | str, force: bool = False) -> CatalogEntry:
         """Remove an entry and its store file. Requires ``force=True``:

@@ -100,11 +100,11 @@ class Database:
         and no store file that a later registration of the identifier would read.
         """
         ident, pipeline = _registration(ident, pipeline, pipeline_options)
-        self.catalog._check_new(ident, pipeline, path, vocab_join_max_len)
+        self.catalog._check_new(self.catalog._load(), ident, pipeline, path, vocab_join_max_len)
         with self._build(path, ident.dims, on_duplicate, expect_header,
                          on_malformed) as (tmp, report):
-            self.catalog._register(ident, pipeline, path, vocab_join_max_len,
-                                   built=(tmp, report.imported))
+            self.catalog._write(lambda entries: self.catalog._add(
+                entries, ident, pipeline, path, vocab_join_max_len, report.imported), built=tmp)
         return report
 
     def import_into(

@@ -97,9 +97,10 @@ if TYPE_CHECKING:  # concurrent.futures imports logging, which only a multi-WEC 
 
 _BATCH_ROWS = 4096
 _GROUP_BYTES = 256 * 1024  # bytes of float64 values per numpy parse call; bounds import memory
-# COLLATE BINARY: every read matches a word exactly, whatever the column's collation
+# COLLATE BINARY: exact matches, code point order, whatever the column's collation
 _SELECT_ONE = "SELECT word, vector FROM vectors WHERE word = ? COLLATE BINARY"
-_SELECT_PAGE = "SELECT word FROM vectors WHERE word > ? ORDER BY word LIMIT ?"
+_SELECT_PAGE = ("SELECT word FROM vectors WHERE word > ? COLLATE BINARY"
+                " ORDER BY word COLLATE BINARY LIMIT ?")
 # CROSS JOIN keeps json_each outermost: one word-index probe per requested word
 _FROM_MANY = "FROM json_each(?) AS j CROSS JOIN vectors AS v ON v.word = j.value COLLATE BINARY"
 # one row per batch: found words' array indexes, their vectors end to end, and
@@ -354,7 +355,7 @@ class WecStore:
         return self._rows("SELECT count(*) FROM vectors")[0][0]
 
     def iter_words(self) -> Iterator[str]:
-        """Every word in order, read ``_BATCH_ROWS`` at a time after the last one read."""
+        """Every word in code point order, ``_BATCH_ROWS`` at a time after the last one read."""
         last = ""  # below every word: an import never stores an empty one
         while rows := self._rows(_SELECT_PAGE, (last, _BATCH_ROWS)):
             # a page must end past the last, or a damaged word index could loop forever

@@ -225,6 +225,23 @@ def test_entry_carries_at_most_one_join_setting(catalog):
     assert catalog.require(SEVEN[1]) == entry
 
 
+def test_an_unchanged_entry_writes_no_manifest(catalog, monkeypatch):
+    _register(catalog, SEVEN[0], phrase_model=_model())
+    writes = []
+    write_manifest = Catalog._write_manifest
+
+    def counted(self, entries):
+        writes.append(entries)
+        write_manifest(self, entries)
+
+    monkeypatch.setattr(Catalog, "_write_manifest", counted)
+    catalog.set_vocab_size(SEVEN[0], 0)  # the value it has
+    catalog.set_phrase_model(SEVEN[0], _model())  # a retrain keeps the model's file name
+    assert writes == []
+    catalog.set_vocab_size(SEVEN[0], 7)
+    assert len(writes) == 1 and catalog.require(SEVEN[0]).vocab_size == 7
+
+
 def test_set_phrase_model_on_unknown_wec_writes_no_file(catalog):
     with pytest.raises(UnknownWecError):
         catalog.set_phrase_model(SEVEN[0], _model())

@@ -78,19 +78,22 @@ def test_lookup_is_case_literal(db, tmp_path):
     assert db.get_vector(IDENT, "theory") is not None
 
 
-def test_every_read_matches_words_exactly_whatever_the_column_collation(tmp_path):
-    path = tmp_path / "s.wec"
+def _write_nocase_store(path, rows):
+    """A format-2 store of 2-d ``rows`` whose ``word`` column collates ``NOCASE``."""
     conn = sqlite3.connect(path)
     conn.execute("CREATE TABLE vectors"
                  " (word TEXT PRIMARY KEY COLLATE NOCASE NOT NULL, vector BLOB NOT NULL)")
     conn.execute("CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT)")
     conn.executemany("INSERT INTO meta VALUES (?, ?)", [("format", "2"), ("dims", "2")])
-    conn.executemany("INSERT INTO vectors VALUES (?, ?)", [
-        ("a", np.array([1, 2], dtype="<f4").tobytes()),
-        ("b\0c", np.array([3, 4], dtype="<f4").tobytes()),
-    ])
+    conn.executemany("INSERT INTO vectors VALUES (?, ?)",
+                     [(w, np.array(v, dtype="<f4").tobytes()) for w, v in rows])
     conn.commit()
     conn.close()
+
+
+def test_every_read_matches_words_exactly_whatever_the_column_collation(tmp_path):
+    path = tmp_path / "s.wec"
+    _write_nocase_store(path, [("a", [1, 2]), ("b\0c", [3, 4])])
     with WecStore(path) as store:
         assert store.get("A") is None and not store.contains("A")
         assert store.get_many(["A", "B\0C"]).words == []
@@ -117,6 +120,35 @@ def test_every_read_statement_probes_the_word_index(tmp_path, layout):
             assert not any(step.startswith("SCAN v") for step in plan), plan
     finally:
         conn.close()
+
+
+def test_iter_words_pages_a_nocase_column_in_binary_order(tmp_path, monkeypatch):
+    from wecdb import store as store_mod
+
+    path = tmp_path / "s.wec"
+    _write_nocase_store(path, [(w, [1, 2]) for w in ("a", "B", "c")])
+    monkeypatch.setattr(store_mod, "_BATCH_ROWS", 1)  # each page one word
+    with WecStore(path) as store:
+        assert list(store.iter_words()) == ["B", "a", "c"]
+
+
+@pytest.mark.parametrize("layout", ["format-1", "format-2"])
+def test_the_page_read_probes_the_word_index_in_its_order(tmp_path, layout):
+    from wecdb import store as store_mod
+
+    path = tmp_path / "s.wec"
+    if layout == "format-1":
+        _write_format1_store(path, 2, [])
+    else:
+        _write_store(path, 2)
+    conn = sqlite3.connect(path)
+    try:
+        plan = [row[3] for row in
+                conn.execute(f"EXPLAIN QUERY PLAN {store_mod._SELECT_PAGE}", ("a", 8))]
+    finally:
+        conn.close()
+    assert not any("USE TEMP B-TREE" in step for step in plan), plan
+    assert len(plan) == 1 and plan[0].startswith("SEARCH") and "(word>?)" in plan[0], plan
 
 
 def test_duplicate_rejected_with_word_and_line(db, tmp_path):

@@ -2,11 +2,13 @@
 store file, catalog files are replaced atomically, and every Database sees a
 phrase model or a store file that another one replaced."""
 
+import errno
 import re
 
 import pytest
 
 from wecdb import CatalogError, Database, WecdbError
+from wecdb import catalog as catalog_mod
 from wecdb.cli import main
 from wecdb.identifier import parse_identifier
 from wecdb.phrases import train_phrase_model
@@ -165,6 +167,63 @@ def test_failed_model_write_keeps_the_old_model(colliding):
         assert path.read_bytes() == before
         assert _tokens(db, PLAIN) == ["a_b", "c"]
     assert len(list((colliding / "phrases").iterdir())) == 2
+
+
+def _failing_manifest_write(monkeypatch):
+    """Every manifest write fails, as on a full disk; other catalog files are written."""
+    write_atomic = catalog_mod._write_atomic
+
+    def write(path, content):
+        if path.name == catalog_mod.MANIFEST_NAME:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        write_atomic(path, content)
+
+    monkeypatch.setattr(catalog_mod, "_write_atomic", write)
+
+
+def _model_files(root):
+    return sorted(p.name for p in (root / "phrases").iterdir())
+
+
+def test_a_retrain_commits_with_its_model_file_alone(colliding, monkeypatch):
+    # the entry names the same file before and after: the manifest is not written
+    _failing_manifest_write(monkeypatch)
+    before = _model_files(colliding)
+    with Database(colliding) as db:
+        db.train_phrases(["b a"] * 30 + ["c"] * 5, PLAIN, threshold=1.0)
+        assert _tokens(db, PLAIN, "b a c") == ["b_a", "c"]
+    with Database(colliding) as fresh:
+        assert _tokens(fresh, PLAIN, "b a c") == ["b_a", "c"]
+        assert _tokens(fresh, DOTTED) == ["a", "b_c"]
+    assert _model_files(colliding) == before
+
+
+def test_a_first_model_whose_manifest_write_fails_leaves_no_file(tmp_path, monkeypatch):
+    root = tmp_path / "catalog"
+    write_wec_text(tmp_path / "v.txt", VOCAB, dims=2)
+    with Database(root, create_if_missing=True) as db:
+        db.import_from_file(tmp_path / "v.txt", PLAIN, vocab_join_max_len=2)
+        assert _tokens(db, PLAIN) == ["a_b", "c"]
+        _failing_manifest_write(monkeypatch)
+        with pytest.raises(OSError, match="No space left"):
+            db.train_phrases(["b c"] * 30 + ["a"] * 5, PLAIN, threshold=1.0)
+        assert _model_files(root) == []
+        assert db.catalog.require(PLAIN).vocab_join_max_len == 2
+        assert _tokens(db, PLAIN) == ["a_b", "c"]
+
+
+def test_a_registration_whose_manifest_write_fails_leaves_no_model(colliding, monkeypatch):
+    before = _model_files(colliding)
+    third = "algo:x;dataset:e;dims:2;fold:0;unit:token"
+    model = train_phrase_model([["a", "c"]] * 3, threshold=0.0)
+    _failing_manifest_write(monkeypatch)
+    with Database(colliding) as db:
+        with pytest.raises(OSError, match="No space left"):
+            db.register(third, phrase_model=model)
+        assert db.catalog.lookup(third) is None
+        assert _model_files(colliding) == before
+        assert _tokens(db, PLAIN) == ["a_b", "c"]
+        assert _tokens(db, DOTTED) == ["a", "b_c"]
 
 
 def test_register_with_model_names_it_after_the_store_file(tmp_path):
