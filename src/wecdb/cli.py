@@ -26,7 +26,7 @@ from . import analyse
 from .db import Database
 from .errors import WecdbError, read_input_text, text_lines
 from .identifier import parse_filter, parse_query
-from .pipeline import PreprocessCache
+from .pipeline import PreprocessCache, stopword_list
 from .retrieve import RetrievalResult, lookup_units
 
 
@@ -170,6 +170,11 @@ def cmd_list(args) -> int:
 
 
 def cmd_vectors(args) -> int:
+    given = [option for option, used in (("--text", bool(args.text)),
+                                         ("--input", args.input is not None),
+                                         ("--words", args.words is not None)) if used]
+    if len(given) > 1:
+        raise WecdbError(f"pass one input mode, not {' and '.join(given)}")
     with _open_db(args) as db:
         cache = PreprocessCache()
         if args.words is not None:
@@ -213,16 +218,6 @@ def cmd_train_phrases(args) -> int:
     return 0
 
 
-def _load_stopwords(spec: str) -> set[str]:
-    if spec == "none":
-        return set()
-    if spec == "en":
-        from .pipeline import builtin_stopwords_text
-
-        return set(builtin_stopwords_text().split())
-    return set(read_input_text(spec).split())
-
-
 def cmd_sts(args) -> int:
     with _open_db(args) as db:
         lines = text_lines(read_input_text(args.pairs))
@@ -240,7 +235,9 @@ def cmd_sts(args) -> int:
             col1.append(cells[0])
             col2.append(cells[1])
         metric, is_similarity = analyse.METRICS[args.metric]
-        stopwords = _load_stopwords(args.stopwords)
+        stopwords = set()
+        if args.stopwords != "none":
+            stopwords = set(stopword_list(args.stopwords)[1].split())
         cache = PreprocessCache()
         both = db.get_vectors(args.query, cache, inputs=col1 + col2, raw=True)
         n = len(col1)

@@ -113,6 +113,16 @@ def content_ref(content: str) -> str:
     return "list:" + hashlib.sha256(content.encode("utf-8")).hexdigest()[:16]
 
 
+def stopword_list(spec: str | Path) -> tuple[str, str]:
+    """``(ref, text)`` of a stopword list: ``"en"`` (or its ref) is the
+    bundled list, anything else a path to a UTF-8 file, read without a
+    leading byte-order mark."""
+    if spec == "en" or spec == BUILTIN_STOPWORDS:
+        return BUILTIN_STOPWORDS, builtin_stopwords_text()
+    text = read_input_text(spec, PipelineError)
+    return content_ref(text), text
+
+
 @dataclass(frozen=True)
 class Stage:
     name: str
@@ -265,12 +275,7 @@ def build_pipeline(
         stages.append(Stage("tokenize", (tokenizer,)))
     stages.append(Stage("case_fold", ("on" if case_fold else "off",)))
     stages.append(Stage("stem", ("on" if stem else "off",)))
-    ref, text = "off", None
-    if stopwords == "en" or stopwords == BUILTIN_STOPWORDS:
-        ref, text = BUILTIN_STOPWORDS, builtin_stopwords_text()
-    elif stopwords is not None:
-        text = read_input_text(stopwords, PipelineError)
-        ref = content_ref(text)
+    ref, text = ("off", None) if stopwords is None else stopword_list(stopwords)
     stages.append(Stage("stopword_filter", (ref,)))
     stages.append(Stage("strip_special", ("default" if strip_special else "off",)))
     return PipelineDescriptor(tuple(stages), () if text is None else ((ref, text),))

@@ -36,15 +36,16 @@ its units join by one model version, as they read one catalog version.
 :func:`get_vectors`, ``Database.get_vectors_batch`` and ``wecdb heatmap``
 all read through one loop, :func:`lookup_units`, which returns one unit
 list per entry. A call over two or more WECs opens one helper thread for
-the call, and each ``_Read`` hands its store statement to it as soon as it
-is made. While WEC k's statement runs there, with the GIL released inside
-SQLite, this thread decodes WEC k-1's answer in ``get_many``, waits until
-the helper has started WEC k's statement, builds WEC k-1's units and
+the call. Each ``_Read`` hands its store statement to it with
+``WecStore.submit_many``, which returns once the helper has started the
+statement, so this thread gives the helper the GIL until then. While WEC
+k's statement runs, with the GIL released inside SQLite, this thread
+decodes WEC k-1's answer in ``get_many``, builds WEC k-1's units and
 preprocesses WEC k+1. Only the statement runs on the helper: pipelines,
-phrase models, store opens and each read's ``get_many``, which waits for
-its statement and decodes it, run on the calling thread, so errors are
-raised there in expansion order, and a tracer that wraps those functions
-sees every call on one thread. A one-WEC call starts no thread, and its
+phrase models, store opens and each read's ``get_many``, which decodes
+its statement's answer, run on the calling thread, so errors are raised
+there in expansion order, and a tracer that wraps those functions sees
+every call on one thread. A one-WEC call starts no thread, and its
 ``get_many`` runs its statement itself.
 """
 
@@ -245,7 +246,8 @@ def _units(
 class _Read:
     """One WEC's part of a call: its store, opened and its units preprocessed
     when made, and the words of its one store read (``wanted``), whose
-    statements go to ``helper`` at once when one is given."""
+    statements, when a helper is given, run there from the time the read
+    is made."""
 
     __slots__ = ("store", "texts", "token_lists", "wanted", "max_len", "pending")
 
@@ -253,8 +255,6 @@ class _Read:
                  cache: PreprocessCache | None, helper):
         self.store = db.open_store(entry)
         if raw:
-            if not all(isinstance(unit, str) for unit in inputs):
-                raise WecdbError("raw=True expects each input unit to be a string")
             texts = inputs
             try:
                 token_lists = [run_pipeline(entry.pipeline, unit, cache) for unit in inputs]
@@ -264,8 +264,6 @@ class _Read:
                 apply = db._phrase_model(entry).apply  # one model version for every unit
                 token_lists = [apply(tokens) for tokens in token_lists]
         else:
-            if any(isinstance(unit, str) for unit in inputs):
-                raise WecdbError("raw=False expects each input unit to be a token list")
             texts = [""] * len(inputs)
             token_lists = [list(unit) for unit in inputs]
         self.max_len = max_len = entry.vocab_join_max_len if raw else None
@@ -275,16 +273,11 @@ class _Read:
         self.texts, self.token_lists, self.wanted = texts, token_lists, wanted
         self.pending = None if helper is None else self.store.submit_many(wanted, helper)
 
-    def units(self, in_order: bool, bare: bool, then: _Read | None = None) -> list[UnitResult]:
-        """The units, in three steps on this thread: ``get_many`` waits for
-        the store read and decodes it; this thread waits until the helper has
-        started ``then``, the read made after this one, if given; the units
-        are built."""
+    def units(self, in_order: bool, bare: bool) -> list[UnitResult]:
+        """The units, on this thread: ``get_many`` takes the store read's
+        answer, or runs the read itself when no helper was given, and decodes
+        it; then the units are built."""
         found = self.store.get_many(self.wanted, pending=self.pending)
-        if then is not None and then.pending is not None:
-            # the helper needs the GIL to start a statement: this thread gives
-            # it up until it has, not for a whole switch interval
-            then.pending.started.wait()
         token_lists, max_len = self.token_lists, self.max_len
         if max_len is not None:
             token_lists = [
@@ -306,10 +299,16 @@ def lookup_units(
     ``get_many`` then covers every token of every unit plus, for the entry's
     vocabulary join, every candidate window, so the greedy join and the
     units' :class:`_Batch` both read that one mapping. ``bare=True`` gives
-    units whose ``pairs`` are bare vectors. A call over two or more entries
-    has one helper thread (see the module docstring), gone when this returns
-    or raises; an error is the first failing WEC's.
+    units whose ``pairs`` are bare vectors. Each unit must be a string with
+    ``raw=True`` and a token list without; a call checks that before any
+    store opens. A call over two or more entries has one helper thread (see
+    the module docstring), gone when this returns or raises; an error is
+    the first failing WEC's.
     """
+    if raw and not all(isinstance(unit, str) for unit in inputs):
+        raise WecdbError("raw=True expects each input unit to be a string")
+    if not raw and any(isinstance(unit, str) for unit in inputs):
+        raise WecdbError("raw=False expects each input unit to be a token list")
     many = len(entries) > 1
     if many:  # imported here: a one-WEC call starts no thread and needs none of it
         from concurrent.futures import ThreadPoolExecutor
@@ -323,7 +322,7 @@ def lookup_units(
                     last.units(in_order, bare)
                 raise
             if last is not None:
-                out.append(last.units(in_order, bare, then=read))
+                out.append(last.units(in_order, bare))
             last = read
         if last is not None:  # else a WecQuery built by hand named no WEC
             out.append(last.units(in_order, bare))

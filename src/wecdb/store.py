@@ -83,7 +83,7 @@ from contextlib import closing
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -181,14 +181,6 @@ class VectorRows(Mapping):
         return len(self.index)
 
 
-class PendingRead(NamedTuple):
-    """A batched read that :meth:`WecStore.submit_many` handed to an executor."""
-
-    request: tuple  # the distinct words in chunks, their JSON arrays, the words held out
-    answers: Future  # the aggregate row of each chunk
-    started: threading.Event  # set once the executor's thread runs the read
-
-
 class WecStore:
     """Single-file store of ``<word, float32 vector>`` records for one WEC.
 
@@ -248,7 +240,7 @@ class WecStore:
         :meth:`get_many`."""
         return self._read_rows((word,)).get(word)
 
-    def get_many(self, words: Iterable[str], pending: PendingRead | None = None) -> VectorRows:
+    def get_many(self, words: Iterable[str], pending: Future | None = None) -> VectorRows:
         """Found subset of ``words`` as a read-only mapping over one matrix.
 
         The distinct words are bound once, as one JSON array, to one
@@ -267,14 +259,13 @@ class WecStore:
         not UTF-8 text is left out of the read, as absent.
 
         ``pending`` is what :meth:`submit_many` returned for these ``words``:
-        the call then waits for the statements it started and decodes
-        their answer here.
+        the call then waits for the executor's answer, not running the
+        statements itself, and decodes it here.
         """
         if pending is None:
-            request = self._request(words)
-            answers = self._answers(request)
+            request, answers = self._answers(self._request(words))
         else:
-            request, answers = pending.request, pending.answers.result()
+            request, answers = pending.result()
         chunks, _, held = request
         found, parts = [], []
         for chunk, (keys, data, bad) in zip(chunks, answers):
@@ -289,19 +280,20 @@ class WecStore:
             parts.append(rows.matrix.tobytes())
         return self._vector_rows(found, b"".join(parts))
 
-    def submit_many(self, words: Iterable[str], executor: Executor) -> PendingRead:
-        """Hand :meth:`get_many`'s statements for ``words`` to ``executor``
-        and return at once; pass the result to ``get_many(words, pending=...)``.
+    def submit_many(self, words: Iterable[str], executor: Executor) -> Future:
+        """Hand :meth:`get_many`'s statements for ``words`` to ``executor``;
+        pass the result to ``get_many(words, pending=...)``.
 
         Only SQLite runs on the executor, with the GIL released. Until its
         first statement starts, though, the executor's thread needs the GIL,
-        so a caller that goes on with Python work while the executor is idle
-        waits for ``started`` first; else the statement may wait a whole
-        switch interval (``sys.getswitchinterval()``) to start.
+        so this call returns only once that thread has started the read; a
+        caller that went on with Python work first could make the statement
+        wait a whole switch interval (``sys.getswitchinterval()``) to start.
         """
-        request = self._request(words)
         started = threading.Event()
-        return PendingRead(request, executor.submit(self._answers, request, started), started)
+        answer = executor.submit(self._answers, self._request(words), started)
+        started.wait()
+        return answer
 
     def _request(self, words: Iterable[str]) -> tuple[list[list[str]], list[str], list[str]]:
         """``(chunks, texts, held)``: the distinct words that JSON text can
@@ -312,12 +304,13 @@ class WecStore:
         chunks = [listed[i : i + step] for i in range(0, len(listed), step)]
         return chunks, [_json_text(chunk) for chunk in chunks], held
 
-    def _answers(self, request: tuple, started: threading.Event | None = None) -> list[tuple]:
-        """The aggregate row of each chunk of ``request``: the SQLite part of a
-        batched read, which any thread may run; ``started`` is set first."""
+    def _answers(self, request: tuple, started: threading.Event | None = None) -> tuple:
+        """``(request, rows)``, ``rows`` the aggregate row of each chunk of
+        ``request``: the SQLite part of a batched read, which any thread may
+        run; ``started`` is set first."""
         if started is not None:
             started.set()
-        return [self._rows(_SELECT_MANY, (4 * self.dims, text))[0] for text in request[1]]
+        return request, [self._rows(_SELECT_MANY, (4 * self.dims, text))[0] for text in request[1]]
 
     def _read_rows(self, words: Iterable[str]) -> VectorRows:
         """The found subset of ``words``, each read by one keyed statement, with

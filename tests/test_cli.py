@@ -170,6 +170,29 @@ def test_vectors_requires_input(root, tmp_path, capsys):
     assert "no input" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("modes", [
+    ["--text", "b a", "--words", "a"],
+    ["--text", "a", "--input", "LINES"],
+    ["--input", "LINES", "--words", "a"],
+    ["--text", "a", "--input", "LINES", "--words", "a"],
+])
+def test_vectors_refuses_two_input_modes_before_the_catalog_opens(
+    root, tmp_path, capsys, monkeypatch, modes
+):
+    import wecdb.cli
+
+    _import_toy(root, tmp_path)
+    lines = tmp_path / "lines.txt"
+    lines.write_text("theory\n")
+    monkeypatch.setattr(wecdb.cli, "_open_db", lambda *args, **kwargs: pytest.fail("opened"))
+    capsys.readouterr()
+    argv = [str(lines) if arg == "LINES" else arg for arg in modes]
+    assert main(["--root", root, "vectors", TOY, *argv]) == 1
+    out, err = capsys.readouterr()
+    named = " and ".join(arg for arg in modes if arg.startswith("--"))
+    assert out == "" and err == f"error: pass one input mode, not {named}\n"
+
+
 def test_train_phrases_attaches_model(root, tmp_path, capsys):
     _import_toy(root, tmp_path)
     corpus = tmp_path / "corpus.txt"

@@ -1,4 +1,5 @@
 import json
+import re
 import sqlite3
 import threading
 
@@ -215,6 +216,26 @@ def test_a_single_string_as_inputs_is_refused_before_any_store_opens(
     )
     with pytest.raises(WecdbError, match="not a single string"):
         db.get_vectors(TOY, None, inputs="theory net", raw=raw)
+    assert opens == []
+
+
+@pytest.mark.parametrize("raw", [True, False])
+def test_units_of_the_other_shape_are_refused_before_any_store_opens(
+    db, tmp_path, monkeypatch, raw
+):
+    _three_wecs(db, tmp_path)
+    opens = []
+    real_open = Database.open_store
+    monkeypatch.setattr(
+        Database, "open_store", lambda self, entry: opens.append(entry) or real_open(self, entry)
+    )
+    inputs, expected = {
+        True: (["alpha", ["beta"]], "raw=True expects each input unit to be a string"),
+        False: ([["alpha"], "beta"], "raw=False expects each input unit to be a token list"),
+    }[raw]
+    with pytest.raises(WecdbError, match=re.escape(expected)):
+        db.get_vectors("algo:a;dataset:d;dims:{2,3};fold:0;unit:token", None,
+                       inputs=inputs, raw=raw)
     assert opens == []
 
 

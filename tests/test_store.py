@@ -2,6 +2,7 @@ import os
 import random
 import re
 import sqlite3
+import threading
 
 import numpy as np
 import pytest
@@ -586,6 +587,28 @@ def test_submitted_get_many_reads_on_the_executor_and_decodes_here(tmp_path):
         pending = store.submit_many(["a", "b"], helper)
         with pytest.raises(StoreError, match="vector of 'b' is not 2 float32 values"):
             store.get_many(["a", "b"], pending=pending)
+
+
+def test_submit_many_returns_once_the_executor_has_started_the_read(tmp_path):
+    from concurrent.futures import ThreadPoolExecutor
+
+    path = tmp_path / "s.wec"
+    _write_store(path, 2, [("a", np.array([1, 2], dtype="<f4").tobytes())])
+    gate, submitted = threading.Event(), []
+    with WecStore(path) as store, ThreadPoolExecutor(1) as helper:
+        helper.submit(gate.wait)  # holds the executor's one thread
+        caller = threading.Thread(
+            target=lambda: submitted.append(store.submit_many(["zz", "a"], helper)))
+        try:
+            caller.start()
+            caller.join(0.5)
+            assert caller.is_alive() and submitted == []
+        finally:
+            gate.set()
+        caller.join(30)
+        assert not caller.is_alive() and len(submitted) == 1
+        got = store.get_many(["zz", "a"], pending=submitted[0])
+        assert got.words == ["a"] and got["a"].tolist() == [1.0, 2.0]
 
 
 def test_store_in_a_utf16_encoding_is_refused_when_it_opens(tmp_path):
