@@ -14,10 +14,11 @@ metrics run as one array pass per WEC: all sentence means of a WEC in one
 position-by-position sum, then one row-wise kernel call over all its pairs,
 with the same bytes as the per-pair functions. Retrieved sentences are
 summed straight from the read-only float32 matrix their WEC's store read
-returned, the rows of all units of one read handed over in one step by
-:func:`~wecdb.retrieve._unit_groups`, which also stacks the vectors of all
-hand-built units of one width into one matrix for each call (nothing is
-stored on the units). The means form one float32 matrix per width, and each
+returned, each unit over its own span of the read's rows, where it lies:
+:func:`~wecdb.retrieve._unit_groups` hands over those rows as they are,
+with each unit's start and end, and stacks the vectors of all hand-built
+units of one width into one matrix for each call (nothing is stored on the
+units). The means form one float32 matrix per width, and each
 side of the pairs is taken from it with one float64 conversion. A
 user-supplied callable is called once per pair. Pairs whose sentence vector
 is undefined, or for which the metric returns a non-finite value or raises
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -90,56 +92,38 @@ def _unit_means(
     Unit i's vector is row i of the float32 matrix ``means[width[i]]``;
     ``width[i]`` is -1 where the vector is undefined. Each group of units
     that :func:`~wecdb.retrieve._unit_groups` yields takes the stopword mask
-    once per row of its matrix and goes to one :func:`_row_means`.
-    """
-    width = np.full(len(units), -1, dtype=np.intp)
-    means: dict[int, np.ndarray] = {}
-    for members, matrix, words, rows, lengths in _unit_groups(units):
-        unit_of = np.repeat(np.arange(len(members)), lengths)
-        if stopset:
-            stop = np.fromiter((w in stopset for w in words), dtype=bool, count=len(words))
-            keep = ~stop[rows]
-            rows, unit_of = rows[keep], unit_of[keep]
-        vectors, counts = _row_means(matrix, rows, unit_of, len(members))
-        defined = np.flatnonzero(counts)
-        at = np.asarray(members)[defined]
-        d = matrix.shape[1]
-        if d not in means:
-            means[d] = np.zeros((len(units), d), dtype=np.float32)
-        means[d][at] = vectors[defined]
-        width[at] = d
-    return width, means
-
-
-def _row_means(
-    matrix: np.ndarray, rows: np.ndarray, unit_of: np.ndarray, n_units: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Float32 mean of each unit's rows of ``matrix``, and each unit's row count.
-
-    ``matrix[rows[j]]`` belongs to unit ``unit_of[j]``; ``unit_of`` is
-    non-decreasing and each unit's rows come in the order they are added.
-    With the units ordered longest first, the units that have a k-th row
-    are a prefix, so row k of all of them is one gather and one float64
+    once per row of its matrix and drops those rows by compacting its units'
+    spans. With the units ordered longest first, the units that have a k-th
+    row are a prefix, so row k of all of them is one gather and one float64
     add. Each sum starts from the first row, not from zeros
     (``0.0 + -0.0`` is ``+0.0``), so each mean has the bytes of a row-by-row
     loop at every width; ``np.add.reduceat`` does not promise that order.
-    Temporaries stay at units x width. A unit without rows has count 0 and
-    a zero row.
+    Temporaries stay at units x width.
     """
-    counts = np.bincount(unit_of, minlength=n_units)
-    unit_in_slot = np.argsort(-counts, kind="stable")
-    slot_of = np.empty(n_units, dtype=np.intp)
-    slot_of[unit_in_slot] = np.arange(n_units)
-    position = np.arange(len(rows)) - (np.cumsum(counts) - counts)[unit_of]
-    rows = rows[np.argsort(position * n_units + slot_of[unit_of])]
-    total = np.zeros((n_units, matrix.shape[1]))
-    ends = np.cumsum(np.bincount(position)).tolist()
-    if ends:
-        total[: ends[0]] = matrix[rows[: ends[0]]]
-        for start, end in zip(ends, ends[1:]):
-            total[: end - start] += matrix[rows[start:end]]
-    total /= np.maximum(counts[unit_in_slot], 1)[:, None]
-    return total.astype(np.float32)[slot_of], counts
+    width = np.full(len(units), -1, dtype=np.intp)
+    means: dict[int, np.ndarray] = {}
+    for members, matrix, words, rows, starts, ends in _unit_groups(units):
+        if stopset:
+            stop = np.fromiter((w in stopset for w in words), dtype=bool, count=len(words))
+            keep = ~stop[rows]
+            kept = np.concatenate(([0], np.cumsum(keep)))
+            rows, starts, ends = rows[keep], kept[starts], kept[ends]
+        counts = ends - starts
+        order = np.argsort(-counts, kind="stable")
+        starts, counts = starts[order], counts[order]
+        n = np.count_nonzero(counts)  # the units with rows, a prefix of the order
+        total = matrix[rows[starts[:n]]].astype(np.float64)
+        more = np.searchsorted(-counts, -np.arange(1, counts[0]))  # units with more than k rows
+        for k, m in enumerate(more.tolist(), 1):
+            total[:m] += matrix[rows[starts[:m] + k]]
+        total /= counts[:n, None]
+        at = np.asarray(members)[order[:n]]
+        d = matrix.shape[1]
+        if d not in means:
+            means[d] = np.zeros((len(units), d), dtype=np.float32)
+        means[d][at] = total
+        width[at] = d
+    return width, means
 
 
 # Row kernels: (n, d) float64 arrays -> n values, non-finite where undefined
@@ -390,12 +374,18 @@ _GUTTER = 110
 
 
 _QUOTE = {'"': "&quot;"}  # escape() replaces &, < and >; a label's '"' is replaced too
+# every character outside XML 1.0's Char, which no XML document can carry
+_NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+
+
+def _svg_text(label: str) -> str:
+    """``label`` as SVG text: escaped, each character XML cannot carry as U+FFFD."""
+    from xml.sax.saxutils import escape  # imports urllib.request and ssl, ~7 MiB
+
+    return escape(_NOT_XML_CHAR.sub("\ufffd", label), _QUOTE)
 
 
 def _export_svg(matrix, row_labels, col_labels, path) -> None:
-    # imported here: it imports urllib.request and ssl, ~7 MiB that only an SVG needs
-    from xml.sax.saxutils import escape
-
     n_rows, n_cols = matrix.shape
     finite = np.isfinite(matrix)
     lo, hi = (float(matrix[finite].min()), float(matrix[finite].max())) if finite.any() else (0, 0)
@@ -427,13 +417,13 @@ def _export_svg(matrix, row_labels, col_labels, path) -> None:
         y = _GUTTER + i * _CELL + _CELL * 0.65
         parts.append(
             f'<text x="{_GUTTER - 6}" y="{y:.1f}" text-anchor="end">'
-            f"{escape(label, _QUOTE)}</text>"
+            f"{_svg_text(label)}</text>"
         )
     for j, label in enumerate(col_labels):
         x = _GUTTER + j * _CELL + _CELL * 0.65
         parts.append(
             f'<text x="{x:.1f}" y="{_GUTTER - 6}" text-anchor="start"'
-            f' transform="rotate(-60 {x:.1f} {_GUTTER - 6})">{escape(label, _QUOTE)}</text>'
+            f' transform="rotate(-60 {x:.1f} {_GUTTER - 6})">{_svg_text(label)}</text>'
         )
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts), encoding="utf-8")

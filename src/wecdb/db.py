@@ -23,7 +23,7 @@ import numpy as np
 from . import phrases as phrases_mod
 from . import store as store_mod
 from .catalog import Catalog, CatalogEntry
-from .errors import CatalogError, PipelineError, StoreError, WecImportError
+from .errors import CatalogError, PipelineError, StoreError, WecdbError, WecImportError
 from .identifier import WecIdentifier, as_identifier
 from .phrases import PhraseModel
 from .pipeline import PipelineDescriptor, PreprocessCache, pipeline_for_identifier, run_pipeline
@@ -239,7 +239,10 @@ class Database:
         passes: int = phrases_mod.DEFAULT_PASSES,
     ) -> PhraseModel:
         """Tokenize raw lines with the WEC's bound pipeline, train a phrase
-        model and attach it to the WEC in place of any earlier join."""
+        model and attach it to the WEC in place of any earlier join.
+        ``raw_lines`` that is one string, not a sequence of lines, raises."""
+        if isinstance(raw_lines, str):
+            raise WecdbError("raw_lines must be a sequence of lines, not a single string")
         entry = self.catalog.require(ident)
         corpus = (run_pipeline(entry.pipeline, line) for line in raw_lines)
         model = phrases_mod.train_phrase_model(

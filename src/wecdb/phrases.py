@@ -25,6 +25,7 @@ the same tables, so the single model can support every scan.
 
 from __future__ import annotations
 
+import operator
 import urllib.parse
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -92,18 +93,23 @@ class PhraseModel:
             self.bigram_counts[pair] = self.bigram_counts.get(pair, 0) + 1
 
     def save(self, path: str | Path) -> None:
+        """Write the model in the form :meth:`load` reads. Every value that
+        ``load`` checks is checked first: a model it would refuse raises
+        :class:`WecdbError` before the file is opened."""
         q = lambda s: urllib.parse.quote(s, safe="")
+        count = lambda c: _checked("count", c, operator.index, 1)
+        lines = [
+            "# phrase model v1",
+            f"delimiter {q(DELIMITER)}",
+            f"discount {_checked('discount', self.discount, float, 0)!r}",
+            f"threshold {_checked('threshold', self.threshold, float, 0)!r}",
+            f"passes {_checked('passes', self.passes, operator.index, 1)}",
+            f"tokens {_checked('tokens', self.corpus_token_count, operator.index, 0)}",
+            *(f"u {q(word)} {count(c)}" for word, c in sorted(self.unigram_counts.items())),
+            *(f"b {q(a)} {q(b)} {count(c)}" for (a, b), c in sorted(self.bigram_counts.items())),
+        ]
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("# phrase model v1\n")
-            fh.write(f"delimiter {q(DELIMITER)}\n")
-            fh.write(f"discount {self.discount!r}\n")
-            fh.write(f"threshold {self.threshold!r}\n")
-            fh.write(f"passes {self.passes}\n")
-            fh.write(f"tokens {self.corpus_token_count}\n")
-            for word, count in sorted(self.unigram_counts.items()):
-                fh.write(f"u {q(word)} {count}\n")
-            for (a, b), count in sorted(self.bigram_counts.items()):
-                fh.write(f"b {q(a)} {q(b)} {count}\n")
+            fh.write("\n".join(lines) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "PhraseModel":
@@ -148,6 +154,18 @@ def _at_least(name: str, value, least: int):
     return value
 
 
+def _checked(name: str, value, convert, least: int):
+    """``convert(value)`` (``float``, or ``operator.index`` for an integer) as
+    :func:`_at_least` checks it; :class:`WecdbError` naming ``name`` when it
+    does not convert."""
+    try:
+        converted = convert(value)
+    except (TypeError, ValueError, OverflowError):
+        kind = "an integer" if convert is operator.index else "a number"
+        raise WecdbError(f"{name} must be {kind}, not {value!r}") from None
+    return _at_least(name, converted, least)
+
+
 def train_phrase_model(
     corpus: Iterable[Iterable[str]],
     discount: float = DEFAULT_DISCOUNT,
@@ -158,12 +176,13 @@ def train_phrase_model(
 
     The corpus is materialized (multi-pass training re-reads it). Raises
     :class:`EmptyCorpusError` when it contains no tokens at all, and
-    :class:`WecdbError` for a NaN or negative ``discount`` or ``threshold``
-    or a ``passes`` below 1, which :meth:`PhraseModel.load` refuses too.
+    :class:`WecdbError` for a ``discount`` or ``threshold`` that is not a
+    number, or is NaN or negative, or a ``passes`` that is not an integer
+    or is below 1, which :meth:`PhraseModel.load` refuses too.
     """
-    _at_least("discount", discount, 0)
-    _at_least("threshold", threshold, 0)
-    _at_least("passes", passes, 1)
+    discount = _checked("discount", discount, float, 0)
+    threshold = _checked("threshold", threshold, float, 0)
+    passes = _checked("passes", passes, operator.index, 1)
     sentences = [list(s) for s in corpus]
     if not any(sentences):
         raise EmptyCorpusError("phrase training corpus contains no tokens")

@@ -24,8 +24,9 @@ unit's start offset in it. A retrieved unit is a view of its span of that
 array; ``pairs``, ``words()``, ``vectors()`` and ``missing`` are built from
 the batch and the read's word list (``VectorRows.words``, in row order) on
 first read, and units of one WEC share the one view of a word they have in
-common. Analysis takes units' rows, grouped, from :func:`_unit_groups`
-and reads no layout itself. A unit built by hand holds only its ``pairs``;
+common. Analysis takes units' spans, grouped, from :func:`_unit_groups`:
+a batch's rows as they are, with each unit's start and end in them, and
+reads no layout itself. A unit built by hand holds only its ``pairs``;
 ``_unit_groups`` stacks those per width on each call and stores nothing on
 the unit.
 Each WEC read is one :class:`_Read`, with the entry's own pipeline and
@@ -149,15 +150,16 @@ class _Batch:
 
 
 def _unit_groups(units: Sequence[UnitResult]):
-    """Yield ``(members, matrix, words, rows, lengths)`` for each group of ``units``.
+    """Yield ``(members, matrix, words, rows, starts, ends)`` for each group of ``units``.
 
     ``members`` are the positions in ``units`` of the group's units, in
-    order; unit ``members[k]`` has the next ``lengths[k]`` entries of
+    order; unit ``members[k]`` has the span ``rows[starts[k]:ends[k]]`` of
     ``rows``, which index ``matrix`` and ``words``. Retrieved units are
-    grouped by the :class:`_Batch` of their store read, whose rows are
-    gathered in one step. Hand-built units are grouped by width, their pairs
-    stacked for this call only (a vector changed between calls is read
-    anew); one with vectors of two lengths raises :class:`AnalysisError`.
+    grouped by the :class:`_Batch` of their store read, and ``rows`` is that
+    batch's own array, nothing copied. Hand-built units are grouped by
+    width, their pairs stacked for this call only (a vector changed between
+    calls is read anew); one with vectors of two lengths raises
+    :class:`AnalysisError`.
     """
     batches: dict[int, tuple[_Batch, list[int], list[int]]] = {}
     by_width: dict[int, tuple[list[int], list[tuple[str, np.ndarray]], list[int]]] = {}
@@ -180,14 +182,13 @@ def _unit_groups(units: Sequence[UnitResult]):
         stacked += pairs
         lengths.append(len(pairs))
     for batch, members, positions in batches.values():
-        starts = batch.starts[positions]
-        lengths = batch.starts[np.add(positions, 1)] - starts
-        offset = starts - np.cumsum(lengths) + lengths  # a unit's start in rows minus in gather
-        gather = np.repeat(offset, lengths) + np.arange(lengths.sum())
-        yield members, batch.found.matrix, batch.found.words, batch.rows[gather], lengths
+        starts, ends = batch.starts[positions], batch.starts[np.add(positions, 1)]
+        yield members, batch.found.matrix, batch.found.words, batch.rows, starts, ends
     for members, stacked, lengths in by_width.values():
         matrix = np.array([vec for _, vec in stacked])
-        yield members, matrix, [word for word, _ in stacked], np.arange(len(stacked)), lengths
+        ends = np.cumsum(lengths)
+        starts = ends - lengths
+        yield members, matrix, [word for word, _ in stacked], np.arange(len(stacked)), starts, ends
 
 
 @dataclass

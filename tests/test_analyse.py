@@ -2,6 +2,7 @@ import csv
 import math
 import random
 import re
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -775,6 +776,11 @@ def test_svg_labels_are_escaped(tmp_path):
     export_heatmap(np.eye(1), ['a<b&"c">'], ["d'e"], path, format="svg")
     svg = path.read_text("utf-8")
     assert ">a&lt;b&amp;&quot;c&quot;&gt;</text>" in svg and ">d'e</text>" in svg
+    # a character XML 1.0 cannot carry becomes U+FFFD; tab and LF stay
+    labels = ["a\x01b\x1f\x00", "\ud800c\ufffe\uffff\t\n\U0001f600"]
+    export_heatmap(np.eye(1), labels[:1], labels[1:], path, format="svg")
+    texts = [t.text for t in ElementTree.parse(path).iter("{http://www.w3.org/2000/svg}text")]
+    assert texts == ["a\ufffdb\ufffd\ufffd", "\ufffdc\ufffd\ufffd\t\n\U0001f600"]
 
 
 def test_euclidean_metric():

@@ -1,8 +1,9 @@
 import random
 
+import numpy as np
 import pytest
 
-from wecdb import EmptyCorpusError, PhraseModel, apply_phrases_vocab, train_phrase_model
+from wecdb import EmptyCorpusError, PhraseModel, WecdbError, apply_phrases_vocab, train_phrase_model
 
 
 def reference_scan(model, tokens):
@@ -134,6 +135,37 @@ def test_model_save_load_round_trip(tmp_path):
     assert loaded.discount == model.discount
     assert loaded.threshold == model.threshold
     assert loaded.passes == model.passes
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("threshold", float("nan"), "threshold must be >= 0"),
+    ("discount", -0.5, "discount must be >= 0"),
+    ("discount", "x", "discount must be a number, not 'x'"),
+    ("passes", 2.0, "passes must be an integer, not 2.0"),
+    ("passes", 0, "passes must be >= 1"),
+    ("corpus_token_count", -1, "tokens must be >= 0"),
+    ("unigram_counts", {"a": 0}, "count must be >= 1"),
+    ("bigram_counts", {("a", "b"): 1.5}, "count must be an integer, not 1.5"),
+])
+def test_save_refuses_what_load_refuses_before_opening_the_file(tmp_path, field, value, message):
+    model = train_phrase_model([["a", "b"]] * 3, threshold=0.0)
+    setattr(model, field, value)
+    path = tmp_path / "model.phr"
+    with pytest.raises(WecdbError, match=message):
+        model.save(path)
+    assert not path.exists()
+
+
+def test_save_writes_numbers_in_the_form_load_parses(tmp_path):
+    model = train_phrase_model([["a", "b"]] * 3, threshold=0.0)
+    model.discount, model.threshold, model.passes = np.float32(0.5), np.float64(1.0), True
+    model.corpus_token_count, model.unigram_counts["a"] = np.int64(6), np.int32(3)
+    path = tmp_path / "model.phr"
+    model.save(path)
+    loaded = PhraseModel.load(path)
+    assert (loaded.discount, loaded.threshold, loaded.passes) == (0.5, 1.0, 1)
+    assert (loaded.corpus_token_count, loaded.unigram_counts["a"]) == (6, 3)
+    assert loaded.apply(["a", "b"]) == ["a_b"]
 
 
 def test_random_corpora_match_reference_scan():

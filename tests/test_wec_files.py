@@ -5,6 +5,7 @@ phrase model or a store file that another one replaced."""
 import errno
 import re
 
+import numpy as np
 import pytest
 
 from wecdb import CatalogError, Database, WecdbError
@@ -235,3 +236,67 @@ def test_register_with_model_names_it_after_the_store_file(tmp_path):
         assert entry.phrase_model_ref == f"{entry.file_stem}.phr"
         assert db.catalog.phrase_model_path(entry).exists()
     db.close()
+
+
+def _manifest_and_models(root):
+    """The bytes of the manifest and of every phrase model file, by name."""
+    files = [root / catalog_mod.MANIFEST_NAME, *(root / "phrases").iterdir()]
+    return {p.name: p.read_bytes() for p in files}
+
+
+def _trained(tmp_path, **params):
+    """A fresh one-WEC catalog whose WEC was trained on ``a b`` with ``params``."""
+    root = tmp_path / "catalog"
+    write_wec_text(tmp_path / "v.txt", VOCAB, dims=2)
+    with Database(root, create_if_missing=True) as db:
+        db.import_from_file(tmp_path / "v.txt", PLAIN)
+        db.train_phrases(["a b"] * 30 + ["c"] * 5, PLAIN, **params)
+    return root
+
+
+def test_a_numpy_threshold_is_saved_as_a_number_that_reads_back(tmp_path):
+    root = _trained(tmp_path, threshold=np.float64(1.0))
+    with Database(root) as fresh:
+        assert _tokens(fresh, PLAIN) == ["a_b", "c"]
+        assert type(fresh._phrase_model(fresh.catalog.require(PLAIN)).threshold) is float
+
+
+def test_passes_true_is_saved_as_one(tmp_path):
+    root = _trained(tmp_path, threshold=1.0, passes=True)
+    with Database(root) as fresh:
+        model = fresh._phrase_model(fresh.catalog.require(PLAIN))
+        assert model.passes == 1 and type(model.passes) is int
+        assert _tokens(fresh, PLAIN) == ["a_b", "c"]
+
+
+@pytest.mark.parametrize("how", ["set_phrase_model", "register"])
+def test_a_model_that_load_refuses_is_not_committed(colliding, how):
+    model = train_phrase_model([["a", "c"]] * 3, threshold=0.0)
+    model.threshold = float("nan")
+    before = _manifest_and_models(colliding)
+    with Database(colliding) as db:
+        with pytest.raises(WecdbError, match="threshold must be >= 0"):
+            if how == "register":
+                db.register("algo:x;dataset:e;dims:2;fold:0;unit:token", phrase_model=model)
+            else:
+                db.catalog.set_phrase_model(PLAIN, model)
+        assert _tokens(db, PLAIN) == ["a_b", "c"]
+    assert _manifest_and_models(colliding) == before
+    assert not [p for p in colliding.rglob("*") if p.name.endswith(".tmp")]
+
+
+def test_a_non_integer_passes_is_refused_before_training(colliding):
+    before = _manifest_and_models(colliding)
+    with Database(colliding) as db:
+        with pytest.raises(WecdbError, match="passes must be an integer"):
+            db.train_phrases(["a c"] * 30, PLAIN, threshold=1.0, passes=2.0)
+    assert _manifest_and_models(colliding) == before
+
+
+def test_train_phrases_refuses_one_string_for_its_lines(colliding):
+    before = _manifest_and_models(colliding)
+    with Database(colliding) as db:
+        with pytest.raises(WecdbError, match="raw_lines must be a sequence of lines"):
+            db.train_phrases("a b a b", PLAIN, threshold=0.0)
+        assert _tokens(db, PLAIN) == ["a_b", "c"]
+    assert _manifest_and_models(colliding) == before
