@@ -73,15 +73,23 @@ def average_vector(
     """Mean of the vectors whose word is not a stopword.
 
     Undefined (``defined=False``) when nothing remains. Raises
-    :class:`AnalysisError` on mixed vector lengths.
+    :class:`AnalysisError` on mixed vector lengths, and for ``stopwords``
+    given as one string.
     """
     pairs = list(pairs)
-    stopset = set(stopwords)
+    stopset = _stopset(stopwords)
     unit = UnitResult(raw="", tokens=[], pairs=pairs, missing=[])
     (width,), means = _unit_means([unit], stopset)
     vector = None if width < 0 else means[width][0]
     used = [w for w, _ in pairs if w not in stopset]
     return SentenceVector(vector, used, [w for w, _ in pairs if w in stopset])
+
+
+def _stopset(stopwords: Iterable[str]) -> set[str]:
+    """``stopwords`` as a set; one string, which would read as its letters, raises."""
+    if isinstance(stopwords, str):
+        raise AnalysisError("stopwords must be a collection of words, not a single string")
+    return set(stopwords)
 
 
 def _unit_means(
@@ -249,13 +257,14 @@ def pairwise_distances(
     ascending by distance (descending with ``reverse=True``, for similarity
     metrics), ties broken by sentence text. The built-in metrics run as one
     row-kernel call per WEC; any other callable is called once per pair
-    whose sentence vectors are both defined, in unit order.
+    whose sentence vectors are both defined, in unit order. ``stopwords``
+    given as one string raises :class:`AnalysisError`.
     """
     if res1.identifiers() != res2.identifiers():
         raise AnalysisError(
             f"WEC sets differ: {res1.identifiers()} vs {res2.identifiers()}"
         )
-    stopset = set(stopwords)
+    stopset = _stopset(stopwords)
     kernel = _row_kernel(metric)
     ranking = DistanceRanking()
     for (norm, units1), (_, units2) in zip(res1.per_wec, res2.per_wec):

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import fcntl
 import hashlib
+import operator
 import os
 import re
 import threading
@@ -76,8 +77,23 @@ class CatalogEntry:
             raise CatalogError(
                 f"{self.normalized}: a phrase model and a vocabulary join exclude each other"
             )
-        if self.vocab_join_max_len is not None and self.vocab_join_max_len < 2:
-            raise CatalogError(f"{self.normalized}: vocab_join_max_len must be >= 2")
+        self._keep_int("vocab_size", 0)
+        if self.vocab_join_max_len is not None:
+            self._keep_int("vocab_join_max_len", 2)
+
+    def _keep_int(self, name: str, least: int) -> None:
+        """Hold field ``name`` as a plain int of at least ``least``, the form
+        the manifest reader takes back; :class:`CatalogError` otherwise."""
+        value = getattr(self, name)
+        try:
+            number = operator.index(value)
+        except TypeError:
+            number = None
+        if number is None or isinstance(value, bool):
+            raise CatalogError(f"{self.normalized}: {name} must be an integer, not {value!r}")
+        if number < least:
+            raise CatalogError(f"{self.normalized}: {name} must be >= {least}")
+        object.__setattr__(self, name, number)
 
     @property
     def normalized(self) -> str:

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from .errors import EmptyCorpusError, WecdbError, read_text
+from .errors import EmptyCorpusError, WecdbError, first_surrogate, read_text
 
 DEFAULT_DISCOUNT = 0.0
 DEFAULT_THRESHOLD = 10.0
@@ -94,9 +94,15 @@ class PhraseModel:
 
     def save(self, path: str | Path) -> None:
         """Write the model in the form :meth:`load` reads. Every value that
-        ``load`` checks is checked first: a model it would refuse raises
-        :class:`WecdbError` before the file is opened."""
-        q = lambda s: urllib.parse.quote(s, safe="")
+        ``load`` checks is checked first, and every word is UTF-8 text: a
+        model it would refuse raises :class:`WecdbError` before the file is
+        opened."""
+
+        def q(word: str) -> str:
+            if first_surrogate(word) is not None:
+                raise WecdbError(f"phrase word {word!r} is not UTF-8 text")
+            return urllib.parse.quote(word, safe="")
+
         count = lambda c: _checked("count", c, operator.index, 1)
         lines = [
             "# phrase model v1",

@@ -24,9 +24,12 @@ Stages
     ``default`` drops tokens with no alphanumeric character.
 ``external(command, content_hash)``
     Replaces tokenize; after one, it gets the tokens joined by single spaces.
-    A user command reads one line on stdin and writes one line of tokens on
-    stdout per request; the process is started lazily, kept alive, and
-    serialized with a lock, so concurrent callers never interleave lines.
+    A user command reads one UTF-8 line on stdin and writes one UTF-8 line
+    of tokens, ended by ``\\n``, on stdout per request, whatever the locale;
+    an answer that is not UTF-8 fails its request with
+    :class:`ExternalStageError`, and the stage answers on. The process is
+    started lazily, kept alive, and serialized with a lock, so concurrent
+    callers never interleave lines.
     The command must flush stdout after every line (e.g. ``python3 -u``). A
     stage that has not taken a request and answered it with a line within
     30 s is killed, with every process it started, and the request fails
@@ -43,11 +46,9 @@ percent-encoded; it is stable and included verbatim in catalog manifests.
 from __future__ import annotations
 
 import atexit
-import codecs
 import contextlib
 import functools
 import hashlib
-import io
 import os
 import select
 import signal
@@ -352,21 +353,20 @@ class PreprocessCache:
 class _ExternalProcess:
     """One persistent external-stage process, one request/response at a time.
 
-    A request is written to and its response line read from the pipes' file
-    descriptors, so that both waits can be bounded: a stage that has not
-    taken the request and given a whole line back within
-    ``_EXTERNAL_TIMEOUT_S`` seconds is killed with every process it started,
-    and the next request starts a fresh one. Text is encoded, decoded and
-    its newlines translated as ``proc.stdin.write()`` and
-    ``proc.stdout.readline()`` would do it.
+    Requests and answers are UTF-8 bytes on every machine, whatever the
+    locale: a request is one line encoded as UTF-8, and its answer is the
+    bytes up to and including the next ``\\n``, decoded as strict UTF-8.
+    Both move on the pipes' file descriptors, so that both waits can be
+    bounded: a stage that has not taken the request and given a whole line
+    back within ``_EXTERNAL_TIMEOUT_S`` seconds is killed with every process
+    it started, and the next request starts a fresh one.
     """
 
     def __init__(self, command: str):
         self.command = command
         self.lock = threading.Lock()
         self.proc: subprocess.Popen | None = None
-        self._decoder: io.IncrementalNewlineDecoder | None = None
-        self._pending = ""  # decoded output not yet returned as a line
+        self._pending = b""  # output not yet returned as a line
 
     def _ensure_started(self) -> subprocess.Popen:
         if self.proc is None or self.proc.poll() is not None:
@@ -376,26 +376,24 @@ class _ExternalProcess:
                 shell=True,
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
-                text=True,
+                bufsize=0,
                 start_new_session=True,  # its own process group, killed as one
             )
             os.set_blocking(self.proc.stdin.fileno(), False)  # writes wait in poll(), not write()
-            decoder = codecs.getincrementaldecoder(self.proc.stdout.encoding)
-            self._decoder = io.IncrementalNewlineDecoder(
-                decoder(self.proc.stdout.errors), translate=True
-            )
-            self._pending = ""
+            self._pending = b""
         return self.proc
 
     def process_line(self, line: str) -> list[str]:
         with self.lock:
-            proc = self._ensure_started()
-            deadline = time.monotonic() + _EXTERNAL_TIMEOUT_S
             try:
-                self._write_line(proc, line.replace("\n", " ") + "\n", deadline)
-                out = self._read_line(proc, deadline)
-            # text that the pipe's encoding cannot carry fails before any write
-            except (OSError, UnicodeEncodeError) as exc:
+                # text that UTF-8 cannot carry fails before the stage starts
+                request = (line.replace("\n", " ") + "\n").encode("utf-8")
+                proc = self._ensure_started()
+                deadline = time.monotonic() + _EXTERNAL_TIMEOUT_S
+                self._write_line(proc, request, deadline)
+                # a line that does not decode was read whole: the stage answers on
+                out = self._read_line(proc, deadline).decode("utf-8")
+            except (OSError, UnicodeError) as exc:
                 raise ExternalStageError(
                     f"external stage {self.command!r} failed: {exc}"
                 ) from exc
@@ -407,10 +405,10 @@ class _ExternalProcess:
                 )
             return out.split()
 
-    def _write_line(self, proc: subprocess.Popen, line: str, deadline: float) -> None:
-        """Write ``line`` to the stage, as much at a time as its pipe takes."""
+    def _write_line(self, proc: subprocess.Popen, request: bytes, deadline: float) -> None:
+        """Write ``request`` to the stage, as much at a time as its pipe takes."""
         fd = proc.stdin.fileno()
-        data = memoryview(line.encode(proc.stdin.encoding, proc.stdin.errors))
+        data = memoryview(request)
         while data:
             self._wait(proc, fd, select.POLLOUT, deadline)
             try:
@@ -418,16 +416,16 @@ class _ExternalProcess:
             except BlockingIOError:
                 pass  # the pipe filled up again; wait for it
 
-    def _read_line(self, proc: subprocess.Popen, deadline: float) -> str:
-        """The next output line with its newline, or what is left at end of output."""
+    def _read_line(self, proc: subprocess.Popen, deadline: float) -> bytes:
+        """The output through the next ``\\n``, or what is left at end of output."""
         fd = proc.stdout.fileno()
-        while (end := self._pending.find("\n")) < 0:
+        while (end := self._pending.find(b"\n")) < 0:
             self._wait(proc, fd, select.POLLIN, deadline)
             chunk = os.read(fd, 65536)
-            self._pending += self._decoder.decode(chunk, final=not chunk)
             if not chunk:  # end of output
-                out, self._pending = self._pending, ""
+                out, self._pending = self._pending, b""
                 return out
+            self._pending += chunk
         out, self._pending = self._pending[: end + 1], self._pending[end + 1 :]
         return out
 
@@ -450,10 +448,7 @@ class _ExternalProcess:
         if proc is None:
             return
         proc.stdout.close()
-        try:
-            proc.stdin.close()
-        except BrokenPipeError:
-            pass  # an exited process cannot take what is left in the buffer
+        proc.stdin.close()  # unbuffered: nothing is left to flush
         proc.wait(timeout=5)
 
 

@@ -69,6 +69,17 @@ def test_average_undefined_when_all_stopwords():
     assert sv.vector is None
 
 
+def test_one_string_of_stopwords_is_refused_not_read_as_its_letters():
+    # "the" would drop the words "t", "h" and "e", and keep "the"
+    pairs = [("the", _vec(9, 9)), ("t", _vec(5, 5)), ("net", _vec(1, 1))]
+    left, right = _unit(pairs, raw="the t net"), _unit([("net", (1, 1))], raw="net")
+    with pytest.raises(AnalysisError, match="stopwords must be a collection of words"):
+        average_vector(pairs, stopwords="the")
+    with pytest.raises(AnalysisError, match="stopwords must be a collection of words"):
+        pairwise_distances(_result("w", [left]), _result("w", [right]), stopwords="the")
+    assert average_vector(pairs, stopwords=["the"]).excluded == ["the"]
+
+
 def _loop_average(pairs, stopwords):
     """Reference: the row-by-row float64 accumulation the README specifies."""
     total = None

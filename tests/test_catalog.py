@@ -443,6 +443,40 @@ def test_manifest_vocab_join_shorter_than_two_names_its_line(catalog, length):
         _register(catalog, SEVEN[1], vocab_join_max_len=int(length))
 
 
+@pytest.mark.parametrize("size", [2.5, -1, True, "3"])
+def test_a_vocab_size_the_manifest_cannot_read_back_is_refused(catalog, size):
+    _register(catalog, SEVEN[0])
+    manifest = catalog.root / "catalog.manifest"
+    before = manifest.read_bytes()
+    with pytest.raises(CatalogError, match="vocab_size must be"):
+        catalog.set_vocab_size(SEVEN[0], size)
+    assert manifest.read_bytes() == before
+    assert catalog.require(SEVEN[0]).vocab_size == 0
+
+
+@pytest.mark.parametrize("length", [2.5, 3.0, "3"])
+def test_a_vocab_join_length_the_manifest_cannot_read_back_is_refused(catalog, length):
+    _register(catalog, SEVEN[0])
+    manifest = catalog.root / "catalog.manifest"
+    before = manifest.read_bytes()
+    with pytest.raises(CatalogError, match="vocab_join_max_len must be"):
+        _register(catalog, SEVEN[1], vocab_join_max_len=length)
+    assert manifest.read_bytes() == before
+    assert catalog.require(SEVEN[0]).vocab_size == 0
+    assert catalog.lookup(SEVEN[1]) is None
+
+
+def test_numpy_integers_are_kept_as_plain_ints(catalog):
+    import numpy as np
+
+    _register(catalog, SEVEN[0], vocab_join_max_len=np.int64(3))
+    entry = catalog.set_vocab_size(SEVEN[0], np.int64(7))
+    assert type(entry.vocab_size) is int and type(entry.vocab_join_max_len) is int
+    assert "\t7\t" in (catalog.root / "catalog.manifest").read_text("utf-8")
+    assert Catalog(catalog.root).require(SEVEN[0]) == entry
+    assert (entry.vocab_size, entry.vocab_join_max_len) == (7, 3)
+
+
 def test_entry_dims_and_pipeline_hash_are_derived(catalog):
     entry = _register(catalog, SEVEN[0])
     fields = {f.name for f in dataclasses.fields(entry)}

@@ -4,6 +4,14 @@ a word, no identifier holds such a value, and no catalog records such a path."""
 
 import errno
 import json
+import os
+import re
+import shlex
+import subprocess
+import sys
+from pathlib import Path
+
+import wecdb
 
 import pytest
 
@@ -12,7 +20,7 @@ from wecdb.catalog import Catalog
 from wecdb.cli import main
 from wecdb.errors import ExternalStageError
 from wecdb.identifier import parse_filter, parse_identifier, parse_query
-from wecdb.pipeline import _ExternalProcess, build_pipeline
+from wecdb.pipeline import _ExternalProcess, build_pipeline, pipeline_for_identifier
 
 from conftest import write_wec_text
 
@@ -162,3 +170,44 @@ def test_an_external_stage_refuses_text_it_cannot_encode_and_answers_on():
         assert runner.proc is proc
     finally:
         runner.close()
+
+
+def test_a_reply_that_is_not_utf8_fails_its_request_and_the_stage_answers_on():
+    # answers the request "bad" with b"caf\xe9", any other with the request itself
+    script = (
+        "import sys\n"
+        "for line in iter(sys.stdin.buffer.readline, b''):\n"
+        "    sys.stdout.buffer.write(b'caf\\xe9\\n' if line == b'bad\\n' else line)\n"
+        "    sys.stdout.buffer.flush()\n"
+    )
+    command = f"{sys.executable} -c {shlex.quote(script)}"
+    runner = _ExternalProcess(command)
+    try:
+        assert runner.process_line("tea") == ["tea"]
+        proc = runner.proc
+        with pytest.raises(ExternalStageError, match=re.escape(f"external stage {command!r}")):
+            runner.process_line("bad")
+        assert runner.process_line("hot tea") == ["hot", "tea"]
+        assert runner.proc is proc
+    finally:
+        runner.close()
+
+
+def test_an_external_stage_speaks_utf8_under_an_ascii_locale(tmp_path):
+    root = tmp_path / "c"
+    ident = parse_identifier(IDENT)
+    with Database(root, create_if_missing=True) as db:
+        db.register(ident, pipeline_for_identifier(ident, external=("cat", None)))
+    source = tmp_path / "in.txt"
+    source.write_text("café net\n", encoding="utf-8")
+    src = str(Path(wecdb.__file__).parents[1])
+    env = dict(os.environ, PYTHONCOERCECLOCALE="0", PYTHONUTF8="0", LC_ALL="C",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "wecdb.cli", "--root", str(root), "vectors", IDENT,
+         "--input", str(source)],
+        capture_output=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    (unit,) = json.loads(proc.stdout)["results"][0]["units"]
+    assert unit["tokens"] == ["café", "net"]

@@ -608,3 +608,34 @@ def test_external_stage_lines_are_read_one_per_request():
     assert runner.process_line("3") == ["d", "e"]
     assert runner.process_line("4") == ["tail"]  # last output without a newline
     runner.close()
+
+
+def test_an_answer_ends_at_newline_alone():
+    # an inner \r is whitespace inside the answer, not the end of a line
+    script = (
+        "import sys\n"
+        "sys.stdin.readline()\n"
+        "sys.stdout.write('x\\ry\\n'); sys.stdout.flush()\n"
+        "for line in sys.stdin: print(line.strip(), flush=True)\n"
+    )
+    runner = _ExternalProcess(f"{sys.executable} -c {shlex.quote(script)}")
+    try:
+        assert runner.process_line("1") == ["x", "y"]
+        assert runner.process_line("2") == ["2"]
+    finally:
+        runner.close()
+
+
+def test_a_request_reaches_the_stage_as_utf8_bytes():
+    script = (
+        "import sys\n"
+        "for line in iter(sys.stdin.buffer.readline, b''):\n"
+        "    sys.stdout.buffer.write(line.rstrip(b'\\n').hex().encode() + b'\\n')\n"
+        "    sys.stdout.buffer.flush()\n"
+    )
+    runner = _ExternalProcess(f"{sys.executable} -c {shlex.quote(script)}")
+    try:
+        assert runner.process_line("café") == ["636166c3a9"]
+        assert runner.process_line("a\nb") == ["612062"]  # an inner newline is sent as a space
+    finally:
+        runner.close()

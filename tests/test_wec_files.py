@@ -300,3 +300,28 @@ def test_train_phrases_refuses_one_string_for_its_lines(colliding):
             db.train_phrases("a b a b", PLAIN, threshold=0.0)
         assert _tokens(db, PLAIN) == ["a_b", "c"]
     assert _manifest_and_models(colliding) == before
+
+
+def test_train_phrases_refuses_a_word_that_is_not_utf8(colliding):
+    before = _manifest_and_models(colliding)
+    with Database(colliding) as db:
+        with pytest.raises(WecdbError, match=re.escape("phrase word '\\ud800' is not UTF-8")):
+            db.train_phrases(["a \ud800"] * 3, PLAIN, threshold=0.0)
+        assert _tokens(db, PLAIN) == ["a_b", "c"]
+    assert _manifest_and_models(colliding) == before
+
+
+@pytest.mark.parametrize("where", ["unigram", "bigram"])
+def test_set_phrase_model_refuses_a_word_that_is_not_utf8(colliding, where):
+    model = train_phrase_model([["a", "c"]] * 3, threshold=0.0)
+    if where == "unigram":
+        model.unigram_counts["\udce9"] = 1
+    else:
+        model.bigram_counts[("a", "\udce9")] = 1
+    before = _manifest_and_models(colliding)
+    with Database(colliding) as db:
+        with pytest.raises(WecdbError, match=re.escape("phrase word '\\udce9' is not UTF-8")):
+            db.catalog.set_phrase_model(PLAIN, model)
+        assert _tokens(db, PLAIN) == ["a_b", "c"]
+    assert _manifest_and_models(colliding) == before
+    assert not [p for p in colliding.rglob("*") if p.name.endswith(".tmp")]
